@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllZeroWeights, DimensionMismatch, EmptySet, InputError
-from .normalization import AdainConfig, adain_rows
+from .normalization import AdainConfig, _adain_rows, _column_stats
 from .tensorcore import Matrix, _row_matmul, _softmax_rows_array, _weighted_rows
 
 
@@ -163,16 +163,32 @@ def shared_attention(
     if self_k.rows != self_v.rows:
         raise DimensionMismatch(f"self K has {self_k.rows} tokens but V has {self_v.rows}")
 
-    q_hat = adain_rows(self_q, ref_q, adain_cfg)
-    k_hat = adain_rows(self_k, ref_k, adain_cfg)
+    eps_std = adain_cfg.eps_std
+    q_hat = _adain_rows(self_q.data, *_column_stats(ref_q.data, eps_std), eps_std)
+    k_hat = _adain_rows(self_k.data, *_column_stats(ref_k.data, eps_std), eps_std)
+    out, weights, ref_mass = _shared_attention(q_hat, k_hat, self_v.data, ref_k.data, ref_v.data, rescale)
+    return SharedAttentionOutput(updated=Matrix(out), weights=Matrix(weights), ref_mass=ref_mass)
 
-    n_ref = ref_k.rows
-    logits = _scaled_logits(q_hat.data, np.concatenate([ref_k.data, k_hat.data], axis=0))
+
+def _shared_attention(
+    q_hat: np.ndarray,
+    k_hat: np.ndarray,
+    self_v: np.ndarray,
+    ref_k: np.ndarray,
+    ref_v: np.ndarray,
+    rescale: RescaleParams,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(updated, weights, ref_mass) of already-normalized queries and keys.
+
+    ``q_hat`` should be C-contiguous: the einsum's summation order follows
+    the memory layout of its operands.
+    """
+    n_ref = ref_k.shape[0]
+    logits = _scaled_logits(q_hat, np.concatenate([ref_k, k_hat], axis=0))
     logits[:, :n_ref] = logits[:, :n_ref] * rescale.sigma + rescale.mu
     weights = _softmax_rows_array(logits)
-    out = _weighted_rows(weights, np.concatenate([ref_v.data, self_v.data], axis=0))
-    ref_mass = float(weights[:, :n_ref].sum(axis=1).mean())
-    return SharedAttentionOutput(updated=Matrix(out), weights=Matrix(weights), ref_mass=ref_mass)
+    out = _weighted_rows(weights, np.concatenate([ref_v, self_v], axis=0))
+    return out, weights, float(weights[:, :n_ref].sum(axis=1).mean())
 
 
 def lambda_rescaled_attention(

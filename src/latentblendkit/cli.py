@@ -8,6 +8,7 @@ stderr. Exit codes are a stable contract: 0 success, 2 input validation,
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .attention import (
     RescaleParams,
     StyleBlock,
@@ -30,7 +32,6 @@ from .blending import SLI, WeightedStyleSet, linear_blend, sli_blend
 from .errors import (
     BlendKitError,
     InputError,
-    IoFailure,
     NumericDomainError,
     ProviderFailure,
     ProviderUnavailable,
@@ -41,6 +42,7 @@ from .formats import (
     load_array,
     load_blend_spec,
     load_prompt_catalog,
+    read_json,
     read_vectors,
     write_vectors,
 )
@@ -111,12 +113,16 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
 
 
-def _rows_to_csv(fieldnames: list[str], rows: list[dict]) -> str:
+def _rows_to_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\r\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\r\n")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _emit_rows(rows: list[dict], fmt: str, output: str | None) -> None:
+    _emit(json.dumps({"rows": rows}) if fmt == "json" else _rows_to_csv(rows), output)
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
@@ -145,7 +151,7 @@ output_option = click.option(
 
 
 @click.group()
-@click.version_option(package_name="latentblendkit")
+@click.version_option(version=__version__)
 def main():
     """Latent style blending, shared attention, similarity scoring, fusion."""
 
@@ -250,11 +256,13 @@ def wms(generated_paths, refs_path, ref_names, weights, grid, fmt, output):
                 raise InputError(f"{len(w)} weights for {len(refs)} references")
             configs = [(w, generated_paths[0])]
 
+        loaded: dict[str, tuple[LatentVector, ...]] = {}
         rows = []
         for w, gen_path in configs:
-            generated = _load_embedding_paths(gen_path)
+            if gen_path not in loaded:
+                loaded[gen_path] = tuple(_load_embedding_paths(gen_path))
             es = EmbeddingSet(
-                generated=tuple(generated),
+                generated=loaded[gen_path],
                 references=tuple(
                     ReferenceStyle(name=nm, embedding=emb, weight=wt)
                     for nm, emb, wt in zip(names, refs, w)
@@ -269,11 +277,7 @@ def wms(generated_paths, refs_path, ref_names, weights, grid, fmt, output):
             row["WMS"] = report.wms
             row["MS_GAP"] = report.ms_gap
             rows.append(row)
-
-        if fmt == "json":
-            _emit(json.dumps({"rows": rows}), output)
-        else:
-            _emit(_rows_to_csv(list(rows[0].keys()), rows), output)
+        _emit_rows(rows, fmt, output)
 
 
 @main.command()
@@ -391,15 +395,7 @@ def _resolve_input(item: dict, index: int, catalog: QueryCatalog) -> tuple[Modal
 def fuse(inputs_path, config_path, provider, provider_kind, catalog_path, explain, output):
     """Fuse modality descriptions into one prompt."""
     with _exit_codes():
-        try:
-            raw = json.loads(Path(inputs_path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise IoFailure(f"cannot read {inputs_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{inputs_path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, list):
-            raise InputError(f"{inputs_path} must be a JSON array of modality entries")
-
+        raw = read_json(inputs_path, "fusion inputs", expect=list)
         cfg = _load_fusion_config(config_path)
         catalog = QueryCatalog.from_json_file(catalog_path) if catalog_path else default_query_catalog()
         binding = ProviderBinding(kind=provider_kind, locator=provider) if provider else None
@@ -424,14 +420,7 @@ def fuse(inputs_path, config_path, provider, provider_kind, catalog_path, explai
 def _load_fusion_config(config_path: str | None) -> FusionConfig:
     if config_path is None:
         return FusionConfig()
-    try:
-        raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoFailure(f"cannot read {config_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{config_path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise InputError(f"{config_path} must be a JSON object")
+    raw = read_json(config_path, "fusion config", expect=dict)
     para = raw.get("paraphrase", {})
     defaults = ParaphraseParams()
     try:
@@ -449,16 +438,7 @@ def _load_fusion_config(config_path: str | None) -> FusionConfig:
 
 
 def _load_sandbox_config(config_path: str | None, seed: int | None, guidance: float | None) -> SandboxConfig:
-    raw: dict = {}
-    if config_path is not None:
-        try:
-            raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise IoFailure(f"cannot read {config_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{config_path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise InputError(f"{config_path} must be a JSON object")
+    raw = {} if config_path is None else read_json(config_path, "sandbox config", expect=dict)
     sched_raw = raw.get("schedule", {})
     sched_defaults = DdimScheduleConfig()
     rescale_raw = raw.get("rescale", {})
@@ -474,8 +454,6 @@ def _load_sandbox_config(config_path: str | None, seed: int | None, guidance: fl
                 beta_end=float(sched_raw.get("beta_end", sched_defaults.beta_end)),
                 beta_schedule=str(sched_raw.get("beta_schedule", sched_defaults.beta_schedule)),
                 steps=int(sched_raw.get("steps", sched_defaults.steps)),
-                clip_sample=bool(sched_raw.get("clip_sample", sched_defaults.clip_sample)),
-                set_alpha_to_one=bool(sched_raw.get("set_alpha_to_one", sched_defaults.set_alpha_to_one)),
             ),
             rescale=RescaleParams(
                 mu=float(rescale_raw.get("mu", 0.0)), sigma=float(rescale_raw.get("sigma", 1.0))
@@ -483,21 +461,8 @@ def _load_sandbox_config(config_path: str | None, seed: int | None, guidance: fl
         )
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad sandbox config: {exc}") from exc
-    overrides = {}
-    if seed is not None:
-        overrides["seed"] = seed
-    if guidance is not None:
-        overrides["guidance_scale"] = guidance
-    if overrides:
-        cfg = SandboxConfig(
-            guidance_scale=overrides.get("guidance_scale", cfg.guidance_scale),
-            seed=overrides.get("seed", cfg.seed),
-            n_images=cfg.n_images,
-            feature_shape=cfg.feature_shape,
-            schedule=cfg.schedule,
-            rescale=cfg.rescale,
-        )
-    return cfg
+    overrides = {"seed": seed, "guidance_scale": guidance}
+    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 @main.command()
@@ -522,23 +487,12 @@ def sandbox(config_path, seed, guidance, dump_schedule, guidance_grid, fmt, outp
                 }
                 for t in range(schedule.steps)
             ]
-            if fmt == "json":
-                _emit(json.dumps({"rows": rows}), output)
-            else:
-                _emit(_rows_to_csv(["step", "beta", "alpha_cumprod"], rows), output)
+            _emit_rows(rows, fmt, output)
             return
         if guidance_grid:
             rows = []
             for g in GUIDANCE_GRID:
-                run_cfg = SandboxConfig(
-                    guidance_scale=g,
-                    seed=cfg.seed,
-                    n_images=cfg.n_images,
-                    feature_shape=cfg.feature_shape,
-                    schedule=cfg.schedule,
-                    rescale=cfg.rescale,
-                )
-                report = run_sandbox(run_cfg)
+                report = run_sandbox(dataclasses.replace(cfg, guidance_scale=g))
                 rows.append(
                     {
                         "guidance": g,
@@ -547,16 +501,7 @@ def sandbox(config_path, seed, guidance, dump_schedule, guidance_grid, fmt, outp
                         "final_ref_mass": report.final_ref_mass,
                     }
                 )
-            if fmt == "json":
-                _emit(json.dumps({"rows": rows}), output)
-            else:
-                _emit(
-                    _rows_to_csv(
-                        ["guidance", "initial_stat_distance", "final_stat_distance", "final_ref_mass"],
-                        rows,
-                    ),
-                    output,
-                )
+            _emit_rows(rows, fmt, output)
             return
         report = run_sandbox(cfg)
         if fmt == "json":
@@ -571,7 +516,7 @@ def sandbox(config_path, seed, guidance, dump_schedule, guidance_grid, fmt, outp
                 f"ref_mass={report.final_ref_mass}",
                 err=True,
             )
-            _emit(_rows_to_csv(["step", "stat_distance"], rows), output)
+            _emit(_rows_to_csv(rows), output)
 
 
 @main.command()
@@ -592,14 +537,14 @@ def catalog(which, catalog_path, fmt, output):
                 _emit(json.dumps({"queries": entries}), output)
             else:
                 rows = [{"index": i, "text": q.text} for i, q in enumerate(cat.queries)]
-                _emit(_rows_to_csv(["index", "text"], rows), output)
+                _emit(_rows_to_csv(rows), output)
         else:
             prompts = load_prompt_catalog(catalog_path) if catalog_path else default_prompt_catalog()
             if fmt == "json":
                 _emit(json.dumps({"prompts": prompts}), output)
             else:
                 rows = [{"index": i, "text": p} for i, p in enumerate(prompts)]
-                _emit(_rows_to_csv(["index", "text"], rows), output)
+                _emit(_rows_to_csv(rows), output)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""File formats: NPY vectors/maps, blend-spec JSON, and the prompt catalog.
+"""File formats: NPY vectors/maps, JSON files, blend specs, and the prompt catalog.
 
 Only the NPY v1.0 subset is supported: little-endian f4/f8, C order, 1-D or
 2-D. The reader reports the byte offset of whatever it rejects; the writer
@@ -146,6 +146,24 @@ def _build_header(shape: tuple[int, ...]) -> bytes:
     return _MAGIC + bytes((1, 0)) + struct.pack("<H", len(header)) + header.encode("latin-1")
 
 
+def read_json(path: str | Path, what: str, expect: type | None = None):
+    """Parse the JSON file ``path``, described as ``what`` in error messages.
+
+    An unreadable file raises IoFailure; invalid JSON, or a top-level value
+    that is not an ``expect`` (``dict`` or ``list``) when one is given,
+    raises InputError.
+    """
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise InputError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if expect is not None and not isinstance(raw, expect):
+        raise InputError(f"{what} {path} must be a JSON {'object' if expect is dict else 'array'}")
+    return raw
+
+
 @dataclass(frozen=True)
 class BlendStyleRef:
     path: str
@@ -167,15 +185,7 @@ def load_blend_spec(path: str | Path) -> BlendSpec:
     Style paths are resolved relative to the blend-spec file's directory.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoFailure(f"cannot read blend spec {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"blend spec {path} is not valid JSON: {exc}") from exc
-
-    if not isinstance(raw, dict):
-        raise InputError(f"blend spec {path} must be a JSON object")
+    raw = read_json(path, "blend spec", expect=dict)
     method = raw.get("method")
     if method not in (LINEAR, SLI):
         raise InputError(f"blend spec {path}: method must be 'linear' or 'sli', got {method!r}")
@@ -207,13 +217,7 @@ def default_prompt_catalog() -> list[str]:
 
 
 def load_prompt_catalog(path: str | Path) -> list[str]:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoFailure(f"cannot read prompt catalog {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"prompt catalog {path} is not valid JSON: {exc}") from exc
-    return load_prompt_catalog_obj(raw, source=str(path))
+    return load_prompt_catalog_obj(read_json(path, "prompt catalog"), source=str(path))
 
 
 def load_prompt_catalog_obj(raw, source: str = "<memory>") -> list[str]:

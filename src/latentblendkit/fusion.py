@@ -29,6 +29,7 @@ from .errors import (
     ProviderUnavailable,
     ZeroVector,
 )
+from .formats import read_json
 from .metrics import cosine_similarity
 from .tensorcore import LatentVector, norm
 
@@ -83,13 +84,7 @@ class QueryCatalog:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "QueryCatalog":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise InputError(f"cannot read query catalog {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"query catalog {path} is not valid JSON: {exc}") from exc
-        return cls.from_obj(raw, source=str(path))
+        return cls.from_obj(read_json(path, "query catalog"), source=str(path))
 
     @classmethod
     def from_obj(cls, raw, source: str = "<memory>") -> "QueryCatalog":

@@ -82,8 +82,12 @@ class ScoreDropBound(NamedTuple):
 
 def cosine_similarity(a: LatentVector, b: LatentVector) -> float:
     """(a . b) / (|a| |b|), clamped to [-1, 1] against rounding."""
+    return _cosine(a, b, norm(b))
+
+
+def _cosine(a: LatentVector, b: LatentVector, nb: float) -> float:
+    """cosine_similarity(a, b) given b's norm ``nb``."""
     na = norm(a)
-    nb = norm(b)
     if na == 0.0 or nb == 0.0:
         raise ZeroVector("cosine similarity undefined for zero vectors")
     return min(1.0, max(-1.0, dot(a, b) / (na * nb)))
@@ -97,9 +101,10 @@ def mean_similarity(generated: Sequence[LatentVector], ref: LatentVector) -> flo
     """
     if len(generated) == 0:
         raise EmptySet("mean similarity over an empty generated set")
+    ref_norm = norm(ref)
     total = 0.0
     for g in generated:
-        total += cosine_similarity(g, ref)
+        total += _cosine(g, ref, ref_norm)
     return total / len(generated)
 
 

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ChannelMismatch, DimensionMismatch, InputError
-from .tensorcore import DEFAULT_EPS_STD, FeatureMap, Matrix, channel_stats
+from .tensorcore import DEFAULT_EPS_STD, FeatureMap, Matrix, _channel_stats
 
 
 @dataclass(frozen=True)
@@ -34,10 +36,8 @@ def adain(g: FeatureMap, s: FeatureMap, cfg: AdainConfig = AdainConfig()) -> Fea
     """
     if g.channels != s.channels:
         raise ChannelMismatch(f"channel counts differ: {g.channels} vs {s.channels}")
-    gs = channel_stats(g, cfg.eps_std)
-    ss = channel_stats(s, cfg.eps_std)
-    out = ss.std[:, None] * (g.data - gs.mean[:, None]) / gs.std[:, None] + ss.mean[:, None]
-    return FeatureMap(out)
+    s_mean, s_std = _channel_stats(s.data, cfg.eps_std)
+    return FeatureMap(_adain(g.data, s_mean, s_std, cfg.eps_std))
 
 
 def adain_rows(x: Matrix, ref: Matrix, cfg: AdainConfig = AdainConfig()) -> Matrix:
@@ -48,5 +48,25 @@ def adain_rows(x: Matrix, ref: Matrix, cfg: AdainConfig = AdainConfig()) -> Matr
     """
     if x.cols != ref.cols:
         raise DimensionMismatch(f"feature dims differ: {x.cols} vs {ref.cols}")
-    normalized = adain(FeatureMap(x.data.T), FeatureMap(ref.data.T), cfg)
-    return Matrix(normalized.data.T)
+    ref_mean, ref_std = _column_stats(ref.data, cfg.eps_std)
+    return Matrix(_adain_rows(x.data, ref_mean, ref_std, cfg.eps_std))
+
+
+def _adain(g: np.ndarray, s_mean: np.ndarray, s_std: np.ndarray, eps_std: float) -> np.ndarray:
+    """AdaIN of a C-contiguous (channels x positions) array to given target stats."""
+    g_mean, g_std = _channel_stats(g, eps_std)
+    return s_std[:, None] * (g - g_mean[:, None]) / g_std[:, None] + s_mean[:, None]
+
+
+def _column_stats(x: np.ndarray, eps_std: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column (mean, floored std) of a token matrix."""
+    return _channel_stats(np.ascontiguousarray(x.T), eps_std)
+
+
+def _adain_rows(x: np.ndarray, ref_mean: np.ndarray, ref_std: np.ndarray, eps_std: float) -> np.ndarray:
+    """AdaIN of a token matrix's columns to given per-column target stats.
+
+    Both transposes are made C-contiguous, so reductions and the matrix
+    products downstream see the same memory layout whatever ``x``'s is.
+    """
+    return np.ascontiguousarray(_adain(np.ascontiguousarray(x.T), ref_mean, ref_std, eps_std).T)

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import IDENTITY_RESCALE, RescaleParams, shared_attention
+from .attention import IDENTITY_RESCALE, RescaleParams, _shared_attention
 from .errors import InputError
-from .normalization import AdainConfig
-from .tensorcore import FeatureMap, Matrix, _frozen_f64, channel_stats
+from .normalization import _adain_rows
+from .tensorcore import DEFAULT_EPS_STD, _channel_stats, _frozen_f64
 
 SCALED_LINEAR = "scaled_linear"
 LINEAR_SCHEDULE = "linear"
@@ -33,9 +33,11 @@ GUIDANCE_GRID = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
 #: Proportionality constant for the per-step blend strength
 #: min(1, _STRENGTH_SCALE * guidance * (1 - alpha_cumprod[t])). At 1/20 the
-#: whole guidance grid stays in the smooth-descent regime over 50 steps
-#: (strength well below 1), so the statistic distance decreases
-#: monotonically instead of overshooting the attention equilibrium.
+#: strength stays well below 1 over 50 steps for the whole guidance grid.
+#: For seed 7, which the goldens pin, the statistic distance then descends
+#: smoothly and its final value falls as guidance rises; neither holds for
+#: every seed (for seeds 0-9, six end further from the reference at higher
+#: guidance).
 _STRENGTH_SCALE = 0.05
 
 
@@ -45,10 +47,6 @@ class DdimScheduleConfig:
     beta_end: float = 0.012
     beta_schedule: str = SCALED_LINEAR
     steps: int = 50
-    # sampler-facing switches, carried for config fidelity; the sandbox only
-    # consumes the derived beta/alpha_cumprod arrays
-    clip_sample: bool = False
-    set_alpha_to_one: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.beta_start < self.beta_end < 1.0:
@@ -136,10 +134,8 @@ class SandboxReport:
 
 def _stat_distance(x: np.ndarray, ref_mean: np.ndarray, ref_std: np.ndarray) -> float:
     """L2 distance between the (mean, std) stat vectors of x and the reference."""
-    st = channel_stats(FeatureMap(x))
-    return math.sqrt(
-        float(((st.mean - ref_mean) ** 2).sum()) + float(((st.std - ref_std) ** 2).sum())
-    )
+    mean, std = _channel_stats(np.ascontiguousarray(x), DEFAULT_EPS_STD)
+    return math.sqrt(float(((mean - ref_mean) ** 2).sum()) + float(((std - ref_std) ** 2).sum()))
 
 
 def run_sandbox(cfg: SandboxConfig) -> SandboxReport:
@@ -161,14 +157,16 @@ def run_sandbox(cfg: SandboxConfig) -> SandboxReport:
     gens = [rng.standard_normal((c, n)) for _ in range(cfg.n_images - 1)]
     perm = rng.permutation(n)
 
-    ref_tokens = Matrix(ref.T)
-    ref_stats = channel_stats(FeatureMap(ref))
-    adain_cfg = AdainConfig()
+    # The reference is frozen, so its token stats serve every step's AdaIN;
+    # the generated tokens act as Q, K and V at once, so one AdaIN gives
+    # both the normalized queries and keys.
+    ref_tokens = ref.T
+    ref_stats = _channel_stats(ref, DEFAULT_EPS_STD)
 
     def mean_distance() -> float:
         total = 0.0
         for g in gens:
-            total += _stat_distance(g, ref_stats.mean, ref_stats.std)
+            total += _stat_distance(g, *ref_stats)
         return total / len(gens)
 
     initial = mean_distance()
@@ -180,15 +178,12 @@ def run_sandbox(cfg: SandboxConfig) -> SandboxReport:
         )
         for i, g in enumerate(gens):
             shuffled = g[:, perm]
-            tokens = Matrix(shuffled.T)
-            out = shared_attention(
-                tokens, tokens, tokens,
-                ref_tokens, ref_tokens, ref_tokens,
-                rescale=cfg.rescale,
-                adain_cfg=adain_cfg,
+            tokens = shuffled.T
+            normed = _adain_rows(tokens, *ref_stats, DEFAULT_EPS_STD)
+            updated, _, last_masses[i] = _shared_attention(
+                normed, normed, tokens, ref_tokens, ref_tokens, cfg.rescale
             )
-            gens[i] = (1.0 - strength) * shuffled + strength * out.updated.data.T
-            last_masses[i] = out.ref_mass
+            gens[i] = (1.0 - strength) * shuffled + strength * updated.T
         per_step.append(mean_distance())
 
     final_ref_mass = sum(last_masses) / len(last_masses)

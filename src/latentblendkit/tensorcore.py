@@ -1,8 +1,10 @@
 """Minimal dense array types plus the handful of kernels everything else uses.
 
-All values are float64 and immutable once constructed: the wrapped arrays
-are defensive copies with the writeable flag cleared, so instances are safe
-to share across threads.
+The value types are the validated public boundary: each wraps a float64
+defensive copy with the writeable flag cleared, so instances are immutable
+and safe to share across threads. The private ``_``-prefixed kernels take
+and return plain arrays; public functions validate, call a kernel and wrap
+its result.
 """
 
 from __future__ import annotations
@@ -114,10 +116,17 @@ def channel_stats(f: FeatureMap, eps_std: float = DEFAULT_EPS_STD) -> ChannelSta
     """
     if not eps_std > 0:
         raise InvalidShape(f"eps_std must be > 0, got {eps_std}")
-    mean = f.data.mean(axis=1)
-    std = f.data.std(axis=1)  # population: divide by N
-    std = np.maximum(std, eps_std)
+    mean, std = _channel_stats(f.data, eps_std)
     return ChannelStats(mean=mean, std=std)
+
+
+def _channel_stats(x: np.ndarray, eps_std: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, floored std) of each row of ``x``.
+
+    Pass a C-contiguous ``x``: numpy's pairwise summation order, and so the
+    last bits of the result, depend on the memory layout.
+    """
+    return x.mean(axis=1), np.maximum(x.std(axis=1), eps_std)  # population std: divide by N
 
 
 def softmax_rows(m: Matrix) -> Matrix:

@@ -348,7 +348,13 @@ def test_criterion_08_schedule_endpoints():
 def _sandbox_cli_bytes(threads: int) -> bytes:
     import os
 
+    import latentblendkit
+
     env = dict(os.environ)
+    # run the CLI of the package under test, also when it is importable only
+    # through pytest's ``pythonpath`` setting
+    src = str(Path(latentblendkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         env[var] = str(threads)
     proc = subprocess.run(

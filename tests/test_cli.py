@@ -2,12 +2,13 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from latentblendkit import write_vectors
+from latentblendkit import cli, write_vectors
 from latentblendkit.cli import main
 
 
@@ -34,6 +35,12 @@ def _blend_spec(tmp_path, method, weights, eps=None):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     return path
+
+
+def test_version(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert "0.1.0" in result.output
 
 
 class TestBlendCommand:
@@ -138,6 +145,30 @@ class TestWmsCommand:
         for r in rows:
             expected = r["w_ref1"] * r["MS_ref1"] + r["w_ref2"] * r["MS_ref2"]
             assert r["WMS"] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n_files", [1, 2])
+    def test_grid_loads_each_generated_path_once(self, runner, tmp_path, monkeypatch, n_files):
+        self._fixture(tmp_path, (0.3, 0.4))
+        gens = [tmp_path / "gen.npy"] + [tmp_path / f"gen{i}.npy" for i in range(1, n_files)]
+        for g in gens[1:]:
+            write_vectors(g, np.array([[0.1, 0.2, 0.3], [0.5, -0.5, 0.0]]))
+        loads = Counter()
+        real_read_vectors = cli.read_vectors
+
+        def counting_read_vectors(path, *args, **kwargs):
+            loads[str(path)] += 1
+            return real_read_vectors(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_vectors", counting_read_vectors)
+        # one path reused for all seven rows, or two paths alternating
+        paths = [str(gens[0])] if n_files == 1 else [str(gens[i % 2]) for i in range(7)]
+        args = ["wms", "--refs", str(tmp_path / "refs.npy"), "--grid", "--format", "json"]
+        for p in paths:
+            args += ["--generated", p]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert len(json.loads(result.output)["rows"]) == 7
+        assert loads == Counter({str(tmp_path / "refs.npy"): 1, **{str(g): 1 for g in gens}})
 
     def test_grid_reproduces_published_sli_column(self, runner, tmp_path):
         # one fixture per grid row carrying that row's measured MS pair
@@ -336,6 +367,27 @@ class TestSandboxCommand:
         cfg.write_text(json.dumps({"n_images": 1}))
         result = runner.invoke(main, ["sandbox", "--config", str(cfg)])
         assert result.exit_code == 2
+
+    def test_overrides_and_ignored_schedule_keys(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 3,
+            "schedule": {"steps": 5, "clip_sample": True, "set_alpha_to_one": True},
+        }))
+        with_keys = runner.invoke(main, ["sandbox", "--config", str(cfg), "--seed", "4",
+                                         "--guidance", "20", "--format", "json"])
+        cfg.write_text(json.dumps({"seed": 4, "guidance_scale": 20, "schedule": {"steps": 5}}))
+        plain = runner.invoke(main, ["sandbox", "--config", str(cfg), "--format", "json"])
+        assert with_keys.exit_code == 0 and plain.exit_code == 0, with_keys.output
+        assert with_keys.output == plain.output
+
+    @pytest.mark.parametrize("content", [b"{not json", b"[1, 2]", b"\xff\xfe"])
+    def test_malformed_config_exit_2(self, runner, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        result = runner.invoke(main, ["sandbox", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: sandbox config ")
 
     def test_output_file(self, runner, tmp_path):
         out = tmp_path / "report.json"

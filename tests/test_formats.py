@@ -23,6 +23,7 @@ from latentblendkit import (
     read_vectors,
     write_vectors,
 )
+from latentblendkit.formats import read_json
 
 
 class TestRoundTrip:
@@ -228,6 +229,27 @@ class TestBlendSpec:
         spec_path.write_text(json.dumps({"method": "sli", "styles": [{"path": "a", "weight": 0.0}]}))
         with pytest.raises(InputError):
             load_blend_spec(spec_path)
+
+
+class TestReadJson:
+    def test_parses_and_checks_top_level_type(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"a": [1, 2]}')
+        assert read_json(path, "thing") == {"a": [1, 2]}
+        assert read_json(path, "thing", expect=dict) == {"a": [1, 2]}
+        with pytest.raises(InputError, match="thing .* must be a JSON array"):
+            read_json(path, "thing", expect=list)
+
+    def test_missing_file_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure, match="cannot read thing"):
+            read_json(tmp_path / "ghost.json", "thing")
+
+    @pytest.mark.parametrize("content", [b"{oops", b"\xff\xfe\x00"])
+    def test_malformed_is_input_error(self, tmp_path, content):
+        path = tmp_path / "x.json"
+        path.write_bytes(content)
+        with pytest.raises(InputError, match="is not valid JSON"):
+            read_json(path, "thing")
 
 
 def test_prompt_catalog_shipped():

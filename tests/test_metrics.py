@@ -88,6 +88,19 @@ class TestMeanSimilarity:
         with pytest.raises(EmptySet):
             mean_similarity([], unit(0, 2))
 
+    def test_equals_left_to_right_cosine_mean(self):
+        rng = np.random.default_rng(5)
+        gen = [LatentVector(rng.standard_normal(7)) for _ in range(9)]
+        ref = LatentVector(rng.standard_normal(7))
+        total = 0.0
+        for g in gen:
+            total += cosine_similarity(g, ref)
+        assert mean_similarity(gen, ref) == total / len(gen)
+
+    def test_zero_reference(self):
+        with pytest.raises(ZeroVector):
+            mean_similarity([unit(0, 2)], LatentVector([0.0, 0.0]))
+
 
 class TestWeightedScore:
     def test_plain_sum(self):

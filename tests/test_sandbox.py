@@ -7,8 +7,12 @@ import pytest
 
 from latentblendkit import (
     GUIDANCE_GRID,
+    ChannelStats,
     DdimScheduleConfig,
+    FeatureMap,
     InputError,
+    LatentVector,
+    Matrix,
     RescaleParams,
     SandboxConfig,
     build_schedule,
@@ -141,6 +145,41 @@ class TestRunSandbox:
         np.testing.assert_allclose(
             report.per_step_stat_distance, golden["per_step_stat_distance"], rtol=1e-12
         )
+
+    def test_alt_golden_exact(self):
+        # a second shape, a linear schedule and a damped reference block;
+        # compared with ==, since layout-dependent summation drifts only at
+        # some shapes
+        golden = json.loads((GOLDEN / "sandbox_alt.json").read_text())
+        c = golden["config"]
+        report = run_sandbox(
+            SandboxConfig(
+                guidance_scale=c["guidance_scale"],
+                seed=c["seed"],
+                n_images=c["n_images"],
+                feature_shape=tuple(c["feature_shape"]),
+                schedule=DdimScheduleConfig(**c["schedule"]),
+                rescale=RescaleParams(**c["rescale"]),
+            )
+        )
+        assert report.to_dict() == {k: v for k, v in golden.items() if k != "config"}
+
+    def test_no_value_objects_built_per_step(self, monkeypatch):
+        built = []
+        for cls in (LatentVector, FeatureMap, Matrix, ChannelStats):
+            original = cls.__post_init__
+
+            def counting(self, _original=original):
+                built.append(type(self).__name__)
+                _original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        counts = []
+        for steps in (2, 6):
+            built.clear()
+            run_sandbox(SandboxConfig(schedule=DdimScheduleConfig(steps=steps)))
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
     def test_report_shape(self):
         report = run_sandbox(SandboxConfig(n_images=3, schedule=DdimScheduleConfig(steps=7)))

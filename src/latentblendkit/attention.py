@@ -120,7 +120,9 @@ def attention(inp: AttentionInputs) -> tuple[Matrix, Matrix]:
 
 
 def _scaled_logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    return _row_matmul(q, k) / math.sqrt(q.shape[1])
+    logits = _row_matmul(q, k)
+    logits /= math.sqrt(q.shape[1])
+    return logits
 
 
 def classify_style(ref_k: Matrix, cfg: StyleClassifierConfig = StyleClassifierConfig()) -> StyleClass:
@@ -185,7 +187,9 @@ def _shared_attention(
     """
     n_ref = ref_k.shape[0]
     logits = _scaled_logits(q_hat, np.concatenate([ref_k, k_hat], axis=0))
-    logits[:, :n_ref] = logits[:, :n_ref] * rescale.sigma + rescale.mu
+    ref_block = logits[:, :n_ref]  # a view: the rescale writes into logits
+    ref_block *= rescale.sigma
+    ref_block += rescale.mu
     weights = _softmax_rows_array(logits)
     out = _weighted_rows(weights, np.concatenate([ref_v, self_v], axis=0))
     return out, weights, float(weights[:, :n_ref].sum(axis=1).mean())

@@ -60,7 +60,7 @@ from .fusion import (
     fuse_with_trace,
     weather_to_text,
 )
-from .metrics import EmbeddingSet, ReferenceStyle, wms_score
+from .metrics import EmbeddingSet, ReferenceStyle, _style_means, _weighted_report
 from .sandbox import (
     GUIDANCE_GRID,
     DdimScheduleConfig,
@@ -256,19 +256,22 @@ def wms(generated_paths, refs_path, ref_names, weights, grid, fmt, output):
                 raise InputError(f"{len(w)} weights for {len(refs)} references")
             configs = [(w, generated_paths[0])]
 
-        loaded: dict[str, tuple[LatentVector, ...]] = {}
+        # MS does not depend on the weights, so each distinct --generated set
+        # is loaded, validated and scored once. Its EmbeddingSet checks the
+        # first row's weights; the remaining grid rows are built in.
+        style_means: dict[str, dict[str, float]] = {}
         rows = []
         for w, gen_path in configs:
-            if gen_path not in loaded:
-                loaded[gen_path] = tuple(_load_embedding_paths(gen_path))
-            es = EmbeddingSet(
-                generated=loaded[gen_path],
-                references=tuple(
-                    ReferenceStyle(name=nm, embedding=emb, weight=wt)
-                    for nm, emb, wt in zip(names, refs, w)
-                ),
-            )
-            report = wms_score(es)
+            if gen_path not in style_means:
+                es = EmbeddingSet(
+                    generated=tuple(_load_embedding_paths(gen_path)),
+                    references=tuple(
+                        ReferenceStyle(name=nm, embedding=emb, weight=wt)
+                        for nm, emb, wt in zip(names, refs, w)
+                    ),
+                )
+                style_means[gen_path] = _style_means(es)
+            report = _weighted_report(style_means[gen_path], w)
             row: dict = {}
             for nm, wt in zip(names, w):
                 row[f"w_{nm}"] = wt

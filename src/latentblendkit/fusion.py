@@ -228,15 +228,25 @@ def fuse_with_trace(
     cfg: FusionConfig = FusionConfig(),
     paraphraser: ProviderBinding | None = None,
 ) -> tuple[str, list[FusionDecision]]:
-    """Like ``fuse`` but also reports the per-description decisions."""
+    """Like ``fuse`` but also reports the per-description decisions.
+
+    A fixture provider's map is read once, at the first flagged description.
+    """
     processed = []
     decisions = []
+    fixture: dict | None = None
     for d in ds:
         flagged = needs_paraphrasing(d, cfg)
+        text = d.text
         if flagged:
-            text = _paraphrase(d.text, cfg.paraphrase, paraphraser, d.modality)
-        else:
-            text = d.text
+            if paraphraser is None:
+                raise ProviderUnavailable("no paraphrase provider configured", modality=d.modality)
+            if paraphraser.kind == EXTERNAL_COMMAND:
+                text = _paraphrase_command(d.text, cfg.paraphrase, paraphraser.locator, d.modality)
+            else:
+                if fixture is None:
+                    fixture = _load_fixture(paraphraser.locator, d.modality)
+                text = _fixture_lookup(fixture, d.text, paraphraser.locator, d.modality)
         processed.append(ModalityDescription.from_text(d.modality, text))
         decisions.append(
             FusionDecision(modality=d.modality, paraphrased=flagged, text_in=d.text, text_out=text)
@@ -244,26 +254,21 @@ def fuse_with_trace(
     return concatenate_descriptions(processed), decisions
 
 
-def _paraphrase(
-    text: str, params: ParaphraseParams, provider: ProviderBinding | None, modality: str
-) -> str:
-    if provider is None:
-        raise ProviderUnavailable("no paraphrase provider configured", modality=modality)
-    if provider.kind == FIXTURE_FILE:
-        return _paraphrase_fixture(text, provider.locator, modality)
-    return _paraphrase_command(text, params, provider.locator, modality)
-
-
-def _paraphrase_fixture(text: str, locator: str, modality: str) -> str:
+def _load_fixture(locator: str, modality: str) -> dict:
+    """The fixture provider's text -> replacement map."""
     path = Path(locator)
     if not path.is_file():
         raise ProviderUnavailable(f"fixture file not found: {locator}", modality=modality)
     try:
         mapping = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
         raise ProviderFailure(f"malformed fixture {locator}: {exc}", modality=modality) from exc
     if not isinstance(mapping, dict):
         raise ProviderFailure(f"fixture {locator} must be a JSON object", modality=modality)
+    return mapping
+
+
+def _fixture_lookup(mapping: dict, text: str, locator: str, modality: str) -> str:
     if text not in mapping:
         raise ProviderFailure(f"fixture {locator} has no entry for the input text", modality=modality)
     out = mapping[text]

@@ -128,13 +128,24 @@ def wms_score(es: EmbeddingSet) -> WmsReport:
     Reference weights are normalized to sum 1 before weighting, so the
     score is a convex combination of the per-style means.
     """
-    total_w = math.fsum(r.weight for r in es.references)
-    per_style = {r.name: mean_similarity(es.generated, r.embedding) for r in es.references}
-    wms = weighted_score(
-        [per_style[r.name] for r in es.references],
-        [r.weight / total_w for r in es.references],
-    )
+    return _weighted_report(_style_means(es), [r.weight for r in es.references])
+
+
+def _style_means(es: EmbeddingSet) -> dict[str, float]:
+    """MS of the generated set to each reference, in reference order."""
+    return {r.name: mean_similarity(es.generated, r.embedding) for r in es.references}
+
+
+def _weighted_report(per_style: dict[str, float], weights: Sequence[float]) -> WmsReport:
+    """The report of per-style MS values (in reference order) under ``weights``.
+
+    The MS values do not depend on the weights, so one ``_style_means``
+    serves every weight row of a grid. ``weights`` must be valid reference
+    weights (finite, >= 0, not all zero), as an ``EmbeddingSet`` checks.
+    """
+    total_w = math.fsum(weights)
     values = list(per_style.values())
+    wms = weighted_score(values, [w / total_w for w in weights])
     ms_gap = max(values) - min(values)  # equals the max pairwise |MS_i - MS_j|
     return WmsReport(per_style_ms=per_style, wms=wms, ms_gap=ms_gap)
 

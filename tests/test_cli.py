@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from latentblendkit import cli, write_vectors
+from latentblendkit import cli, metrics, read_vectors, write_vectors
 from latentblendkit.cli import main
 
 
@@ -170,6 +170,56 @@ class TestWmsCommand:
         assert len(json.loads(result.output)["rows"]) == 7
         assert loads == Counter({str(tmp_path / "refs.npy"): 1, **{str(g): 1 for g in gens}})
 
+    @pytest.mark.parametrize("n_files", [1, 2])
+    def test_grid_scores_each_generated_set_once(self, runner, tmp_path, monkeypatch, n_files):
+        rng = np.random.default_rng(5)
+        write_vectors(tmp_path / "refs.npy", rng.standard_normal((2, 6)))
+        gens = [tmp_path / f"gen{i}.npy" for i in range(n_files)]
+        for g in gens:
+            write_vectors(g, rng.standard_normal((9, 6)))
+        built = []
+        scored = []
+        real_set, real_ms = cli.EmbeddingSet, metrics.mean_similarity
+
+        def counting_set(*args, **kwargs):
+            built.append(1)
+            return real_set(*args, **kwargs)
+
+        def counting_ms(*args, **kwargs):
+            scored.append(1)
+            return real_ms(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "EmbeddingSet", counting_set)
+        monkeypatch.setattr(metrics, "mean_similarity", counting_ms)
+        paths = [str(gens[i % n_files]) for i in range(len(cli.WEIGHT_GRID))]
+        args = ["wms", "--refs", str(tmp_path / "refs.npy"), "--grid", "--format", "json"]
+        for p in paths:
+            args += ["--generated", p]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert (len(built), len(scored)) == (n_files, 2 * n_files)
+        monkeypatch.undo()
+
+        refs = read_vectors(tmp_path / "refs.npy", rows=True)
+        for row, w, p in zip(json.loads(result.output)["rows"], cli.WEIGHT_GRID, paths):
+            report = metrics.wms_score(
+                metrics.EmbeddingSet(
+                    generated=tuple(read_vectors(p, rows=True)),
+                    references=tuple(
+                        metrics.ReferenceStyle(name=nm, embedding=emb, weight=wt)
+                        for nm, emb, wt in zip(("ref1", "ref2"), refs, w)
+                    ),
+                )
+            )
+            assert row == {
+                "w_ref1": w[0],
+                "w_ref2": w[1],
+                "MS_ref1": report.per_style_ms["ref1"],
+                "MS_ref2": report.per_style_ms["ref2"],
+                "WMS": report.wms,
+                "MS_GAP": report.ms_gap,
+            }
+
     def test_grid_reproduces_published_sli_column(self, runner, tmp_path):
         # one fixture per grid row carrying that row's measured MS pair
         rows_ms = [
@@ -318,6 +368,15 @@ class TestFuseCommand:
         inputs = self._inputs(tmp_path, [{"modality": "image", "text": self.LONG}])
         result = runner.invoke(main, ["fuse", "--inputs", str(inputs), "--provider", str(fixture)])
         assert result.exit_code == 5
+
+    def test_non_utf8_fixture_exit_5(self, runner, tmp_path):
+        fixture = tmp_path / "fix.json"
+        fixture.write_bytes(b"\xff\xfe")
+        inputs = self._inputs(tmp_path, [{"modality": "image", "text": self.LONG}])
+        result = runner.invoke(main, ["fuse", "--inputs", str(inputs), "--provider", str(fixture)])
+        assert result.exit_code == 5, result.output
+        assert result.stderr.startswith("error:")
+        assert result.stdout == ""
 
     def test_config_threshold_override(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

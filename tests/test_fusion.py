@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +200,34 @@ class TestFuse:
         ds = [desc("image", LONG_TEXT)]
         with pytest.raises(ProviderFailure):
             fuse(ds, FusionConfig(), ProviderBinding("fixture_file", str(bad)))
+
+    def test_fixture_read_once_per_call(self, tmp_path, monkeypatch):
+        other = LONG_TEXT.replace("very", "rather")
+        fixture = tmp_path / "para.json"
+        fixture.write_text(json.dumps({LONG_TEXT: "one", other: "two"}))
+        reads = []
+        real_read_text = Path.read_text
+
+        def counting_read_text(self, *args, **kwargs):
+            reads.append(self)
+            return real_read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        ds = [desc("image", LONG_TEXT), desc("text", "short"), desc("audio", other), desc("text", LONG_TEXT)]
+        binding = ProviderBinding("fixture_file", str(fixture))
+        prompt, decisions = fuse_with_trace(ds, FusionConfig(), binding)
+        assert prompt == "one, short, two, one"
+        assert [d.paraphrased for d in decisions] == [True, False, True, True]
+        assert reads == [fixture]
+        reads.clear()
+        fuse(ds, FusionConfig(), binding)  # a new call reads the file afresh
+        assert reads == [fixture]
+
+    def test_non_utf8_fixture_is_provider_failure(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        with pytest.raises(ProviderFailure, match="image"):
+            fuse([desc("image", LONG_TEXT)], FusionConfig(), ProviderBinding("fixture_file", str(bad)))
 
     def test_fixture_missing_key(self, tmp_path):
         fixture = tmp_path / "para.json"

@@ -1,5 +1,9 @@
+import concurrent.futures
 import json
 import math
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +22,7 @@ from latentblendkit import (
     build_schedule,
     run_sandbox,
 )
+from latentblendkit import sandbox
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,6 +92,20 @@ class TestBuildSchedule:
             DdimScheduleConfig(beta_schedule="cosine")
 
 
+def report_for(c: dict):
+    """The sandbox report of a golden file's config."""
+    return run_sandbox(
+        SandboxConfig(
+            guidance_scale=c["guidance_scale"],
+            seed=c["seed"],
+            n_images=c["n_images"],
+            feature_shape=tuple(c["feature_shape"]),
+            schedule=DdimScheduleConfig(**c["schedule"]),
+            rescale=RescaleParams(**c["rescale"]),
+        )
+    )
+
+
 class TestRunSandbox:
     def test_bit_reproducible(self):
         cfg = SandboxConfig()
@@ -151,18 +170,12 @@ class TestRunSandbox:
         # compared with ==, since layout-dependent summation drifts only at
         # some shapes
         golden = json.loads((GOLDEN / "sandbox_alt.json").read_text())
-        c = golden["config"]
-        report = run_sandbox(
-            SandboxConfig(
-                guidance_scale=c["guidance_scale"],
-                seed=c["seed"],
-                n_images=c["n_images"],
-                feature_shape=tuple(c["feature_shape"]),
-                schedule=DdimScheduleConfig(**c["schedule"]),
-                rescale=RescaleParams(**c["rescale"]),
-            )
-        )
-        assert report.to_dict() == {k: v for k, v in golden.items() if k != "config"}
+        assert report_for(golden["config"]).to_dict() == {k: v for k, v in golden.items() if k != "config"}
+
+    def test_wide_golden_exact(self):
+        # above the thread-pool gate; captured from the serial loop
+        golden = json.loads((GOLDEN / "sandbox_wide.json").read_text())
+        assert report_for(golden["config"]).to_dict() == {k: v for k, v in golden.items() if k != "config"}
 
     def test_no_value_objects_built_per_step(self, monkeypatch):
         built = []
@@ -194,3 +207,81 @@ class TestRunSandbox:
             SandboxConfig(guidance_scale=0.0)
         with pytest.raises(InputError):
             SandboxConfig(seed=-1)
+
+
+class TestThreadedSteps:
+    # (16, 128) is the smallest shape at the pool gate
+    WIDE = SandboxConfig(
+        n_images=9,
+        feature_shape=(16, 128),
+        schedule=DdimScheduleConfig(steps=6),
+        rescale=RescaleParams(mu=0.69, sigma=0.8),
+    )
+
+    @staticmethod
+    def _spy_pools(monkeypatch):
+        """Record the max_workers of every pool run_sandbox creates."""
+        created = []
+        real_pool = concurrent.futures.ThreadPoolExecutor
+
+        def spy(max_workers):
+            created.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+        return created
+
+    def test_import_starts_no_thread(self):
+        code = (
+            "import sys, threading, latentblendkit.cli; "
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+        )
+        src = str(Path(sandbox.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60
+        )
+        assert out.stdout.split() == ["1", "False"], out.stderr
+
+    def test_gate_sits_at_the_wide_config(self):
+        c, n = self.WIDE.feature_shape
+        assert c * n * n == sandbox._THREAD_MIN_WORK
+
+    def test_small_shapes_create_no_pool(self, monkeypatch):
+        created = self._spy_pools(monkeypatch)
+        monkeypatch.setattr(sandbox.os, "sched_getaffinity", lambda pid: set(range(8)))
+        run_sandbox(SandboxConfig())
+        run_sandbox(SandboxConfig(n_images=3, feature_shape=(16, 48)))
+        run_sandbox(SandboxConfig(n_images=2, feature_shape=(16, 128)))  # one image: nothing to share
+        assert created == []
+
+    def test_more_workers_than_cores_match_serial(self, monkeypatch):
+        created = self._spy_pools(monkeypatch)
+        monkeypatch.setattr(sandbox.os, "sched_getaffinity", lambda pid: {0})
+        serial = run_sandbox(self.WIDE).to_dict()
+        assert created == []
+
+        monkeypatch.setattr(sandbox.os, "sched_getaffinity", lambda pid: set(range(64)))
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(
+                target=lambda: reports.extend(run_sandbox(self.WIDE).to_dict() for _ in range(4)),
+                daemon=True,
+            )
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert created == [8] * 4  # one worker per generated image, more than the cores
+        assert reports == [serial] * 4
+
+    def test_affinity_fallback_to_cpu_count(self, monkeypatch):
+        created = self._spy_pools(monkeypatch)
+        monkeypatch.delattr(sandbox.os, "sched_getaffinity")
+        monkeypatch.setattr(sandbox.os, "cpu_count", lambda: 3)
+        report = run_sandbox(self.WIDE)
+        assert created == [3]
+        monkeypatch.undo()
+        assert report == run_sandbox(self.WIDE)

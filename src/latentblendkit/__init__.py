@@ -102,6 +102,7 @@ from .sandbox import (
     SandboxConfig,
     SandboxReport,
     build_schedule,
+    run_guidance_sweep,
     run_sandbox,
 )
 from .tensorcore import (

@@ -121,7 +121,7 @@ def attention(inp: AttentionInputs) -> tuple[Matrix, Matrix]:
 
 def _scaled_logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     logits = _row_matmul(q, k)
-    logits /= math.sqrt(q.shape[1])
+    logits /= math.sqrt(q.shape[-1])
     return logits
 
 
@@ -169,7 +169,7 @@ def shared_attention(
     q_hat = _adain_rows(self_q.data, *_column_stats(ref_q.data, eps_std), eps_std)
     k_hat = _adain_rows(self_k.data, *_column_stats(ref_k.data, eps_std), eps_std)
     out, weights, ref_mass = _shared_attention(q_hat, k_hat, self_v.data, ref_k.data, ref_v.data, rescale)
-    return SharedAttentionOutput(updated=Matrix(out), weights=Matrix(weights), ref_mass=ref_mass)
+    return SharedAttentionOutput(updated=Matrix(out), weights=Matrix(weights), ref_mass=float(ref_mass))
 
 
 def _shared_attention(
@@ -179,20 +179,32 @@ def _shared_attention(
     ref_k: np.ndarray,
     ref_v: np.ndarray,
     rescale: RescaleParams,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(updated, weights, ref_mass) of already-normalized queries and keys.
 
-    ``q_hat`` should be C-contiguous: the einsum's summation order follows
-    the memory layout of its operands.
+    The self arrays are one (tokens x dim) matrix, or a stack of them in
+    leading axes that all attend to the same reference; ``ref_mass`` has
+    one entry per matrix. ``q_hat`` should be C-contiguous: the einsum's
+    summation order follows the memory layout of its operands, which is
+    also why the key and value blocks are built C-contiguous.
     """
     n_ref = ref_k.shape[0]
-    logits = _scaled_logits(q_hat, np.concatenate([ref_k, k_hat], axis=0))
-    ref_block = logits[:, :n_ref]  # a view: the rescale writes into logits
+    logits = _scaled_logits(q_hat, _ref_then_self(ref_k, k_hat))
+    ref_block = logits[..., :n_ref]  # a view: the rescale writes into logits
     ref_block *= rescale.sigma
     ref_block += rescale.mu
     weights = _softmax_rows_array(logits)
-    out = _weighted_rows(weights, np.concatenate([ref_v, self_v], axis=0))
-    return out, weights, float(weights[:, :n_ref].sum(axis=1).mean())
+    out = _weighted_rows(weights, _ref_then_self(ref_v, self_v))
+    return out, weights, weights[..., :n_ref].sum(axis=-1).mean(axis=-1)
+
+
+def _ref_then_self(ref: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """C-contiguous [ref || own] along the token axis, for each matrix of ``own``."""
+    n_ref = ref.shape[0]
+    block = np.empty((*own.shape[:-2], n_ref + own.shape[-2], own.shape[-1]))
+    block[..., :n_ref, :] = ref
+    block[..., n_ref:, :] = own
+    return block
 
 
 def lambda_rescaled_attention(

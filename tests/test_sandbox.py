@@ -4,10 +4,13 @@ import math
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentblendkit import (
     GUIDANCE_GRID,
@@ -19,7 +22,9 @@ from latentblendkit import (
     Matrix,
     RescaleParams,
     SandboxConfig,
+    SandboxReport,
     build_schedule,
+    run_guidance_sweep,
     run_sandbox,
 )
 from latentblendkit import sandbox
@@ -207,6 +212,133 @@ class TestRunSandbox:
             SandboxConfig(guidance_scale=0.0)
         with pytest.raises(InputError):
             SandboxConfig(seed=-1)
+
+
+def loop_reference(cfg: SandboxConfig) -> SandboxReport:
+    """The sandbox one image at a time in plain numpy, with the kernels'
+    arithmetic, operand layouts and summation orders written out: stacked
+    runs must reproduce it bit for bit."""
+    eps = 1e-5
+    acp = build_schedule(cfg.schedule).alpha_cumprod
+    c, n = cfg.feature_shape
+    rng = np.random.default_rng(cfg.seed)
+    ref_mean = rng.uniform(-4.0, 4.0, size=c)
+    ref_std = rng.uniform(0.2, 0.6, size=c)
+    ref = ref_mean[:, None] + ref_std[:, None] * rng.standard_normal((c, n))
+    gens = [rng.standard_normal((c, n)) for _ in range(cfg.n_images - 1)]
+    perm = rng.permutation(n)
+    mu, sd = ref.mean(axis=1), np.maximum(ref.std(axis=1), eps)
+
+    def stats(x):
+        x = np.ascontiguousarray(x)
+        return x.mean(axis=1), np.maximum(x.std(axis=1), eps)
+
+    def distance(x):
+        m, s = stats(x)
+        return math.sqrt(float(((m - mu) ** 2).sum()) + float(((s - sd) ** 2).sum()))
+
+    def mean(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return total / len(values)
+
+    initial = mean([distance(g) for g in gens])
+    per_step = []
+    for a in acp:
+        strength = min(1.0, 0.05 * cfg.guidance_scale * (1.0 - float(a)))
+        new_gens, masses = [], []
+        for g in gens:
+            shuffled = g[:, perm]
+            g_mean, g_std = stats(shuffled)
+            normed = np.ascontiguousarray((sd[:, None] * (shuffled - g_mean[:, None]) / g_std[:, None] + mu[:, None]).T)
+            keys = np.ascontiguousarray(np.concatenate([ref.T, normed]))
+            values = np.ascontiguousarray(np.concatenate([ref.T, shuffled.T]))
+            logits = np.einsum("id,jd->ij", normed, keys) / math.sqrt(c)
+            logits[:, :n] = logits[:, :n] * cfg.rescale.sigma + cfg.rescale.mu
+            w = np.exp(logits - logits.max(axis=1, keepdims=True))
+            w /= w.sum(axis=1, keepdims=True)
+            new_gens.append((1.0 - strength) * shuffled + strength * np.einsum("ij,jv->iv", w, values).T)
+            masses.append(float(w[:, :n].sum(axis=1).mean()))
+        gens = new_gens
+        per_step.append(mean([distance(g) for g in gens]))
+    return SandboxReport(initial, tuple(per_step), sum(masses) / len(masses), per_step[-1])
+
+
+small_configs = st.builds(
+    SandboxConfig,
+    seed=st.integers(0, 10_000),
+    n_images=st.integers(2, 4),
+    feature_shape=st.tuples(st.integers(1, 6), st.integers(2, 24)),
+    schedule=st.builds(
+        DdimScheduleConfig,
+        beta_schedule=st.sampled_from(["scaled_linear", "linear"]),
+        steps=st.integers(1, 6),
+    ),
+    rescale=st.builds(RescaleParams, mu=st.floats(-2.0, 2.0), sigma=st.floats(0.1, 2.0)),
+)
+
+
+class TestGuidanceSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=small_configs, guidances=st.lists(st.floats(0.1, 60.0), min_size=1, max_size=4))
+    def test_sweep_equals_one_run_per_guidance(self, cfg, guidances):
+        reports = run_guidance_sweep(cfg, guidances)
+        assert reports == tuple(run_sandbox(replace(cfg, guidance_scale=g)) for g in guidances)
+        assert reports == tuple(loop_reference(replace(cfg, guidance_scale=g)) for g in guidances)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SandboxConfig(schedule=DdimScheduleConfig(steps=10)),
+            # one channel: the only shapes where the value block's layout
+            # changed the sums in a trial of 96 configs
+            SandboxConfig(seed=310, n_images=5, feature_shape=(1, 58),
+                          schedule=DdimScheduleConfig(beta_schedule="linear", steps=20),
+                          rescale=RescaleParams(mu=-0.9, sigma=0.8)),
+            SandboxConfig(seed=146, n_images=7, feature_shape=(1, 24),
+                          schedule=DdimScheduleConfig(beta_schedule="linear", steps=8),
+                          rescale=RescaleParams(mu=0.69, sigma=0.8)),
+            # 9 maps of a quarter of the gate's work: calls of 4, 4 and 1 map
+            SandboxConfig(feature_shape=(16, 64), schedule=DdimScheduleConfig(steps=3)),
+        ],
+    )
+    def test_sweep_equals_loop_reference(self, cfg):
+        grid = (5.0, 10.0, 30.0)
+        assert run_guidance_sweep(cfg, grid) == tuple(loop_reference(replace(cfg, guidance_scale=g)) for g in grid)
+
+    def test_default_grid_is_one_kernel_call_per_step(self, monkeypatch):
+        created = TestThreadedSteps._spy_pools(monkeypatch)
+        calls = []
+        attention = sys.modules["latentblendkit.attention"]  # the package exports a function of that name
+        real_softmax = attention._softmax_rows_array
+
+        def counting(logits):
+            calls.append(logits.shape)
+            return real_softmax(logits)
+
+        monkeypatch.setattr(attention, "_softmax_rows_array", counting)
+        reports = run_guidance_sweep(SandboxConfig(schedule=DdimScheduleConfig(steps=7)))
+        assert len(reports) == len(GUIDANCE_GRID)
+        # 6 guidance values x 3 generated images, all in one stack
+        assert calls == [(18, 32, 64)] * 7
+        assert created == []
+
+    def test_pool_is_capped_by_the_stack(self, monkeypatch):
+        # one generated image, but six guidance values: six maps to share out
+        created = TestThreadedSteps._spy_pools(monkeypatch)
+        monkeypatch.setattr(sandbox.os, "sched_getaffinity", lambda pid: set(range(64)))
+        cfg = replace(TestThreadedSteps.WIDE, n_images=2, schedule=DdimScheduleConfig(steps=2))
+        reports = run_guidance_sweep(cfg)
+        assert created == [len(GUIDANCE_GRID)]
+        monkeypatch.undo()
+        assert reports == tuple(run_sandbox(replace(cfg, guidance_scale=g)) for g in GUIDANCE_GRID)
+
+    def test_guidance_validation(self):
+        with pytest.raises(InputError):
+            run_guidance_sweep(SandboxConfig(), ())
+        with pytest.raises(InputError):
+            run_guidance_sweep(SandboxConfig(), (5.0, 0.0))
 
 
 class TestThreadedSteps:

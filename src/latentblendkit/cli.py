@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
 from .attention import (
@@ -42,8 +43,10 @@ from .formats import (
     load_array,
     load_blend_spec,
     load_prompt_catalog,
+    load_rows,
     read_json,
     read_vectors,
+    write_atomic,
     write_vectors,
 )
 from .fusion import (
@@ -111,7 +114,7 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         click.echo(text, nl=not text.endswith("\n"))
     else:
-        Path(output).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        write_atomic(output, (text if text.endswith("\n") else text + "\n").encode("utf-8"))
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
@@ -197,17 +200,15 @@ def blend(spec_path: str, out_path: str, output: str | None):
         )
 
 
-def _load_embedding_paths(path: str) -> list[LatentVector]:
+def _load_generated(path: str) -> np.ndarray:
+    """The embeddings of one --generated path as an (n, d) array: a file's
+    rows (a 1-D file is one row), or a directory's .npy files concatenated
+    in sorted order."""
     p = Path(path)
-    if p.is_dir():
-        files = sorted(p.glob("*.npy"))
-        if not files:
-            raise InputError(f"{path}: no .npy files in directory")
-        out: list[LatentVector] = []
-        for f in files:
-            out.extend(read_vectors(f, rows=True))
-        return out
-    return read_vectors(path, rows=True)
+    files = sorted(p.glob("*.npy")) if p.is_dir() else [p]
+    if not files:
+        raise InputError(f"{path}: no .npy files in directory")
+    return load_rows(files)
 
 
 @main.command()
@@ -264,14 +265,15 @@ def wms(generated_paths, refs_path, ref_names, weights, grid, fmt, output):
         rows = []
         for w, gen_path in configs:
             if gen_path not in style_means:
-                es = EmbeddingSet(
-                    generated=tuple(_load_embedding_paths(gen_path)),
-                    references=tuple(
-                        ReferenceStyle(name=nm, embedding=emb, weight=wt)
-                        for nm, emb, wt in zip(names, refs, w)
-                    ),
+                style_means[gen_path] = _style_means(
+                    EmbeddingSet(
+                        generated=_load_generated(gen_path),
+                        references=tuple(
+                            ReferenceStyle(name=nm, embedding=emb, weight=wt)
+                            for nm, emb, wt in zip(names, refs, w)
+                        ),
+                    )
                 )
-                style_means[gen_path] = _style_means(es)
             report = _weighted_report(style_means[gen_path], w)
             row: dict = {}
             for nm, wt in zip(names, w):
@@ -426,10 +428,11 @@ def _load_fusion_config(config_path: str | None) -> FusionConfig:
         return FusionConfig()
     raw = read_json(config_path, "fusion config", expect=dict)
     para = raw.get("paraphrase", {})
-    defaults = ParaphraseParams()
+    base = FusionConfig()
+    defaults = base.paraphrase
     try:
         return FusionConfig(
-            verbosity_threshold_k=int(raw.get("verbosity_threshold_k", 10)),
+            verbosity_threshold_k=int(raw.get("verbosity_threshold_k", base.verbosity_threshold_k)),
             paraphrase=ParaphraseParams(
                 l_max=int(para.get("l_max", defaults.l_max)),
                 l_min=int(para.get("l_min", defaults.l_min)),
@@ -460,7 +463,8 @@ def _load_sandbox_config(config_path: str | None, seed: int | None, guidance: fl
                 steps=int(sched_raw.get("steps", sched_defaults.steps)),
             ),
             rescale=RescaleParams(
-                mu=float(rescale_raw.get("mu", 0.0)), sigma=float(rescale_raw.get("sigma", 1.0))
+                mu=float(rescale_raw.get("mu", base.rescale.mu)),
+                sigma=float(rescale_raw.get("sigma", base.rescale.sigma)),
             ),
         )
     except (TypeError, ValueError) as exc:

@@ -3,26 +3,30 @@
 Only the NPY v1.0 subset is supported: little-endian f4/f8, C order, 1-D or
 2-D. The reader reports the byte offset of whatever it rejects; the writer
 emits <f8 v1.0 with the header padded to a 64-byte multiple and goes
-through a temp file so a failed write never leaves a plausible-looking
-output behind.
+through a uniquely named temp file, so neither a failed write nor two
+concurrent writers leave a plausible-looking partial output behind.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import json
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .blending import DEFAULT_EPS_OMEGA, LINEAR, SLI
 from .errors import (
     BadMagic,
+    DimensionMismatch,
     InputError,
     InvalidShape,
     IoFailure,
@@ -41,6 +45,29 @@ _SUPPORTED_DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
 
 def load_array(path: str | Path) -> np.ndarray:
     """Read an NPY v1.0 file into a fresh float64 C-order array."""
+    return _load_npy(path).astype(np.float64)  # also copies out of the read-only buffer
+
+
+def load_rows(paths: Sequence[str | Path]) -> np.ndarray:
+    """The rows of NPY files, in order, as one fresh (n, d) float64 C-order
+    array; a 1-D file is one row.
+
+    Each file's data is cast straight into its slice of the result, so no
+    float64 copy of a file is made besides the result.
+    """
+    parts = [np.atleast_2d(_load_npy(p)) for p in paths]
+    if not parts:
+        raise InputError("no NPY files to read rows from")
+    d = parts[0].shape[1]
+    for p, part in zip(paths, parts):
+        if part.shape[1] != d:
+            raise DimensionMismatch(f"{p} has d_z={part.shape[1]}, expected {d} (from {paths[0]})")
+    return np.concatenate(parts, dtype=np.float64)
+
+
+def _load_npy(path: str | Path) -> np.ndarray:
+    """Validate an NPY v1.0 file; its data as a read-only view of the
+    file's bytes, in the file's dtype and shape."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -85,8 +112,12 @@ def load_array(path: str | Path) -> np.ndarray:
         raise TruncatedPayload(
             f"{path}: payload has {len(raw) - header_end} of {expected} bytes", offset=len(raw)
         )
-    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=header_end).reshape(shape)
-    return arr.astype(np.float64)  # also copies out of the read-only buffer
+    if len(raw) - header_end > expected:
+        raise NpyFormatError(
+            f"{path}: {len(raw) - header_end - expected} bytes after the {expected}-byte payload",
+            offset=header_end + expected,
+        )
+    return np.frombuffer(raw, dtype=dtype, count=count, offset=header_end).reshape(shape)
 
 
 def read_vectors(path: str | Path, rows: bool = False):
@@ -109,7 +140,7 @@ def write_vectors(path: str | Path, data) -> None:
     """Write a vector/map/array as NPY v1.0, <f8, C order.
 
     Accepts LatentVector, FeatureMap, Matrix, or a 1-D/2-D array-like.
-    The write is atomic: data goes to ``<name>.partial`` first.
+    The write is atomic (see ``write_atomic``).
     """
     if isinstance(data, (LatentVector, FeatureMap, Matrix)):
         arr = data.data
@@ -118,20 +149,71 @@ def write_vectors(path: str | Path, data) -> None:
     if arr.ndim not in (1, 2) or arr.size == 0 or min(arr.shape) < 1:
         raise InvalidShape(f"cannot write shape {arr.shape}: need 1-D/2-D with size >= 1")
     arr = np.ascontiguousarray(arr, dtype=np.float64)
+    write_atomic(path, _build_header(arr.shape), arr.tobytes(order="C"))
 
-    path = Path(path)
-    tmp = path.with_name(path.name + ".partial")
+
+def write_atomic(path: str | Path, *chunks: bytes) -> None:
+    """Write ``chunks`` to ``path`` so that readers see the old file or the
+    whole new one, never a part.
+
+    The bytes go to a new temp file under a unique name beside the file
+    ``path`` resolves to, so concurrent writers never share one; it is
+    fsynced and then renamed over that file, which keeps a symlinked
+    ``path`` a link and an existing file's permission bits. A ``path`` that
+    exists but is not a regular file (a device such as /dev/null or
+    /dev/stdout, a FIFO) has no file to replace and is written in place.
+    On any failure the temp file is removed; an OSError is raised as
+    IoFailure.
+    """
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(_build_header(arr.shape))
-            fh.write(arr.tobytes(order="C"))
-        os.replace(tmp, path)
-    except OSError as exc:
+        st = os.stat(path)
+    except OSError:
+        st = None  # nothing there yet; a bad parent fails at the temp file
+    target = Path(os.path.realpath(path))
+    tmp = None
+    try:
+        if st is not None and not (stat.S_ISREG(st.st_mode) and _is_file(target, st)):
+            with open(path, "wb") as fh:
+                fh.writelines(chunks)
+            return
+        fd, tmp = _create_temp(target)
+        with os.fdopen(fd, "wb") as fh:
+            if st is not None:
+                os.fchmod(fh.fileno(), st.st_mode & 0o777)
+            fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, target)
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise
+
+
+def _is_file(path: Path, st: os.stat_result) -> bool:
+    """Whether ``path`` names the file ``st`` describes (a /proc/self/fd
+    link to a deleted file resolves to a name that does not)."""
+    try:
+        return os.path.samestat(os.stat(path), st)
+    except OSError:
+        return False
+
+
+def _create_temp(path: Path) -> tuple[int, Path]:
+    """A new file beside ``path`` under a random name, opened for writing.
+
+    Like tempfile.mkstemp, but created with mode 0o666 less the umask, as
+    ``open(path, "wb")`` would create ``path`` itself, rather than 0o600.
+    """
+    while True:
+        tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
         try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
 
 
 def _build_header(shape: tuple[int, ...]) -> bytes:

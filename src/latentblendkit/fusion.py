@@ -38,6 +38,10 @@ MODALITIES = ("image", "audio", "music", "weather", "text")
 FIXTURE_FILE = "fixture_file"
 EXTERNAL_COMMAND = "external_command"
 
+#: Seconds an external paraphrase command may take per description before
+#: it is killed and the fusion fails with ProviderFailure.
+PROVIDER_TIMEOUT_S = 60.0
+
 
 @dataclass(frozen=True)
 class ModalityDescription:
@@ -295,10 +299,14 @@ def _paraphrase_command(text: str, params: ParaphraseParams, locator: str, modal
     )
     try:
         proc = subprocess.run(
-            argv, input=request, capture_output=True, text=True, check=False
+            argv, input=request, capture_output=True, text=True, check=False, timeout=PROVIDER_TIMEOUT_S
         )
     except OSError as exc:
         raise ProviderUnavailable(f"cannot execute provider: {exc}", modality=modality) from exc
+    except subprocess.TimeoutExpired as exc:  # run() has killed the provider
+        raise ProviderFailure(
+            f"provider did not answer within {PROVIDER_TIMEOUT_S} s", modality=modality
+        ) from exc
     if proc.returncode != 0:
         raise ProviderFailure(
             f"provider exited {proc.returncode}: {proc.stderr.strip()[:200]}", modality=modality

@@ -13,11 +13,13 @@ are exact arithmetic on the supplied vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import DimensionMismatch, EmptySet, InputError, ZeroVector
-from .tensorcore import LatentVector, dot, norm
+from .tensorcore import LatentVector, _frozen_f64, norm
 
 
 @dataclass(frozen=True)
@@ -29,24 +31,27 @@ class ReferenceStyle:
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """Generated-image embeddings plus named, weighted reference embeddings."""
+    """Generated-image embeddings plus named, weighted reference embeddings.
 
-    generated: tuple[LatentVector, ...]
+    ``generated`` may be given as a sequence of LatentVectors or as an
+    (n, d) array; it is stored as one read-only (n, d) float64 matrix,
+    with its row norms computed once for every reference's score.
+    """
+
+    generated: np.ndarray
     references: tuple[ReferenceStyle, ...]
+    _norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        generated = tuple(self.generated)
+        generated = _generated_matrix(self.generated, "no generated embeddings")
         references = tuple(self.references)
-        if not generated:
-            raise EmptySet("no generated embeddings")
         if not references:
             raise EmptySet("no reference styles")
-        d = generated[0].d_z
-        for i, g in enumerate(generated):
-            if g.d_z != d:
-                raise DimensionMismatch(f"generated[{i}] has d_z={g.d_z}, expected {d}")
-            if norm(g) == 0.0:
-                raise InputError(f"generated[{i}] is a zero vector")
+        norms = _row_norms(generated)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise InputError(f"generated[{zero[0]}] is a zero vector")
+        d = generated.shape[1]
         names = set()
         for r in references:
             if r.embedding.d_z != d:
@@ -62,6 +67,25 @@ class EmbeddingSet:
             raise InputError("all reference weights are zero")
         object.__setattr__(self, "generated", generated)
         object.__setattr__(self, "references", references)
+        object.__setattr__(self, "_norms", norms)
+
+
+def _generated_matrix(generated, empty: str) -> np.ndarray:
+    """A read-only float64 (n, d) copy of LatentVectors or of an (n, d)
+    array; ``empty`` is the EmptySet message for n == 0."""
+    if not isinstance(generated, np.ndarray):
+        generated = tuple(generated)
+    if len(generated) == 0:
+        raise EmptySet(empty)
+    if isinstance(generated, np.ndarray):
+        return _frozen_f64(generated, 2, "generated")
+    d = generated[0].d_z
+    for i, g in enumerate(generated):
+        if g.d_z != d:
+            raise DimensionMismatch(f"generated[{i}] has d_z={g.d_z}, expected {d}")
+    matrix = np.stack([g.data for g in generated])
+    matrix.setflags(write=False)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -82,30 +106,45 @@ class ScoreDropBound(NamedTuple):
 
 def cosine_similarity(a: LatentVector, b: LatentVector) -> float:
     """(a . b) / (|a| |b|), clamped to [-1, 1] against rounding."""
-    return _cosine(a, b, norm(b))
+    gen = a.data[np.newaxis]
+    return _mean_similarity(gen, _row_norms(gen), b.data)
 
 
-def _cosine(a: LatentVector, b: LatentVector, nb: float) -> float:
-    """cosine_similarity(a, b) given b's norm ``nb``."""
-    na = norm(a)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("cosine similarity undefined for zero vectors")
-    return min(1.0, max(-1.0, dot(a, b) / (na * nb)))
+def mean_similarity(generated: Sequence[LatentVector] | np.ndarray, ref: LatentVector) -> float:
+    """Mean cosine similarity of a generated set (LatentVectors or an (n, d)
+    array) to one reference."""
+    gen = _generated_matrix(generated, "mean similarity over an empty generated set")
+    return _mean_similarity(gen, _row_norms(gen), ref.data)
 
 
-def mean_similarity(generated: Sequence[LatentVector], ref: LatentVector) -> float:
-    """Mean cosine similarity of a generated set to one reference.
+def _row_norms(gen: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a C-order (n, d) ``gen``."""
+    return np.sqrt(np.vecdot(gen, gen))
 
-    Summation is plain left-to-right so results do not depend on any
-    parallel evaluation strategy.
+
+def _mean_similarity(gen: np.ndarray, norms: np.ndarray, ref: np.ndarray) -> float:
+    """Mean clamped cosine of the rows of a C-order (n, d) ``gen``, whose
+    ``_row_norms`` are ``norms``, to ``ref``.
+
+    Each cosine is bit-identical to np.dot(g, ref) / (norm(g) * norm(ref))
+    on its own: np.vecdot runs the same BLAS dot for every row, and
+    np.linalg.norm of a vector is the square root of that dot. ``gen @ ref``
+    and ``norm(gen, axis=1)`` sum in other orders. The mean is a plain
+    left-to-right sum, so it does not depend on any parallel evaluation
+    strategy (the builtin ``sum`` compensates from Python 3.12).
     """
-    if len(generated) == 0:
-        raise EmptySet("mean similarity over an empty generated set")
-    ref_norm = norm(ref)
+    ref_norm = np.sqrt(np.vecdot(ref, ref))
+    if ref_norm == 0.0 or not norms.all():
+        raise ZeroVector("cosine similarity undefined for zero vectors")
+    if gen.shape[1] != ref.shape[0]:
+        raise DimensionMismatch(f"dot: dimensions differ ({gen.shape[1]} vs {ref.shape[0]})")
+    cosines = np.vecdot(gen, ref) / (norms * ref_norm)
     total = 0.0
-    for g in generated:
-        total += _cosine(g, ref, ref_norm)
-    return total / len(generated)
+    # fmin/fmax rather than clip: an inf/inf cosine (NaN) clamps to -1, as
+    # min(1.0, max(-1.0, c)) does
+    for c in np.fmin(1.0, np.fmax(-1.0, cosines)).tolist():
+        total += c
+    return total / gen.shape[0]
 
 
 def weighted_score(ms_values: Sequence[float], weights: Sequence[float]) -> float:
@@ -133,7 +172,7 @@ def wms_score(es: EmbeddingSet) -> WmsReport:
 
 def _style_means(es: EmbeddingSet) -> dict[str, float]:
     """MS of the generated set to each reference, in reference order."""
-    return {r.name: mean_similarity(es.generated, r.embedding) for r in es.references}
+    return {r.name: _mean_similarity(es.generated, es._norms, r.embedding.data) for r in es.references}
 
 
 def _weighted_report(per_style: dict[str, float], weights: Sequence[float]) -> WmsReport:

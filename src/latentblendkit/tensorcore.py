@@ -25,7 +25,9 @@ def _frozen_f64(values, ndim: int, what: str) -> np.ndarray:
         raise InvalidShape(f"{what} must be {ndim}-D, got shape {arr.shape}")
     if arr.size == 0 or min(arr.shape) < 1:
         raise InvalidShape(f"{what} must be non-empty, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    # min and max propagate NaN and expose +-Inf without the array-sized
+    # mask that isfinite(arr).all() would allocate
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise InvalidShape(f"{what} contains NaN or Inf entries")
     arr.setflags(write=False)
     return arr

@@ -1,7 +1,12 @@
 import csv
+import dataclasses
 import io
 import json
 import math
+import os
+import sys
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -9,7 +14,18 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from latentblendkit import cli, metrics, read_vectors, write_vectors
+from latentblendkit import (
+    FusionConfig,
+    LatentVector,
+    ParaphraseParams,
+    RescaleParams,
+    SandboxConfig,
+    cli,
+    fusion,
+    metrics,
+    read_vectors,
+    write_vectors,
+)
 from latentblendkit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -156,13 +172,17 @@ class TestWmsCommand:
         for g in gens[1:]:
             write_vectors(g, np.array([[0.1, 0.2, 0.3], [0.5, -0.5, 0.0]]))
         loads = Counter()
-        real_read_vectors = cli.read_vectors
 
-        def counting_read_vectors(path, *args, **kwargs):
-            loads[str(path)] += 1
-            return real_read_vectors(path, *args, **kwargs)
+        def counting(real):
+            def load(path, *args, **kwargs):
+                loads[str(path)] += 1
+                return real(path, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "read_vectors", counting_read_vectors)
+            return load
+
+        # --refs goes through read_vectors, each --generated path through _load_generated
+        monkeypatch.setattr(cli, "read_vectors", counting(cli.read_vectors))
+        monkeypatch.setattr(cli, "_load_generated", counting(cli._load_generated))
         # one path reused for all seven rows, or two paths alternating
         paths = [str(gens[0])] if n_files == 1 else [str(gens[i % 2]) for i in range(7)]
         args = ["wms", "--refs", str(tmp_path / "refs.npy"), "--grid", "--format", "json"]
@@ -182,7 +202,7 @@ class TestWmsCommand:
             write_vectors(g, rng.standard_normal((9, 6)))
         built = []
         scored = []
-        real_set, real_ms = cli.EmbeddingSet, metrics.mean_similarity
+        real_set, real_ms = cli.EmbeddingSet, metrics._mean_similarity
 
         def counting_set(*args, **kwargs):
             built.append(1)
@@ -193,7 +213,7 @@ class TestWmsCommand:
             return real_ms(*args, **kwargs)
 
         monkeypatch.setattr(cli, "EmbeddingSet", counting_set)
-        monkeypatch.setattr(metrics, "mean_similarity", counting_ms)
+        monkeypatch.setattr(metrics, "_mean_similarity", counting_ms)
         paths = [str(gens[i % n_files]) for i in range(len(cli.WEIGHT_GRID))]
         args = ["wms", "--refs", str(tmp_path / "refs.npy"), "--grid", "--format", "json"]
         for p in paths:
@@ -266,6 +286,73 @@ class TestWmsCommand:
         assert result.exit_code == 0, result.output
         rows = list(csv.DictReader(io.StringIO(result.output)))
         assert 'MS_a"x' in rows[0]
+
+
+    @pytest.mark.parametrize("n", [3, 257])
+    def test_grid_builds_only_the_reference_vectors(self, runner, tmp_path, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        write_vectors(tmp_path / "refs.npy", rng.standard_normal((2, 8)))
+        write_vectors(tmp_path / "gen.npy", rng.standard_normal((n, 8)))
+        built = []
+        real_post_init = LatentVector.__post_init__
+
+        def counting(self):
+            built.append(1)
+            real_post_init(self)
+
+        monkeypatch.setattr(LatentVector, "__post_init__", counting)
+        result = runner.invoke(
+            main,
+            ["wms", "--generated", str(tmp_path / "gen.npy"), "--refs", str(tmp_path / "refs.npy"), "--grid"],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(built) == 2
+
+    def test_directory_dimension_mismatch_exit_2(self, runner, tmp_path):
+        gen_dir = tmp_path / "gen"
+        gen_dir.mkdir()
+        write_vectors(gen_dir / "a.npy", np.ones((2, 3)))
+        write_vectors(gen_dir / "b.npy", np.ones(4))
+        write_vectors(tmp_path / "refs.npy", np.eye(3)[:2])
+        result = runner.invoke(
+            main,
+            ["wms", "--generated", str(gen_dir), "--refs", str(tmp_path / "refs.npy"), "--weights", "1,1"],
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "b.npy has d_z=4, expected 3" in result.stderr
+
+    @staticmethod
+    def golden_outputs(runner, tmp_path) -> dict:
+        """Stdout bytes of a --grid JSON run on a seeded (300, 48) <f8 file,
+        and of a --weights CSV run over a directory that mixes <f4 2-D parts
+        with a 1-D <f8 file, keyed as in tests/golden/wms_cli.json."""
+        rng = np.random.default_rng(4242)
+        refs = rng.standard_normal((2, 48))
+        mix = rng.uniform(0.0, 1.0, size=(300, 1))
+        np.save(tmp_path / "refs.npy", refs)
+        np.save(tmp_path / "gen.npy", mix * refs[0] + (1.0 - mix) * refs[1] + 1.5 * rng.standard_normal((300, 48)))
+        parts = tmp_path / "parts"
+        parts.mkdir()
+        for i in range(5):
+            part = refs[i % 2] + 2.0 * rng.standard_normal((1 + i, 48))
+            np.save(parts / f"part_{i}.npy", part.astype("<f4"))
+        np.save(parts / "part_2_single.npy", refs[0] + rng.standard_normal(48))  # sorts between parts 2 and 3
+        refs_arg = ["--refs", str(tmp_path / "refs.npy")]
+        commands = {
+            "grid_json": ["wms", "--generated", str(tmp_path / "gen.npy"), *refs_arg, "--grid", "--format", "json"],
+            "weights_csv": ["wms", "--generated", str(parts), *refs_arg, "--weights", "0.3,0.9", "--ref-names", "a,b"],
+        }
+        out = {}
+        for key, args in commands.items():
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            out[key] = result.stdout_bytes.decode("utf-8")
+        return out
+
+    def test_golden_bytes(self, runner, tmp_path):
+        golden = json.loads((GOLDEN / "wms_cli.json").read_text())
+        assert self.golden_outputs(runner, tmp_path) == golden
 
 
 class TestAttendCommand:
@@ -372,6 +459,30 @@ class TestFuseCommand:
         result = runner.invoke(main, ["fuse", "--inputs", str(inputs), "--provider", str(fixture)])
         assert result.exit_code == 5
 
+    def test_provider_timeout_exit_5(self, runner, tmp_path, monkeypatch):
+        script = tmp_path / "slow.py"
+        script.write_text("import time\ntime.sleep(30)\n")
+        inputs = self._inputs(tmp_path, [{"modality": "image", "text": self.LONG}])
+        monkeypatch.setattr(fusion, "PROVIDER_TIMEOUT_S", 0.5)
+        start = time.monotonic()
+        result = runner.invoke(main, ["fuse", "--inputs", str(inputs), "--provider-kind", "external_command",
+                                      "--provider", f"{sys.executable} {script}"])
+        assert result.exit_code == 5, result.output
+        assert result.stderr.startswith("error: [modality=image] provider did not answer within 0.5 s")
+        assert time.monotonic() - start < 15
+
+    def test_config_defaults_come_from_the_dataclass(self, tmp_path, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class Config(FusionConfig):
+            verbosity_threshold_k: int = 7
+
+        monkeypatch.setattr(cli, "FusionConfig", Config)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"paraphrase": {"l_max": 40}}))
+        loaded = cli._load_fusion_config(str(cfg))
+        assert loaded.verbosity_threshold_k == 7
+        assert loaded.paraphrase == dataclasses.replace(ParaphraseParams(), l_max=40)
+
     def test_non_utf8_fixture_exit_5(self, runner, tmp_path):
         fixture = tmp_path / "fix.json"
         fixture.write_bytes(b"\xff\xfe")
@@ -468,12 +579,64 @@ class TestSandboxCommand:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: sandbox config ")
 
+    def test_config_defaults_come_from_the_dataclass(self, tmp_path, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class Config(SandboxConfig):
+            rescale: RescaleParams = RescaleParams(mu=0.25, sigma=2.0)
+
+        monkeypatch.setattr(cli, "SandboxConfig", Config)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rescale": {"sigma": 0.5}}))
+        assert cli._load_sandbox_config(str(cfg), None, None).rescale == RescaleParams(mu=0.25, sigma=0.5)
+        cfg.write_text(json.dumps({"rescale": {}}))
+        assert cli._load_sandbox_config(str(cfg), None, None).rescale == Config().rescale
+
     def test_output_file(self, runner, tmp_path):
         out = tmp_path / "report.json"
         result = runner.invoke(main, ["sandbox", "--format", "json", "--output", str(out)])
         assert result.exit_code == 0
         payload = json.loads(out.read_text())
         assert "final_stat_distance" in payload
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["catalog"],
+        ["catalog", "--which", "prompts", "--format", "json"],
+        ["sandbox", "--dump-schedule"],
+    ],
+)
+def test_output_into_missing_directory_exit_2(runner, tmp_path, args):
+    result = runner.invoke(main, [*args, "--output", str(tmp_path / "missing" / "x.csv")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: cannot write ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_through_symlink_keeps_the_link(runner, tmp_path):
+    real = tmp_path / "real.csv"
+    real.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    result = runner.invoke(main, ["catalog", "--output", str(link)])
+    assert result.exit_code == 0, result.output
+    assert link.is_symlink()
+    assert real.read_text() == runner.invoke(main, ["catalog"]).output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+def test_output_to_fifo_is_written_in_place(runner, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    result = runner.invoke(main, ["catalog", "--output", str(fifo)])
+    reader.join(timeout=10)
+    assert result.exit_code == 0, result.output
+    assert received == [runner.invoke(main, ["catalog"]).output]
+    assert list(tmp_path.iterdir()) == [fifo]
 
 
 class TestCatalogCommand:

@@ -1,5 +1,9 @@
 import json
+import os
+import stat
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +12,13 @@ from hypothesis import strategies as st
 
 from latentblendkit import (
     BadMagic,
+    DimensionMismatch,
     FeatureMap,
     InputError,
     InvalidShape,
     IoFailure,
     LatentVector,
+    NpyFormatError,
     TruncatedPayload,
     UnsupportedDtype,
     UnsupportedOrder,
@@ -23,7 +29,7 @@ from latentblendkit import (
     read_vectors,
     write_vectors,
 )
-from latentblendkit.formats import read_json
+from latentblendkit.formats import load_rows, read_json, write_atomic
 
 
 class TestRoundTrip:
@@ -121,6 +127,42 @@ class TestHeaderLayout:
         assert "'shape': (2, 5)" in header
 
 
+class TestLoadRows:
+    def _files(self, tmp_path):
+        rng = np.random.default_rng(29)
+        files = []
+        for i in range(20):
+            files.append(tmp_path / f"{i:02d}.npy")
+            np.save(files[-1], rng.standard_normal((50, 256)).astype("<f4"))
+        files.append(tmp_path / "vector.npy")
+        np.save(files[-1], rng.standard_normal(256))
+        return files
+
+    def test_rows_in_order_as_float64(self, tmp_path):
+        files = self._files(tmp_path)
+        rows = load_rows(files)
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        assert np.array_equal(rows, np.concatenate([np.atleast_2d(load_array(f)) for f in files]))
+
+    def test_no_float64_copy_per_file(self, tmp_path):
+        # the <f4 bytes (half the result's size) and the result itself; a
+        # float64 part per file plus their concatenation would be twice it
+        files = self._files(tmp_path)
+        tracemalloc.start()
+        try:
+            rows = load_rows(files)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * rows.nbytes
+
+    def test_width_mismatch_names_the_file(self, tmp_path):
+        np.save(tmp_path / "a.npy", np.ones((2, 3)))
+        np.save(tmp_path / "b.npy", np.ones((2, 4)))
+        with pytest.raises(DimensionMismatch, match=r"b\.npy has d_z=4, expected 3"):
+            load_rows([tmp_path / "a.npy", tmp_path / "b.npy"])
+
+
 class TestReaderErrors:
     def _valid_bytes(self):
         import io
@@ -172,6 +214,16 @@ class TestReaderErrors:
         with pytest.raises(TruncatedPayload):
             load_array(path)
 
+    def test_trailing_bytes_rejected_at_payload_end(self, tmp_path):
+        raw = self._valid_bytes()
+        path = tmp_path / "long.npy"
+        path.write_bytes(bytes(raw) + b"\x00" * 8)
+        with pytest.raises(NpyFormatError) as exc:
+            load_array(path)
+        assert type(exc.value) is NpyFormatError
+        header_end, expected = len(raw) - 6 * 8, 6 * 8
+        assert exc.value.offset == header_end + expected
+
     def test_3d_shape_rejected(self, tmp_path):
         path = tmp_path / "cube.npy"
         np.save(path, np.zeros((2, 2, 2)))
@@ -202,6 +254,90 @@ class TestWriterErrors:
             write_vectors(target, np.zeros(3))
         assert blocker.is_file()
         assert list(tmp_path.iterdir()) == [blocker]
+
+
+class TestWriteAtomic:
+    def test_failed_replace_removes_temp_file(self, tmp_path):
+        # the temp file is written, then renaming it over a directory fails
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(IoFailure):
+            write_atomic(target, b"data")
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_missing_directory_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure):
+            write_atomic(tmp_path / "missing" / "x.csv", b"data")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mode_follows_umask_like_open(self, tmp_path):
+        write_atomic(tmp_path / "atomic", b"x")
+        (tmp_path / "plain").write_bytes(b"x")
+        assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        target = tmp_path / "private"
+        target.write_bytes(b"old")
+        target.chmod(0o600)
+        write_atomic(target, b"new")
+        assert target.read_bytes() == b"new"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+    def test_symlink_survives_and_its_target_is_replaced(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        (tmp_path / "links").mkdir()
+        real = tmp_path / "real" / "out.csv"
+        real.write_bytes(b"old")
+        link = tmp_path / "links" / "out.csv"
+        link.symlink_to(real)
+        write_atomic(link, b"new")
+        assert link.is_symlink() and link.resolve() == real
+        assert real.read_bytes() == b"new"
+        assert list((tmp_path / "real").iterdir()) == [real]
+        assert list((tmp_path / "links").iterdir()) == [link]
+
+    def test_dangling_symlink_gets_its_target_created(self, tmp_path):
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "made")
+        write_atomic(link, b"new")
+        assert link.is_symlink()
+        assert (tmp_path / "made").read_bytes() == b"new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "made"]
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_atomic(fifo, b"through ", b"the pipe")
+        reader.join(timeout=10)
+        assert received == [b"through the pipe"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_concurrent_writers_same_path(self, tmp_path):
+        target = tmp_path / "shared.npy"
+        arrays = [np.full((64, 32), float(i)) for i in range(4)]
+        errors = []
+
+        def writer(arr):
+            try:
+                for _ in range(100):
+                    write_vectors(target, arr)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(a,)) for a in arrays]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert list(tmp_path.iterdir()) == [target]
+        back = load_array(target)
+        assert any(np.array_equal(back, a) for a in arrays)
 
 
 class TestBlendSpec:

@@ -23,6 +23,7 @@ from latentblendkit import (
     default_query_catalog,
     fuse,
     fuse_with_trace,
+    fusion,
     needs_paraphrasing,
     unit,
     weather_to_text,
@@ -259,6 +260,12 @@ class TestCommandProvider:
     def test_nonzero_exit_is_failure(self, tmp_path):
         binding = self._script(tmp_path, "import sys\nsys.exit(3)\n")
         with pytest.raises(ProviderFailure, match="exited 3"):
+            fuse([desc("image", LONG_TEXT)], FusionConfig(), binding)
+
+    def test_slow_provider_times_out_as_failure(self, tmp_path, monkeypatch):
+        binding = self._script(tmp_path, "import time\ntime.sleep(30)\n")
+        monkeypatch.setattr(fusion, "PROVIDER_TIMEOUT_S", 0.5)
+        with pytest.raises(ProviderFailure, match="did not answer within 0.5 s"):
             fuse([desc("image", LONG_TEXT)], FusionConfig(), binding)
 
     def test_garbage_stdout_is_failure(self, tmp_path):

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from latentblendkit import (
     DimensionMismatch,
     EmptySet,
     EmbeddingSet,
     InputError,
+    InvalidShape,
     LatentVector,
     ReferenceStyle,
     ZeroVector,
@@ -18,6 +22,7 @@ from latentblendkit import (
     weighted_score,
     wms_score,
 )
+from latentblendkit import metrics
 
 
 def embedding_set_with_ms(ms_values, weights, names=None):
@@ -168,6 +173,135 @@ class TestWmsScore:
                     ReferenceStyle("a", unit(1, 2), 1.0),
                 ),
             )
+
+
+class TestGeneratedMatrix:
+    def _refs(self, d=3):
+        return (ReferenceStyle("a", unit(0, d), 1.0), ReferenceStyle("b", unit(1, d), 2.0))
+
+    def test_array_and_vectors_give_the_same_set(self):
+        rng = np.random.default_rng(83)
+        arr = rng.standard_normal((6, 3))
+        from_array = EmbeddingSet(generated=arr, references=self._refs())
+        from_vectors = EmbeddingSet(generated=[LatentVector(r) for r in arr], references=self._refs())
+        for es in (from_array, from_vectors):
+            assert es.generated.shape == (6, 3)
+            assert es.generated.dtype == np.float64
+            assert not es.generated.flags.writeable
+            assert np.array_equal(es.generated, arr)
+        assert wms_score(from_array) == wms_score(from_vectors)
+
+    def test_array_is_copied(self):
+        arr = np.eye(3)
+        es = EmbeddingSet(generated=arr, references=self._refs())
+        arr[0, 0] = 5.0
+        assert es.generated[0, 0] == 1.0
+
+    def test_validation_messages(self):
+        refs = self._refs()
+        with pytest.raises(EmptySet, match="no generated embeddings"):
+            EmbeddingSet(generated=np.zeros((0, 3)), references=refs)
+        with pytest.raises(InputError, match=r"generated\[2\] is a zero vector"):
+            EmbeddingSet(generated=np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 0], [0, 0, 0]]), references=refs)
+        with pytest.raises(DimensionMismatch, match=r"generated\[1\] has d_z=2, expected 3"):
+            EmbeddingSet(generated=[unit(0, 3), unit(0, 2)], references=refs)
+        with pytest.raises(DimensionMismatch, match="reference 'a' has d_z=3, expected 2"):
+            EmbeddingSet(generated=np.eye(2), references=refs)
+        with pytest.raises(InvalidShape):
+            EmbeddingSet(generated=np.ones(3), references=refs)
+        with pytest.raises(InvalidShape):
+            EmbeddingSet(generated=np.array([[1.0, np.nan, 0.0]]), references=refs)
+
+    def test_mean_similarity_takes_an_array(self):
+        arr = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert mean_similarity(arr, unit(0, 2)) == 0.5
+        with pytest.raises(EmptySet):
+            mean_similarity(np.zeros((0, 2)), unit(0, 2))
+        with pytest.raises(DimensionMismatch):
+            mean_similarity(arr, unit(0, 3))
+        with pytest.raises(ZeroVector):
+            mean_similarity(np.array([[1.0, 0.0], [0.0, 0.0]]), unit(0, 2))
+
+    def test_row_norms_are_computed_once_per_set(self, monkeypatch):
+        calls = []
+        real = metrics._row_norms
+
+        def counting(gen):
+            calls.append(gen.shape)
+            return real(gen)
+
+        monkeypatch.setattr(metrics, "_row_norms", counting)
+        es = EmbeddingSet(generated=np.eye(3)[:2] + 0.5, references=self._refs())
+        wms_score(es)
+        score_drop_bound(es)
+        assert calls == [(2, 3)]
+
+
+def _loop_cosine(g: np.ndarray, r: np.ndarray) -> float:
+    c = float(np.dot(g, r)) / (float(np.linalg.norm(g)) * float(np.linalg.norm(r)))
+    return min(1.0, max(-1.0, c))
+
+
+def _loop_mean(gen: np.ndarray, r: np.ndarray) -> float:
+    total = 0.0
+    for g in gen:
+        total += _loop_cosine(g, r)
+    return total / len(gen)
+
+
+_ELEMENTS = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 70), st.integers(1, 3)),
+    data=st.data(),
+)
+def test_scores_equal_a_plain_per_row_loop(shape, data):
+    """Every score is == the one-vector-at-a-time arithmetic: np.dot, np.linalg.norm,
+    clamp, left-to-right sum."""
+    n, d, k = shape
+    gen = data.draw(hnp.arrays(np.float64, (n, d), elements=_ELEMENTS))
+    refs = data.draw(hnp.arrays(np.float64, (k, d), elements=_ELEMENTS))
+    weights = data.draw(st.lists(st.floats(0.01, 10.0), min_size=k, max_size=k))
+    assume(all(np.linalg.norm(v) > 0.0 for v in (*gen, *refs)))
+    vectors = [LatentVector(g) for g in gen]
+    for r in refs:
+        assert mean_similarity(vectors, LatentVector(r)) == _loop_mean(gen, r)
+        for g in gen[:3]:
+            assert cosine_similarity(LatentVector(g), LatentVector(r)) == _loop_cosine(g, r)
+    es = EmbeddingSet(
+        generated=gen,
+        references=tuple(ReferenceStyle(f"s{i}", LatentVector(r), w) for i, (r, w) in enumerate(zip(refs, weights))),
+    )
+    report = wms_score(es)
+    ms = [_loop_mean(gen, r) for r in refs]
+    total_w = math.fsum(weights)
+    wms = 0.0
+    for m, w in zip(ms, weights):
+        wms += w / total_w * m
+    assert list(report.per_style_ms.values()) == ms
+    assert report.wms == wms
+    assert report.ms_gap == max(ms) - min(ms)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_vectors_clamp_as_the_loop_does():
+    # the dots overflow to inf (numpy warns, in the loop's np.dot too), so
+    # each cosine is inf/inf; the loop's min(1, max(-1, nan)) gives -1
+    big = np.array([[1e200, 1e200], [1e200, -1e200], [3.0, 4.0]])
+    ref = np.array([1e200, 1e200])
+    assert mean_similarity(big, LatentVector(ref)) == _loop_mean(big, ref)
+    assert cosine_similarity(LatentVector(big[0]), LatentVector(ref)) == _loop_cosine(big[0], ref) == -1.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 15, 16, 17, 31, 64, 100, 257, 768, 1024])
+def test_mean_similarity_equals_loop_across_dimensions(d):
+    rng = np.random.default_rng(d)
+    gen = rng.standard_normal((40, d)) * rng.uniform(1e-3, 1e3, size=(40, 1))
+    ref = rng.standard_normal(d)
+    assert mean_similarity(gen, LatentVector(ref)) == _loop_mean(gen, ref)
 
 
 class TestScoreDropBound:

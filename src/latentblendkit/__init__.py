@@ -24,7 +24,6 @@ from .attention import (
 from .blending import (
     DEFAULT_EPS_OMEGA,
     BlendResult,
-    StyleEntry,
     WeightedStyleSet,
     chord_and_arc,
     linear_blend,

@@ -40,6 +40,9 @@ class RescaleParams:
     sigma: float
 
     def __post_init__(self):
+        for name in ("mu", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.sigma > 0:
             raise InputError(f"sigma must be > 0, got {self.sigma}")
 
@@ -105,11 +108,13 @@ class StyleBlock:
 
 @dataclass(frozen=True)
 class MultiStyleAttentionOutput:
-    """Joint-softmax result over several style blocks with per-block mass."""
+    """Joint-softmax result over several style blocks with per-block mass
+    and the lambda w_i / sum(w) that scaled each block's logits."""
 
     updated: Matrix
     weights: Matrix
     block_mass: tuple[float, ...]
+    lambdas: tuple[float, ...]
 
 
 def attention(inp: AttentionInputs) -> tuple[Matrix, Matrix]:
@@ -228,9 +233,8 @@ def lambda_rescaled_attention(
         if b.v.cols != d_v:
             raise DimensionMismatch(f"block value dims disagree: {b.v.cols} vs {d_v}")
 
-    scaled = [
-        (b.weight / total) * _scaled_logits(self_q.data, b.k.data) for b in style_blocks
-    ]
+    lambdas = tuple(b.weight / total for b in style_blocks)
+    scaled = [lam * _scaled_logits(self_q.data, b.k.data) for lam, b in zip(lambdas, style_blocks)]
     logits = np.concatenate(scaled, axis=1)
     weights = _softmax_rows_array(logits)
     out = _weighted_rows(weights, np.concatenate([b.v.data for b in style_blocks], axis=0))
@@ -242,7 +246,7 @@ def lambda_rescaled_attention(
         masses.append(float(weights[:, start:stop].sum(axis=1).mean()))
         start = stop
     return MultiStyleAttentionOutput(
-        updated=Matrix(out), weights=Matrix(weights), block_mass=tuple(masses)
+        updated=Matrix(out), weights=Matrix(weights), block_mass=tuple(masses), lambdas=lambdas
     )
 
 

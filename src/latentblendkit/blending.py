@@ -5,6 +5,11 @@ linear interpolation (``sli_blend``), which walks the great-circle arc so
 unit inputs stay on the unit hypersphere. Multi-style spherical blending is
 a pairwise fold over the styles sorted by descending weight; the fold is
 not associative, so the sort is what makes results reproducible.
+
+A ``WeightedStyleSet`` keeps its styles as one read-only (k, d) float64
+matrix, row i being source index i. The blends work on its rows as plain
+arrays, take every angle from ``tensorcore``'s cosine kernel and build one
+``LatentVector``, the result.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllZeroWeights, AntipodalVectors, DimensionMismatch, InputError
-from .tensorcore import LatentVector, angle_between
+from .tensorcore import LatentVector, _angle, _frozen_f64, _stack_vectors, angle_between
 
 LINEAR = "linear"
 SLI = "sli"
@@ -27,52 +32,40 @@ DEFAULT_EPS_OMEGA = 1e-7
 
 
 @dataclass(frozen=True)
-class StyleEntry:
-    """One reference style: its latent vector, blend weight, and input slot."""
-
-    vector: LatentVector
-    weight: float
-    source_index: int
-
-
-@dataclass(frozen=True)
 class WeightedStyleSet:
-    """Ordered reference styles with non-negative weights, all sharing d_z."""
+    """Reference styles with non-negative weights, all sharing d_z.
 
-    entries: tuple[StyleEntry, ...]
+    ``vectors`` may be given as a (k, d) array or, as ``of`` does, as a
+    sequence of LatentVectors; it is stored as one read-only (k, d) float64
+    matrix whose row i is style i. ``weights`` holds one float per row.
+    """
+
+    vectors: np.ndarray
+    weights: tuple[float, ...]
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        if not entries:
+        weights = tuple(float(w) for w in self.weights)
+        if len(self.vectors) != len(weights):
+            raise InputError(f"{len(self.vectors)} vectors but {len(weights)} weights")
+        if not weights:
             raise InputError("WeightedStyleSet needs at least one style")
-        d = entries[0].vector.d_z
-        for e in entries:
-            if e.vector.d_z != d:
-                raise DimensionMismatch(
-                    f"style {e.source_index} has d_z={e.vector.d_z}, expected {d}"
-                )
-            if not math.isfinite(e.weight) or e.weight < 0:
-                raise InputError(f"style {e.source_index} has invalid weight {e.weight}")
-        object.__setattr__(self, "entries", entries)
+        if isinstance(self.vectors, np.ndarray):
+            vectors = _frozen_f64(self.vectors, 2, "WeightedStyleSet.vectors")
+        else:
+            vectors = _stack_vectors(self.vectors, "style {}")
+        for i, w in enumerate(weights):
+            if not math.isfinite(w) or w < 0:
+                raise InputError(f"style {i} has invalid weight {w}")
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def of(cls, vectors: Sequence[LatentVector], weights: Sequence[float]) -> "WeightedStyleSet":
-        if len(vectors) != len(weights):
-            raise InputError(f"{len(vectors)} vectors but {len(weights)} weights")
-        return cls(
-            tuple(
-                StyleEntry(vector=v, weight=float(w), source_index=i)
-                for i, (v, w) in enumerate(zip(vectors, weights))
-            )
-        )
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(e.weight for e in self.entries)
+        return cls(vectors, weights)
 
     @property
     def d_z(self) -> int:
-        return self.entries[0].vector.d_z
+        return self.vectors.shape[1]
 
 
 @dataclass(frozen=True)
@@ -92,15 +85,14 @@ class BlendResult:
 
 def normalize_weights(s: WeightedStyleSet) -> WeightedStyleSet:
     """Rescale weights to sum to 1; vectors and order are untouched."""
-    total = math.fsum(e.weight for e in s.entries)
+    return WeightedStyleSet(s.vectors, _normalized(s.weights))
+
+
+def _normalized(weights: tuple[float, ...]) -> tuple[float, ...]:
+    total = math.fsum(weights)
     if total == 0.0:
         raise AllZeroWeights("cannot normalize: all weights are zero")
-    return WeightedStyleSet(
-        tuple(
-            StyleEntry(vector=e.vector, weight=e.weight / total, source_index=e.source_index)
-            for e in s.entries
-        )
-    )
+    return tuple(w / total for w in weights)
 
 
 def linear_blend(s: WeightedStyleSet) -> BlendResult:
@@ -110,14 +102,14 @@ def linear_blend(s: WeightedStyleSet) -> BlendResult:
     Note the result of distinct unit inputs falls inside the sphere (the
     chord undershoots the arc).
     """
-    s = normalize_weights(s)
+    weights = _normalized(s.weights)
     out = np.zeros(s.d_z)
-    for e in s.entries:
-        out += e.weight * e.vector.data
+    for w, row in zip(weights, s.vectors):
+        out += w * row
     return BlendResult(
         vector=LatentVector(out),
         method=LINEAR,
-        order_used=tuple(e.source_index for e in s.entries),
+        order_used=tuple(range(len(weights))),
         omega_trace=(),
     )
 
@@ -143,7 +135,15 @@ def slerp_pair(
         raise InputError(f"interpolation parameter t={t} outside [0, 1]")
     if z1.d_z != z2.d_z:
         raise DimensionMismatch(f"slerp: dimensions differ ({z1.d_z} vs {z2.d_z})")
-    omega = angle_between(z1, z2)  # raises ZeroVector on zero-norm input
+    vector, omega = _slerp(z1.data, z2.data, t, eps_omega)
+    if t in (0.0, 1.0):  # the endpoint itself, as _slerp returns it
+        return (z1 if t == 0.0 else z2), omega
+    return LatentVector(vector), omega
+
+
+def _slerp(z1: np.ndarray, z2: np.ndarray, t: float, eps_omega: float) -> tuple[np.ndarray, float]:
+    """``slerp_pair`` of two equal-length 1-D arrays, for t in [0, 1]."""
+    omega = _angle(z1, z2)  # raises ZeroVector on zero-norm input
     if math.pi - omega < eps_omega:
         raise AntipodalVectors(
             f"vectors are antipodal within eps_omega={eps_omega} (omega={omega})"
@@ -153,11 +153,11 @@ def slerp_pair(
     if t == 1.0:
         return z2, omega
     if omega < eps_omega:
-        return LatentVector((1.0 - t) * z1.data + t * z2.data), omega
+        return (1.0 - t) * z1 + t * z2, omega
     sin_omega = math.sin(omega)
     c1 = math.sin((1.0 - t) * omega) / sin_omega
     c2 = math.sin(t * omega) / sin_omega
-    return LatentVector(c1 * z1.data + c2 * z2.data), omega
+    return c1 * z1 + c2 * z2, omega
 
 
 def sli_blend(s: WeightedStyleSet, eps_omega: float = DEFAULT_EPS_OMEGA) -> BlendResult:
@@ -169,32 +169,28 @@ def sli_blend(s: WeightedStyleSet, eps_omega: float = DEFAULT_EPS_OMEGA) -> Blen
     toward style i+1 with t = w_{i+1} / sum(w_1..w_{i+1}); for two styles
     this reduces exactly to ``slerp_pair`` with t = w2 / (w1 + w2).
     """
-    s = normalize_weights(s)
-    ordered = sorted(s.entries, key=lambda e: (-e.weight, e.source_index))
-    vector, trace = _sli_fold(ordered, eps_omega)
-    return BlendResult(
-        vector=vector,
-        method=SLI,
-        order_used=tuple(e.source_index for e in ordered),
-        omega_trace=trace,
-    )
+    weights = _normalized(s.weights)
+    order = tuple(sorted(range(len(weights)), key=lambda i: (-weights[i], i)))
+    vector, trace = _sli_fold(s.vectors, weights, order, eps_omega)
+    return BlendResult(vector=LatentVector(vector), method=SLI, order_used=order, omega_trace=trace)
 
 
 def _sli_fold(
-    ordered: Sequence[StyleEntry], eps_omega: float
-) -> tuple[LatentVector, tuple[float, ...]]:
-    """Pairwise fold in the given order. The order matters: the fold is not
+    vectors: np.ndarray, weights: Sequence[float], order: Sequence[int], eps_omega: float
+) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Pairwise fold of the rows of ``vectors``, with their ``weights``, in
+    the row order ``order``. The order matters: the fold is not
     associative, which is why sli_blend canonicalizes it first."""
-    cumulative = ordered[0].vector
-    running_weight = ordered[0].weight
+    cumulative = vectors[order[0]]
+    running_weight = weights[order[0]]
     trace: list[float] = []
-    for entry in ordered[1:]:
-        running_weight += entry.weight
-        t = entry.weight / running_weight
+    for i in order[1:]:
+        running_weight += weights[i]
+        t = weights[i] / running_weight
         try:
-            cumulative, omega = slerp_pair(cumulative, entry.vector, t, eps_omega)
+            cumulative, omega = _slerp(cumulative, vectors[i], t, eps_omega)
         except AntipodalVectors as exc:
-            raise AntipodalVectors(f"incorporating style {entry.source_index}: {exc}") from exc
+            raise AntipodalVectors(f"incorporating style {i}: {exc}") from exc
         trace.append(omega)
     return cumulative, tuple(trace)
 

@@ -63,7 +63,7 @@ from .fusion import (
     fuse_with_trace,
     weather_to_text,
 )
-from .metrics import EmbeddingSet, ReferenceStyle, _style_means, _weighted_report
+from .metrics import EmbeddingSet, ReferenceStyle, _Owned, _style_means, _weighted_report
 from .sandbox import (
     GUIDANCE_GRID,
     DdimScheduleConfig,
@@ -260,14 +260,15 @@ def wms(generated_paths, refs_path, ref_names, weights, grid, fmt, output):
 
         # MS does not depend on the weights, so each distinct --generated set
         # is loaded, validated and scored once. Its EmbeddingSet checks the
-        # first row's weights; the remaining grid rows are built in.
+        # first row's weights; the remaining grid rows are built in. The set
+        # freezes the loaded matrix in place: nothing else holds it.
         style_means: dict[str, dict[str, float]] = {}
         rows = []
         for w, gen_path in configs:
             if gen_path not in style_means:
                 style_means[gen_path] = _style_means(
                     EmbeddingSet(
-                        generated=_load_generated(gen_path),
+                        generated=_Owned(_load_generated(gen_path)),
                         references=tuple(
                             ReferenceStyle(name=nm, embedding=emb, weight=wt)
                             for nm, emb, wt in zip(names, refs, w)
@@ -311,12 +312,11 @@ def attend(self_path, ref_paths, mu, sigma, auto_classify, threshold, lambda_wei
                 for p, wt in zip(ref_paths, w)
             ]
             out = lambda_rescaled_attention(self_m, blocks)
-            total = sum(w)
             _emit(
                 json.dumps(
                     {
                         "mode": "lambda",
-                        "lambdas": [wt / total for wt in w],
+                        "lambdas": list(out.lambdas),
                         "block_mass": list(out.block_mass),
                         "row_entropy": row_entropy(out.weights),
                     }

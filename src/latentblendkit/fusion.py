@@ -16,10 +16,12 @@ import math
 import shlex
 import shutil
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -30,8 +32,7 @@ from .errors import (
     ZeroVector,
 )
 from .formats import read_json
-from .metrics import cosine_similarity
-from .tensorcore import LatentVector, norm
+from .tensorcore import LatentVector, _cosines, _row_norms, _stack_vectors, norm
 
 MODALITIES = ("image", "audio", "music", "weather", "text")
 
@@ -72,19 +73,19 @@ class QueryEntry:
 
 @dataclass(frozen=True)
 class QueryCatalog:
-    """Ordered mood/atmosphere queries with their text embeddings."""
+    """Ordered mood/atmosphere queries with their text embeddings, which
+    are also stacked as the rows of one read-only matrix."""
 
     queries: tuple[QueryEntry, ...]
+    _embeddings: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         queries = tuple(self.queries)
         if not queries:
             raise EmptySet("query catalog is empty")
-        d = queries[0].embedding.d_z
-        for i, q in enumerate(queries):
-            if q.embedding.d_z != d:
-                raise DimensionMismatch(f"catalog entry {i} has d_z={q.embedding.d_z}, expected {d}")
+        embeddings = _stack_vectors([q.embedding for q in queries], "catalog entry {}")
         object.__setattr__(self, "queries", queries)
+        object.__setattr__(self, "_embeddings", embeddings)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "QueryCatalog":
@@ -174,15 +175,18 @@ def best_music_query(music_embedding: LatentVector, catalog: QueryCatalog) -> Qu
 
     Ties break to the lowest index so the match is deterministic.
     """
-    if norm(music_embedding) == 0.0:
+    music_norm = norm(music_embedding)
+    if music_norm == 0.0:
         raise ZeroVector("music embedding is a zero vector")
-    best_index = 0
-    best_score = -math.inf
-    for i, q in enumerate(catalog.queries):
-        score = cosine_similarity(music_embedding, q.embedding)
-        if score > best_score:
-            best_index, best_score = i, score
-    return QueryMatch(index=best_index, text=catalog.queries[best_index].text, score=best_score)
+    d = catalog._embeddings.shape[1]
+    if music_embedding.d_z != d:
+        raise DimensionMismatch(f"dot: dimensions differ ({music_embedding.d_z} vs {d})")
+    norms = _row_norms(catalog._embeddings)
+    if not norms.all():
+        raise ZeroVector("cosine similarity undefined for zero vectors")
+    scores = _cosines(catalog._embeddings, norms, music_embedding.data, music_norm)
+    best = int(np.argmax(scores))  # the first of equal maxima
+    return QueryMatch(index=best, text=catalog.queries[best].text, score=float(scores[best]))
 
 
 def needs_paraphrasing(d: ModalityDescription, cfg: FusionConfig = FusionConfig()) -> bool:

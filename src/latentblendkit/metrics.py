@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, InputError, ZeroVector
-from .tensorcore import LatentVector, _frozen_f64, norm
+from .tensorcore import LatentVector, _cosines, _frozen_f64, _row_norms, _stack_vectors, norm
 
 
 @dataclass(frozen=True)
@@ -70,22 +70,26 @@ class EmbeddingSet:
         object.__setattr__(self, "_norms", norms)
 
 
+class _Owned(NamedTuple):
+    """An (n, d) float64 C-order array that nothing else holds: as
+    ``EmbeddingSet.generated`` it is frozen in place rather than copied."""
+
+    matrix: np.ndarray
+
+
 def _generated_matrix(generated, empty: str) -> np.ndarray:
     """A read-only float64 (n, d) copy of LatentVectors or of an (n, d)
-    array; ``empty`` is the EmptySet message for n == 0."""
+    array, or an ``_Owned`` array itself; ``empty`` is the EmptySet message
+    for n == 0."""
+    if isinstance(generated, _Owned):
+        return _frozen_f64(generated.matrix, 2, "generated", copy=False)
     if not isinstance(generated, np.ndarray):
         generated = tuple(generated)
     if len(generated) == 0:
         raise EmptySet(empty)
     if isinstance(generated, np.ndarray):
         return _frozen_f64(generated, 2, "generated")
-    d = generated[0].d_z
-    for i, g in enumerate(generated):
-        if g.d_z != d:
-            raise DimensionMismatch(f"generated[{i}] has d_z={g.d_z}, expected {d}")
-    matrix = np.stack([g.data for g in generated])
-    matrix.setflags(write=False)
-    return matrix
+    return _stack_vectors(generated, "generated[{}]")
 
 
 @dataclass(frozen=True)
@@ -117,32 +121,19 @@ def mean_similarity(generated: Sequence[LatentVector] | np.ndarray, ref: LatentV
     return _mean_similarity(gen, _row_norms(gen), ref.data)
 
 
-def _row_norms(gen: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of a C-order (n, d) ``gen``."""
-    return np.sqrt(np.vecdot(gen, gen))
-
-
 def _mean_similarity(gen: np.ndarray, norms: np.ndarray, ref: np.ndarray) -> float:
-    """Mean clamped cosine of the rows of a C-order (n, d) ``gen``, whose
-    ``_row_norms`` are ``norms``, to ``ref``.
+    """Mean of the ``_cosines`` of the rows of a C-order (n, d) ``gen``,
+    whose ``_row_norms`` are ``norms``, to ``ref``.
 
-    Each cosine is bit-identical to np.dot(g, ref) / (norm(g) * norm(ref))
-    on its own: np.vecdot runs the same BLAS dot for every row, and
-    np.linalg.norm of a vector is the square root of that dot. ``gen @ ref``
-    and ``norm(gen, axis=1)`` sum in other orders. The mean is a plain
-    left-to-right sum, so it does not depend on any parallel evaluation
-    strategy (the builtin ``sum`` compensates from Python 3.12).
+    The mean is a plain left-to-right sum, so it does not depend on any
+    parallel evaluation strategy (the builtin ``sum`` compensates from
+    Python 3.12).
     """
     ref_norm = np.sqrt(np.vecdot(ref, ref))
     if ref_norm == 0.0 or not norms.all():
         raise ZeroVector("cosine similarity undefined for zero vectors")
-    if gen.shape[1] != ref.shape[0]:
-        raise DimensionMismatch(f"dot: dimensions differ ({gen.shape[1]} vs {ref.shape[0]})")
-    cosines = np.vecdot(gen, ref) / (norms * ref_norm)
     total = 0.0
-    # fmin/fmax rather than clip: an inf/inf cosine (NaN) clamps to -1, as
-    # min(1.0, max(-1.0, c)) does
-    for c in np.fmin(1.0, np.fmax(-1.0, cosines)).tolist():
+    for c in _cosines(gen, norms, ref, ref_norm).tolist():
         total += c
     return total / gen.shape[0]
 

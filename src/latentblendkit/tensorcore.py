@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -19,8 +20,10 @@ from .errors import DimensionMismatch, InvalidShape, ZeroVector
 DEFAULT_EPS_STD = 1e-5
 
 
-def _frozen_f64(values, ndim: int, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, order="C")
+def _frozen_f64(values, ndim: int, what: str, copy: bool = True) -> np.ndarray:
+    """A validated read-only C-order float64 copy of ``values``; with
+    ``copy=False``, ``values`` itself if it is one (frozen in place)."""
+    arr = np.array(values, dtype=np.float64, order="C", copy=True if copy else None)
     if arr.ndim != ndim:
         raise InvalidShape(f"{what} must be {ndim}-D, got shape {arr.shape}")
     if arr.size == 0 or min(arr.shape) < 1:
@@ -186,8 +189,6 @@ def _per_matrix(subscripts: str, a: np.ndarray, b: np.ndarray, cols: int) -> np.
     return out
 
 
-
-
 def unit(i: int, d: int) -> LatentVector:
     """Standard basis vector e_i in R^d (convenience for fixtures and CLIs)."""
     if not 0 <= i < d:
@@ -199,9 +200,47 @@ def unit(i: int, d: int) -> LatentVector:
 
 def angle_between(a: LatentVector, b: LatentVector) -> float:
     """Angle in [0, pi] between the directions of two nonzero vectors."""
-    na = norm(a)
-    nb = norm(b)
+    return _angle(a.data, b.data)
+
+
+def _angle(a: np.ndarray, b: np.ndarray) -> float:
+    """Angle in [0, pi] between two nonzero 1-D arrays, through ``_cosines``."""
+    na, nb = _row_norms(a), _row_norms(b)
     if na == 0.0 or nb == 0.0:
         raise ZeroVector("angle undefined for a zero-norm vector")
-    c = dot(a, b) / (na * nb)
-    return math.acos(min(1.0, max(-1.0, c)))
+    return math.acos(_cosines(a, na, b, nb))
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a C-order ``x`` (of ``x`` if 1-D)."""
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _cosines(rows: np.ndarray, norms: np.ndarray, v: np.ndarray, v_norm: float) -> np.ndarray:
+    """The package's one cosine: of each row of a C-order (n, d) ``rows``
+    (or of one 1-D row, as a scalar), whose ``_row_norms`` are ``norms``,
+    to the 1-D ``v`` of norm ``v_norm``, clamped to [-1, 1]. Zero norms are
+    the caller's to reject.
+
+    Each entry is bit-identical to np.dot(row, v) / (np.linalg.norm(row) *
+    np.linalg.norm(v)): np.vecdot runs the same BLAS dot for every row, and
+    a vector's np.linalg.norm is the square root of that dot. ``rows @ v``
+    and ``norm(rows, axis=1)`` sum in other orders.
+    """
+    if rows.shape[-1] != v.shape[0]:
+        raise DimensionMismatch(f"dot: dimensions differ ({rows.shape[-1]} vs {v.shape[0]})")
+    # fmin/fmax rather than clip: an inf/inf cosine (NaN) clamps to -1, as
+    # min(1.0, max(-1.0, c)) does
+    return np.fmin(1.0, np.fmax(-1.0, np.vecdot(rows, v) / (norms * v_norm)))
+
+
+def _stack_vectors(vectors: Sequence[LatentVector], label: str) -> np.ndarray:
+    """A new read-only (k, d) matrix of k >= 1 vectors, one per row. The
+    first whose d_z differs from vector 0's is named ``label.format(i)``."""
+    d = vectors[0].d_z
+    for i, v in enumerate(vectors):
+        if v.d_z != d:
+            raise DimensionMismatch(f"{label.format(i)} has d_z={v.d_z}, expected {d}")
+    matrix = np.stack([v.data for v in vectors])
+    matrix.setflags(write=False)
+    return matrix

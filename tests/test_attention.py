@@ -96,6 +96,15 @@ class TestClassifyStyle:
         assert famous.mu == 0.0
         assert famous.sigma == 0.5
 
+    @pytest.mark.parametrize(
+        "mu, sigma, name",
+        [(math.nan, 1.0, "mu"), (math.inf, 1.0, "mu"), (-math.inf, 1.0, "mu"),
+         (0.0, math.nan, "sigma"), (0.0, math.inf, "sigma")],
+    )
+    def test_non_finite_params_name_the_field(self, mu, sigma, name):
+        with pytest.raises(InputError, match=f"^{name} must be finite"):
+            RescaleParams(mu=mu, sigma=sigma)
+
     def test_sigma_must_be_positive(self):
         with pytest.raises(InputError):
             RescaleParams(mu=0.0, sigma=0.0)
@@ -246,6 +255,13 @@ class TestLambdaRescaledAttention:
         )
         assert out.block_mass[0] == pytest.approx(0.37754, abs=1e-5)
         assert out.block_mass[1] == pytest.approx(0.62246, abs=1e-5)
+
+    def test_lambdas_are_the_applied_fsum_ratios(self):
+        # fsum(0.1, 0.2, 0.3) is 0.6, where the plain sum is 0.6000000000000001
+        q = Matrix([[1.0]])
+        blocks = [StyleBlock(k=q, v=q, weight=w) for w in (0.1, 0.2, 0.3)]
+        out = lambda_rescaled_attention(q, blocks)
+        assert out.lambdas == (0.16666666666666669, 0.33333333333333337, 0.5)
 
     def test_mass_ordering_matches_weight_ordering(self):
         rng = np.random.default_rng(23)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from latentblendkit import (
     AllZeroWeights,
@@ -19,7 +22,7 @@ from latentblendkit import (
     sli_blend,
     unit,
 )
-from latentblendkit.blending import StyleEntry, _sli_fold
+from latentblendkit.blending import _sli_fold
 
 
 def random_unit(rng, d=6):
@@ -187,18 +190,17 @@ class TestSliBlend:
 
     def test_deterministic_across_input_permutations(self):
         # the sort canonicalizes (weight, source_index), so presenting the
-        # same entries in any order gives bit-identical output
+        # same styles in any order gives bit-identical output, and the
+        # permuted set's order_used names the same styles
         rng = np.random.default_rng(37)
         vectors = [random_unit(rng) for _ in range(4)]
         weights = [0.4, 0.3, 0.2, 0.1]
         base = sli_blend(WeightedStyleSet.of(vectors, weights))
         for order in [(3, 1, 0, 2), (2, 3, 1, 0)]:
-            permuted = WeightedStyleSet(
-                tuple(StyleEntry(vector=vectors[i], weight=weights[i], source_index=i) for i in order)
-            )
+            permuted = WeightedStyleSet.of([vectors[i] for i in order], [weights[i] for i in order])
             r = sli_blend(permuted)
             assert r.vector.data.tobytes() == base.vector.data.tobytes()
-            assert r.order_used == base.order_used
+            assert tuple(order[j] for j in r.order_used) == base.order_used
 
     def test_tie_break_by_source_index(self):
         rng = np.random.default_rng(41)
@@ -213,9 +215,9 @@ class TestSliBlend:
         vectors = [random_unit(rng) for _ in range(3)]
         weights = [0.5, 0.3, 0.2]
         sorted_set = normalize_weights(WeightedStyleSet.of(vectors, weights))
-        sorted_vec, _ = _sli_fold(sorted_set.entries, 1e-7)
-        reversed_vec, _ = _sli_fold(tuple(reversed(sorted_set.entries)), 1e-7)
-        assert not np.allclose(sorted_vec.data, reversed_vec.data, atol=1e-12)
+        sorted_vec, _ = _sli_fold(sorted_set.vectors, sorted_set.weights, (0, 1, 2), 1e-7)
+        reversed_vec, _ = _sli_fold(sorted_set.vectors, sorted_set.weights, (2, 1, 0), 1e-7)
+        assert not np.allclose(sorted_vec, reversed_vec, atol=1e-12)
 
     def test_unit_norm_preserved_k3(self):
         rng = np.random.default_rng(47)
@@ -224,6 +226,115 @@ class TestSliBlend:
             w = rng.uniform(0.05, 1.0, size=3)
             r = sli_blend(WeightedStyleSet.of(vectors, list(w)))
             assert abs(norm(r.vector) - 1.0) < 1e-9
+
+
+class TestWeightedStyleSet:
+    def test_rows_are_source_indices(self):
+        a, b = LatentVector([1.0, 2.0]), LatentVector([3.0, 4.0])
+        s = WeightedStyleSet.of([a, b], [1, 2.5])
+        np.testing.assert_array_equal(s.vectors, [[1.0, 2.0], [3.0, 4.0]])
+        assert s.vectors.dtype == np.float64 and not s.vectors.flags.writeable
+        assert s.weights == (1.0, 2.5) and s.d_z == 2
+
+    def test_array_is_copied(self):
+        arr = np.array([[1.0, 0.0], [0.0, 1.0]])
+        s = WeightedStyleSet(arr, (1.0, 1.0))
+        assert not np.shares_memory(s.vectors, arr)
+        arr[0, 0] = 5.0
+        assert s.vectors[0, 0] == 1.0
+
+    def test_validation_messages(self):
+        with pytest.raises(InputError, match="^2 vectors but 1 weights$"):
+            WeightedStyleSet.of([unit(0, 2), unit(1, 2)], [1.0])
+        with pytest.raises(InputError, match="needs at least one style"):
+            WeightedStyleSet.of([], [])
+        with pytest.raises(DimensionMismatch, match=r"^style 1 has d_z=3, expected 2$"):
+            WeightedStyleSet.of([unit(0, 2), unit(0, 3)], [1.0, 1.0])
+        with pytest.raises(InputError, match="^style 1 has invalid weight nan$"):
+            WeightedStyleSet.of([unit(0, 2), unit(1, 2)], [1.0, math.nan])
+
+    def test_sli_blend_of_64_styles_builds_one_latent_vector(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        s = WeightedStyleSet.of([random_unit(rng, d=8) for _ in range(64)], rng.uniform(0.1, 1.0, 64))
+        built = []
+        real = LatentVector.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(LatentVector, "__post_init__", counting)
+        r = sli_blend(s)
+        assert len(r.omega_trace) == 63
+        assert built == [r.vector]
+
+
+def _reference_blend(vectors, weights, method, eps_omega):
+    """The blend as a plain per-pair loop over 1-D arrays: np.dot,
+    np.linalg.norm, math.acos and left-to-right accumulation. Returns
+    (vector, order_used, omega_trace), or the error type the fold meets."""
+    total = math.fsum(weights)
+    if total == 0.0:
+        return AllZeroWeights
+    w = [x / total for x in weights]
+    if method == "linear":
+        out = np.zeros(len(vectors[0]))
+        for wi, v in zip(w, vectors):
+            out += wi * v
+        return out, tuple(range(len(w))), ()
+    order = sorted(range(len(w)), key=lambda i: (-w[i], i))
+    cumulative, running, trace = vectors[order[0]], w[order[0]], []
+    for i in order[1:]:
+        running += w[i]
+        t = w[i] / running
+        v = vectors[i]
+        n1, n2 = np.linalg.norm(cumulative), np.linalg.norm(v)
+        if n1 == 0.0 or n2 == 0.0:
+            return ZeroVector
+        omega = math.acos(min(1.0, max(-1.0, np.dot(cumulative, v) / (n1 * n2))))
+        if math.pi - omega < eps_omega:
+            return AntipodalVectors
+        if t == 1.0:
+            cumulative = v
+        elif omega < eps_omega and t != 0.0:
+            cumulative = (1.0 - t) * cumulative + t * v
+        elif t != 0.0:
+            sin_omega = math.sin(omega)
+            c1 = math.sin((1.0 - t) * omega) / sin_omega
+            c2 = math.sin(t * omega) / sin_omega
+            cumulative = c1 * cumulative + c2 * v
+        trace.append(omega)
+    return cumulative, tuple(order), tuple(trace)
+
+
+# small integers make parallel, antipodal and zero styles and equal weights likely
+_ENTRIES = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0]), st.floats(-8.0, 8.0, allow_subnormal=False))
+_WEIGHTS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 4.0, allow_subnormal=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 5)),
+    method=st.sampled_from(["sli", "linear"]),
+    eps_omega=st.sampled_from([1e-7, 0.3]),
+    data=st.data(),
+)
+def test_blends_equal_a_plain_per_pair_fold(shape, method, eps_omega, data):
+    k, d = shape
+    matrix = data.draw(hnp.arrays(np.float64, (k, d), elements=_ENTRIES))
+    weights = data.draw(st.lists(_WEIGHTS, min_size=k, max_size=k))
+    rows = [np.array(r) for r in matrix]
+    s = WeightedStyleSet.of([LatentVector(r) for r in rows], weights)
+    expected = _reference_blend(rows, weights, method, eps_omega)
+    blend = (lambda: sli_blend(s, eps_omega)) if method == "sli" else (lambda: linear_blend(s))
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            blend()
+        return
+    r = blend()
+    assert r.vector.data.tobytes() == expected[0].tobytes()
+    assert r.order_used == expected[1]
+    assert r.omega_trace == expected[2]
 
 
 class TestChordAndArc:

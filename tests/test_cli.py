@@ -117,6 +117,55 @@ class TestBlendCommand:
         result = runner.invoke(main, ["blend", "--nope", "x"])
         assert result.exit_code == 2
 
+    @staticmethod
+    def golden_outputs(runner) -> dict:
+        """Exit code, stdout, stderr and output NPY bytes (hex) of ``blend``
+        over seeded specs written into the working directory, keyed as in
+        tests/golden/blend_cli.json. Paths are relative, so the bytes do not
+        depend on where the directory is."""
+        rng = np.random.default_rng(6060)
+        base = rng.standard_normal(12)
+        near = base * (1.0 + 1e-9) + 4e-8 * rng.standard_normal(12)  # omega about 4e-8
+        # unit styles at 0, 0.25 rad and 0.6 rad (in another plane) from
+        # e_0, so SLI's two folds sit on both sides of an eps_omega of 0.3
+        edge = [np.array([1.0, 0.0, 0.0]), np.array([math.cos(0.25), math.sin(0.25), 0.0]),
+                np.array([math.cos(0.6), 0.0, math.sin(0.6)])]
+        specs = {}
+        for k, d in ((2, 7), (5, 16), (64, 33)):
+            vectors = rng.standard_normal((k, d)) * rng.uniform(0.2, 3.0, size=(k, 1))
+            weights = rng.uniform(0.0, 2.0, size=k).round(2)
+            weights[k // 2] = weights[0]  # a tie, broken by source index
+            for method in ("sli", "linear"):
+                specs[f"{method}_{k}"] = (method, list(vectors), list(weights), None)
+        specs["near_parallel"] = ("sli", [base, near], [0.6, 0.4], None)
+        specs["eps_edge"] = ("sli", edge, [0.5, 0.3, 0.2], 0.3)
+        specs["antipodal"] = ("sli", [base, -base], [0.5, 0.5], None)
+        specs["zero_style"] = ("sli", [base, np.zeros(12)], [0.5, 0.5], None)
+        out = {}
+        for name, (method, vectors, weights, eps) in specs.items():
+            styles = []
+            for i, (v, w) in enumerate(zip(vectors, weights)):
+                np.save(f"{name}_{i}.npy", v)
+                styles.append({"path": f"{name}_{i}.npy", "weight": float(w)})
+            spec = {"method": method, "styles": styles}
+            if eps is not None:
+                spec["eps_omega"] = eps
+            Path(f"{name}.json").write_text(json.dumps(spec))
+            result = runner.invoke(main, ["blend", "--spec", f"{name}.json", "--out", f"{name}_out.npy"])
+            out_file = Path(f"{name}_out.npy")
+            out[name] = {
+                "exit_code": result.exit_code,
+                "stdout": result.stdout,
+                "stderr": result.stderr,
+                "npy_hex": out_file.read_bytes().hex() if out_file.exists() else None,
+            }
+        return out
+
+    def test_golden_bytes(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        golden = json.loads((GOLDEN / "blend_cli.json").read_text())
+        assert self.golden_outputs(runner) == golden
+
 
 class TestWmsCommand:
     def _fixture(self, tmp_path, ms_pair):
@@ -350,6 +399,30 @@ class TestWmsCommand:
             out[key] = result.stdout_bytes.decode("utf-8")
         return out
 
+    def test_loaded_matrix_is_scored_in_place(self, runner, tmp_path, monkeypatch):
+        # the set freezes the matrix the CLI loaded rather than copying it
+        self._fixture(tmp_path, (0.36150, 0.42156))
+        loaded, scored = [], []
+        real_load, real_means = cli._load_generated, cli._style_means
+
+        def load(path):
+            loaded.append(real_load(path))
+            return loaded[-1]
+
+        def means(es):
+            scored.append(es)
+            return real_means(es)
+
+        monkeypatch.setattr(cli, "_load_generated", load)
+        monkeypatch.setattr(cli, "_style_means", means)
+        result = runner.invoke(
+            main, ["wms", "--generated", str(tmp_path / "gen.npy"), "--refs", str(tmp_path / "refs.npy"), "--grid"]
+        )
+        assert result.exit_code == 0, result.output
+        assert len(loaded) == len(scored) == 1
+        assert np.shares_memory(scored[0].generated, loaded[0])
+        assert not loaded[0].flags.writeable
+
     def test_golden_bytes(self, runner, tmp_path):
         golden = json.loads((GOLDEN / "wms_cli.json").read_text())
         assert self.golden_outputs(runner, tmp_path) == golden
@@ -395,6 +468,27 @@ class TestAttendCommand:
         assert payload["block_mass"][0] == pytest.approx(0.37754, abs=1e-5)
         assert payload["block_mass"][1] == pytest.approx(0.62246, abs=1e-5)
         assert payload["lambdas"] == [0.25, 0.75]
+
+    def test_lambda_weights_print_the_applied_lambdas(self, runner, tmp_path):
+        # the kernel divides by fsum(w) = 0.6; a plain sum is 0.6000000000000001
+        write_vectors(tmp_path / "b.npy", np.array([1.0]))
+        b = str(tmp_path / "b.npy")
+        result = runner.invoke(
+            main, ["attend", "--self", b, "--ref", b, "--ref", b, "--ref", b, "--lambda-weights", "0.1,0.2,0.3"]
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["lambdas"] == [0.16666666666666669, 0.33333333333333337, 0.5]
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [(["--mu", "nan"], "mu"), (["--mu", "-inf"], "mu"), (["--sigma", "inf"], "sigma"), (["--sigma", "nan"], "sigma")],
+    )
+    def test_non_finite_rescale_exit_2(self, runner, tmp_path, flags, name):
+        write_vectors(tmp_path / "m.npy", np.eye(2))
+        m = str(tmp_path / "m.npy")
+        result = runner.invoke(main, ["attend", "--self", m, "--ref", m, *flags])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: {name} must be finite")
 
     def test_conflicting_flags_exit_2(self, runner, tmp_path):
         write_vectors(tmp_path / "m.npy", np.eye(2))
@@ -578,6 +672,19 @@ class TestSandboxCommand:
         result = runner.invoke(main, ["sandbox", "--config", str(cfg)])
         assert result.exit_code == 2
         assert result.stderr.startswith("error: sandbox config ")
+
+    @pytest.mark.parametrize(
+        "rescale, name",
+        [('{"mu": NaN}', "mu"), ('{"mu": -Infinity}', "mu"), ('{"sigma": Infinity}', "sigma")],
+    )
+    def test_non_finite_rescale_config_exit_2(self, runner, tmp_path, rescale, name):
+        # json reads NaN and Infinity, which strict JSON output cannot carry
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"rescale": %s}' % rescale)
+        result = runner.invoke(main, ["sandbox", "--config", str(cfg), "--format", "json"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert f"{name} must be finite" in result.stderr
 
     def test_config_defaults_come_from_the_dataclass(self, tmp_path, monkeypatch):
         @dataclasses.dataclass(frozen=True)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from latentblendkit import (
+    DimensionMismatch,
     FusionConfig,
     InputError,
     LatentVector,
@@ -17,6 +18,7 @@ from latentblendkit import (
     QueryCatalog,
     QueryEntry,
     WeatherRecord,
+    ZeroVector,
     best_music_query,
     concatenate_descriptions,
     cosine_similarity,
@@ -144,6 +146,45 @@ class TestQueryCatalog:
             scores = [cosine_similarity(m, q.embedding) for q in cat.queries]
             assert match.score >= max(scores) - 1e-15
             assert match.index == int(np.argmax(scores))
+
+
+    def test_one_kernel_call_over_the_catalog(self, monkeypatch):
+        calls = []
+        real = fusion._cosines
+
+        def counting(rows, *args):
+            calls.append(rows.shape)
+            return real(rows, *args)
+
+        monkeypatch.setattr(fusion, "_cosines", counting)
+        cat = default_query_catalog()
+        m = LatentVector(np.arange(24.0))
+        match = best_music_query(m, cat)
+        assert calls == [(24, 24)]
+        assert match.score == cosine_similarity(m, cat.queries[match.index].embedding)
+
+    def test_scores_equal_per_entry_cosines(self):
+        rng = np.random.default_rng(89)
+        cat = QueryCatalog(
+            queries=tuple(QueryEntry(text=f"q{i}", embedding=LatentVector(rng.normal(size=9))) for i in range(12))
+        )
+        for _ in range(50):
+            m = LatentVector(rng.normal(size=9))
+            scores = [cosine_similarity(m, q.embedding) for q in cat.queries]
+            match = best_music_query(m, cat)
+            assert match.score == max(scores)
+            assert match.index == scores.index(max(scores))
+
+    def test_catalog_errors(self):
+        cat = QueryCatalog(queries=(QueryEntry("a", unit(0, 3)), QueryEntry("b", LatentVector([0.0, 0.0, 0.0]))))
+        with pytest.raises(ZeroVector, match="music embedding is a zero vector"):
+            best_music_query(LatentVector([0.0, 0.0, 0.0]), cat)
+        with pytest.raises(ZeroVector, match="cosine similarity undefined"):
+            best_music_query(unit(1, 3), cat)
+        with pytest.raises(DimensionMismatch, match=r"^dot: dimensions differ \(2 vs 3\)$"):
+            best_music_query(unit(1, 2), cat)
+        with pytest.raises(DimensionMismatch, match=r"^catalog entry 1 has d_z=2, expected 3$"):
+            QueryCatalog(queries=(QueryEntry("a", unit(0, 3)), QueryEntry("b", unit(0, 2))))
 
 
 class TestFuse:

@@ -222,6 +222,23 @@ class TestGeneratedMatrix:
         with pytest.raises(ZeroVector):
             mean_similarity(np.array([[1.0, 0.0], [0.0, 0.0]]), unit(0, 2))
 
+    def test_owned_matrix_is_frozen_in_place(self):
+        owned = np.eye(3)[:2] + 0.5
+        es = EmbeddingSet(generated=metrics._Owned(owned), references=self._refs())
+        assert np.shares_memory(es.generated, owned)
+        assert not owned.flags.writeable
+        caller = np.eye(3)[:2] + 0.5
+        es = EmbeddingSet(generated=caller, references=self._refs())
+        assert not np.shares_memory(es.generated, caller)
+        assert caller.flags.writeable
+
+    def test_owned_matrix_is_validated(self):
+        with pytest.raises(InvalidShape, match="NaN or Inf"):
+            EmbeddingSet(generated=metrics._Owned(np.array([[1.0, np.nan, 0.0]])), references=self._refs())
+        with pytest.raises(InputError, match=r"generated\[1\] is a zero vector"):
+            EmbeddingSet(generated=metrics._Owned(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])),
+                         references=self._refs())
+
     def test_row_norms_are_computed_once_per_set(self, monkeypatch):
         calls = []
         real = metrics._row_norms

@@ -7,16 +7,26 @@ paraphrasing provider; everything is then joined, in input order, into one
 prompt. Model inference never happens in-process: providers are either a
 JSON fixture file (exact text -> replacement) or an external command
 speaking JSON on stdin/stdout.
+
+A fusion checks its provider once, before any description is paraphrased.
+External commands then run concurrently, one process per flagged
+description and at most one per CPU at a time; the prompt, the decisions
+and any error are those of running them one after another in input order.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import select
+import selectors
 import shlex
 import shutil
 import subprocess
+import time
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -32,7 +42,7 @@ from .errors import (
     ZeroVector,
 )
 from .formats import read_json
-from .tensorcore import LatentVector, _cosines, _row_norms, _stack_vectors, norm
+from .tensorcore import LatentVector, _cosines, _cpu_threads, _row_norms, _stack_vectors, norm
 
 MODALITIES = ("image", "audio", "music", "weather", "text")
 
@@ -42,6 +52,11 @@ EXTERNAL_COMMAND = "external_command"
 #: Seconds an external paraphrase command may take per description before
 #: it is killed and the fusion fails with ProviderFailure.
 PROVIDER_TIMEOUT_S = 60.0
+
+#: Bytes an external paraphrase command may write to stdout per description
+#: before it is killed and the fusion fails with ProviderFailure. Of its
+#: stderr as much is kept, and the rest read and dropped.
+PROVIDER_MAX_OUTPUT_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -236,30 +251,55 @@ def fuse_with_trace(
     cfg: FusionConfig = FusionConfig(),
     paraphraser: ProviderBinding | None = None,
 ) -> tuple[str, list[FusionDecision]]:
-    """Like ``fuse`` but also reports the per-description decisions.
-
-    A fixture provider's map is read once, at the first flagged description.
-    """
+    """Like ``fuse`` but also reports the per-description decisions."""
+    flags = [needs_paraphrasing(d, cfg) for d in ds]
+    paraphrases = iter(_paraphrase([d for d, f in zip(ds, flags) if f], cfg.paraphrase, paraphraser))
     processed = []
     decisions = []
-    fixture: dict | None = None
-    for d in ds:
-        flagged = needs_paraphrasing(d, cfg)
-        text = d.text
-        if flagged:
-            if paraphraser is None:
-                raise ProviderUnavailable("no paraphrase provider configured", modality=d.modality)
-            if paraphraser.kind == EXTERNAL_COMMAND:
-                text = _paraphrase_command(d.text, cfg.paraphrase, paraphraser.locator, d.modality)
-            else:
-                if fixture is None:
-                    fixture = _load_fixture(paraphraser.locator, d.modality)
-                text = _fixture_lookup(fixture, d.text, paraphraser.locator, d.modality)
+    for d, flagged in zip(ds, flags):
+        text = next(paraphrases) if flagged else d.text
         processed.append(ModalityDescription.from_text(d.modality, text))
         decisions.append(
             FusionDecision(modality=d.modality, paraphrased=flagged, text_in=d.text, text_out=text)
         )
     return concatenate_descriptions(processed), decisions
+
+
+def _paraphrase(
+    ds: list[ModalityDescription], params: ParaphraseParams, paraphraser: ProviderBinding | None
+) -> list[str]:
+    """The paraphrases of the flagged descriptions ``ds``, in order.
+
+    The provider is checked once, up front: a missing one, a fixture map
+    that cannot be read and a command that cannot be parsed or found all
+    name the first description's modality. A fixture map is then looked up
+    one description at a time. External commands run on a pool of
+    ``_cpu_threads`` threads (one per CPU, at most one per description),
+    and with no pool when that is one thread. The first failure in input
+    order is raised, and the calls not yet started are cancelled. By then
+    later calls may have finished, and up to workers - 1 may still be
+    running; their output is discarded.
+    """
+    if not ds:
+        return []
+    modality = ds[0].modality
+    if paraphraser is None:
+        raise ProviderUnavailable("no paraphrase provider configured", modality=modality)
+    if paraphraser.kind == FIXTURE_FILE:
+        fixture = _load_fixture(paraphraser.locator, modality)
+        return [_fixture_lookup(fixture, d.text, paraphraser.locator, d.modality) for d in ds]
+    call = partial(_paraphrase_command, _provider_argv(paraphraser.locator, modality), params)
+    workers = _cpu_threads(len(ds))
+    if workers < 2:
+        return [call(d) for d in ds]
+    # imported here, as in sandbox: concurrent.futures would add about
+    # 12 ms to every CLI start, and only a fusion that makes a pool needs it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # map yields in input order, raises the first failure in that order
+        # and then cancels the calls not yet started
+        return list(pool.map(call, ds))
 
 
 def _load_fixture(locator: str, modality: str) -> dict:
@@ -285,40 +325,101 @@ def _fixture_lookup(mapping: dict, text: str, locator: str, modality: str) -> st
     return out
 
 
-def _paraphrase_command(text: str, params: ParaphraseParams, locator: str, modality: str) -> str:
-    argv = shlex.split(locator)
+def _provider_argv(locator: str, modality: str) -> list[str]:
+    """The argument vector of an external provider command, whose program exists."""
+    try:
+        argv = shlex.split(locator)
+    except ValueError as exc:  # an unclosed quote or a trailing escape
+        raise ProviderUnavailable(f"cannot parse provider command: {exc}", modality=modality) from exc
     if not argv:
         raise ProviderUnavailable("empty provider command", modality=modality)
     if shutil.which(argv[0]) is None and not Path(argv[0]).is_file():
         raise ProviderUnavailable(f"provider command not found: {argv[0]}", modality=modality)
+    return argv
+
+
+def _paraphrase_command(argv: list[str], params: ParaphraseParams, d: ModalityDescription) -> str:
+    """One external provider call: the paraphrase of ``d.text``."""
     request = json.dumps(
         {
             "task": "paraphrase",
-            "text": text,
+            "text": d.text,
             "l_max": params.l_max,
             "l_min": params.l_min,
             "length_penalty": params.length_penalty,
             "num_beams": params.num_beams,
         }
     )
-    try:
-        proc = subprocess.run(
-            argv, input=request, capture_output=True, text=True, check=False, timeout=PROVIDER_TIMEOUT_S
+    returncode, stdout, stderr = _exchange(argv, request.encode("utf-8"), d.modality)
+    if returncode != 0:
+        raise ProviderFailure(
+            f"provider exited {returncode}: {_text(stderr, 'replace').strip()[:200]}", modality=d.modality
         )
+    try:
+        response = json.loads(_text(stdout, "strict"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ProviderFailure(f"provider emitted invalid JSON: {exc}", modality=d.modality) from exc
+    if not isinstance(response, dict) or not isinstance(response.get("text"), str):
+        raise ProviderFailure("provider response lacks a string 'text' field", modality=d.modality)
+    return response["text"]
+
+
+def _text(data: bytes, errors: str) -> str:
+    """Provider output as text, with universal newlines as subprocess's text mode reads it."""
+    return data.decode("utf-8", errors).replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _exchange(argv: list[str], request: bytes, modality: str) -> tuple[int, bytes, bytes]:
+    """Run ``argv`` with ``request`` on its stdin: (exit code, stdout, stderr).
+
+    Both output pipes are read as they fill, in chunks, so a chatty stderr
+    cannot stall the provider; stderr past PROVIDER_MAX_OUTPUT_BYTES is read
+    and dropped. A provider that writes more than that to stdout, or has
+    not exited PROVIDER_TIMEOUT_S after it started, is killed.
+    """
+    deadline = time.monotonic() + PROVIDER_TIMEOUT_S
+    try:
+        proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     except OSError as exc:
         raise ProviderUnavailable(f"cannot execute provider: {exc}", modality=modality) from exc
-    except subprocess.TimeoutExpired as exc:  # run() has killed the provider
-        raise ProviderFailure(
-            f"provider did not answer within {PROVIDER_TIMEOUT_S} s", modality=modality
-        ) from exc
-    if proc.returncode != 0:
-        raise ProviderFailure(
-            f"provider exited {proc.returncode}: {proc.stderr.strip()[:200]}", modality=modality
-        )
-    try:
-        response = json.loads(proc.stdout)
-    except json.JSONDecodeError as exc:
-        raise ProviderFailure(f"provider emitted invalid JSON: {exc}", modality=modality) from exc
-    if not isinstance(response, dict) or not isinstance(response.get("text"), str):
-        raise ProviderFailure("provider response lacks a string 'text' field", modality=modality)
-    return response["text"]
+    timed_out = ProviderFailure(f"provider did not answer within {PROVIDER_TIMEOUT_S} s", modality=modality)
+    outputs = {proc.stdout: bytearray(), proc.stderr: bytearray()}
+    pending = memoryview(request)
+    with proc, selectors.DefaultSelector() as selector:  # proc's exit closes the pipes and reaps it
+        try:
+            selector.register(proc.stdin, selectors.EVENT_WRITE)
+            for pipe in outputs:
+                selector.register(pipe, selectors.EVENT_READ)
+            while selector.get_map():
+                remaining = deadline - time.monotonic()
+                ready = selector.select(remaining) if remaining > 0 else []
+                if not ready:
+                    raise timed_out
+                for key, _ in ready:
+                    if key.fileobj is proc.stdin:
+                        try:
+                            pending = pending[os.write(key.fd, pending[: select.PIPE_BUF]) :]
+                        except BrokenPipeError:  # the provider stopped reading
+                            pending = pending[:0]
+                        if not pending:
+                            selector.unregister(proc.stdin)
+                            proc.stdin.close()
+                        continue
+                    chunk = os.read(key.fd, 65536)
+                    if not chunk:
+                        selector.unregister(key.fileobj)
+                        continue
+                    kept = outputs[key.fileobj]
+                    if key.fileobj is proc.stdout and len(kept) + len(chunk) > PROVIDER_MAX_OUTPUT_BYTES:
+                        raise ProviderFailure(
+                            f"provider wrote more than {PROVIDER_MAX_OUTPUT_BYTES} bytes to stdout", modality=modality
+                        )
+                    kept += chunk[: PROVIDER_MAX_OUTPUT_BYTES - len(kept)]
+            try:
+                returncode = proc.wait(max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                raise timed_out from None
+        except BaseException:  # a failure above, or an interrupt: the provider goes too
+            proc.kill()
+            raise
+    return returncode, bytes(outputs[proc.stdout]), bytes(outputs[proc.stderr])

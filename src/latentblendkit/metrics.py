@@ -111,17 +111,17 @@ class ScoreDropBound(NamedTuple):
 def cosine_similarity(a: LatentVector, b: LatentVector) -> float:
     """(a . b) / (|a| |b|), clamped to [-1, 1] against rounding."""
     gen = a.data[np.newaxis]
-    return _mean_similarity(gen, _row_norms(gen), b.data)
+    return _mean_similarity(gen, _row_norms(gen), b)
 
 
 def mean_similarity(generated: Sequence[LatentVector] | np.ndarray, ref: LatentVector) -> float:
     """Mean cosine similarity of a generated set (LatentVectors or an (n, d)
     array) to one reference."""
     gen = _generated_matrix(generated, "mean similarity over an empty generated set")
-    return _mean_similarity(gen, _row_norms(gen), ref.data)
+    return _mean_similarity(gen, _row_norms(gen), ref)
 
 
-def _mean_similarity(gen: np.ndarray, norms: np.ndarray, ref: np.ndarray) -> float:
+def _mean_similarity(gen: np.ndarray, norms: np.ndarray, ref: LatentVector) -> float:
     """Mean of the ``_cosines`` of the rows of a C-order (n, d) ``gen``,
     whose ``_row_norms`` are ``norms``, to ``ref``.
 
@@ -129,11 +129,11 @@ def _mean_similarity(gen: np.ndarray, norms: np.ndarray, ref: np.ndarray) -> flo
     parallel evaluation strategy (the builtin ``sum`` compensates from
     Python 3.12).
     """
-    ref_norm = np.sqrt(np.vecdot(ref, ref))
+    ref_norm = norm(ref)
     if ref_norm == 0.0 or not norms.all():
         raise ZeroVector("cosine similarity undefined for zero vectors")
     total = 0.0
-    for c in _cosines(gen, norms, ref, ref_norm).tolist():
+    for c in _cosines(gen, norms, ref.data, ref_norm).tolist():
         total += c
     return total / gen.shape[0]
 
@@ -163,7 +163,7 @@ def wms_score(es: EmbeddingSet) -> WmsReport:
 
 def _style_means(es: EmbeddingSet) -> dict[str, float]:
     """MS of the generated set to each reference, in reference order."""
-    return {r.name: _mean_similarity(es.generated, es._norms, r.embedding.data) for r in es.references}
+    return {r.name: _mean_similarity(es.generated, es._norms, r.embedding) for r in es.references}
 
 
 def _weighted_report(per_style: dict[str, float], weights: Sequence[float]) -> WmsReport:

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Sequence
@@ -57,7 +56,7 @@ import numpy as np
 from .attention import IDENTITY_RESCALE, RescaleParams, _shared_attention
 from .errors import InputError
 from .normalization import _adain_rows
-from .tensorcore import DEFAULT_EPS_STD, _channel_stats, _frozen_f64
+from .tensorcore import DEFAULT_EPS_STD, _channel_stats, _cpu_threads, _frozen_f64
 
 SCALED_LINEAR = "scaled_linear"
 LINEAR_SCHEDULE = "linear"
@@ -204,13 +203,7 @@ def _mean(values: list[float]) -> float:
 
 def _pool_workers(maps: int, work: int) -> int:
     """Threads for one step's ``maps`` maps of ``work`` each; 0 or 1 means run them serially."""
-    if work < _THREAD_MIN_WORK:
-        return 0
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, maps)
+    return _cpu_threads(maps) if work >= _THREAD_MIN_WORK else 0
 
 
 def run_sandbox(cfg: SandboxConfig) -> SandboxReport:

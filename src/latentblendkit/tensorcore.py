@@ -10,6 +10,7 @@ its result.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,6 +19,9 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidShape, ZeroVector
 
 DEFAULT_EPS_STD = 1e-5
+
+_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
+_HUGE = float(np.finfo(np.float64).max)
 
 
 def _frozen_f64(values, ndim: int, what: str, copy: bool = True) -> np.ndarray:
@@ -110,8 +114,8 @@ def dot(a: LatentVector, b: LatentVector) -> float:
 
 
 def norm(a: LatentVector) -> float:
-    """Euclidean norm sqrt(a . a)."""
-    return float(np.linalg.norm(a.data))
+    """Euclidean norm sqrt(a . a), through ``_row_norms``."""
+    return float(_row_norms(a.data))
 
 
 def channel_stats(f: FeatureMap, eps_std: float = DEFAULT_EPS_STD) -> ChannelStats:
@@ -211,9 +215,24 @@ def _angle(a: np.ndarray, b: np.ndarray) -> float:
     return math.acos(_cosines(a, na, b, nb))
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of a C-order ``x`` (of ``x`` if 1-D)."""
-    return np.sqrt(np.vecdot(x, x))
+def _row_norms(x: np.ndarray) -> np.ndarray | float:
+    """The Euclidean norm of each row of a C-order ``x`` (of ``x``, as a
+    float, if 1-D).
+
+    A row keeps the bits of np.linalg.norm, the square root of its
+    np.vecdot with itself, unless that squared norm is not a finite normal
+    float (entries near 1e-160 underflow it, near 1e160 overflow it). Such
+    a row is first scaled by a power of two near its max-abs, which is exact.
+    """
+    if x.ndim == 1:  # in Python floats: each angle takes two of these and one _cosines
+        square = float(np.vecdot(x, x))
+        return math.sqrt(square) if _TINY <= square <= _HUGE else float(_scaled_norms(x[np.newaxis])[0])
+    squares = np.vecdot(x, x)  # >= 0, and never NaN for finite x
+    norms = np.sqrt(squares)
+    off = ~_normal(squares)
+    if off.any():
+        norms[off] = _scaled_norms(x[off])
+    return norms
 
 
 def _cosines(rows: np.ndarray, norms: np.ndarray, v: np.ndarray, v_norm: float) -> np.ndarray:
@@ -225,13 +244,67 @@ def _cosines(rows: np.ndarray, norms: np.ndarray, v: np.ndarray, v_norm: float) 
     Each entry is bit-identical to np.dot(row, v) / (np.linalg.norm(row) *
     np.linalg.norm(v)): np.vecdot runs the same BLAS dot for every row, and
     a vector's np.linalg.norm is the square root of that dot. ``rows @ v``
-    and ``norm(rows, axis=1)`` sum in other orders.
+    and ``norm(rows, axis=1)`` sum in other orders. The exception is a row
+    whose dot with ``v``, or whose norm times ``v_norm``, is not a finite
+    normal float: its cosine is taken after scaling it and ``v`` by powers
+    of two, as ``_row_norms`` does, so it neither overflows (a vector of
+    1e200s has cosine 1 with itself) nor underflows.
     """
     if rows.shape[-1] != v.shape[0]:
         raise DimensionMismatch(f"dot: dimensions differ ({rows.shape[-1]} vs {v.shape[0]})")
-    # fmin/fmax rather than clip: an inf/inf cosine (NaN) clamps to -1, as
-    # min(1.0, max(-1.0, c)) does
-    return np.fmin(1.0, np.fmax(-1.0, np.vecdot(rows, v) / (norms * v_norm)))
+    if rows.ndim == 1:  # in Python floats, as in _row_norms
+        dot, scale = float(np.vecdot(rows, v)), norms * v_norm
+        if not (_TINY <= abs(dot) <= _HUGE and _TINY <= scale <= _HUGE):
+            dot, scale = (float(t[0]) for t in _scaled_cosine_terms(rows[np.newaxis], v))
+        return min(1.0, max(-1.0, dot / scale))
+    dots = np.vecdot(rows, v)
+    scales = norms * v_norm
+    off = ~(_normal(np.abs(dots)) & _normal(scales))
+    if off.any():
+        dots[off], scales[off] = _scaled_cosine_terms(rows[off], v)
+    # fmin/fmax rather than clip: a NaN cosine (of a zero row) clamps to -1,
+    # as min(1.0, max(-1.0, c)) does
+    return np.fmin(1.0, np.fmax(-1.0, dots / scales))
+
+
+def _normal(x: np.ndarray) -> np.ndarray:
+    """Where the non-negative or NaN ``x`` is a finite normal float."""
+    return (_TINY <= x) & (x <= _HUGE)
+
+
+def _scaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows * 2**-e, e) for each row of a 2-D ``rows``, with 2**e the
+    power of two just above the row's max-abs. Entries then fall in
+    (-1, 1), so neither a row's squared norm nor its dot with another
+    scaled row can overflow. Scaling by a power of two is exact, but for
+    entries under 2**-1022 times the max-abs, which lose bits as subnormals."""
+    _, exponents = np.frexp(np.abs(rows).max(axis=-1))
+    return np.ldexp(rows, -exponents[:, np.newaxis]), exponents
+
+
+def _scaled_norms(rows: np.ndarray) -> np.ndarray:
+    """``_row_norms`` of a 2-D ``rows``, each taken on the row scaled by ``_scaled``."""
+    scaled, exponents = _scaled(rows)
+    return np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), exponents)
+
+
+def _scaled_cosine_terms(rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dots, norm products) of the rows of a 2-D ``rows`` with ``v``, each
+    on rows and ``v`` scaled by ``_scaled``; their ratios are the cosines."""
+    scaled, _ = _scaled(rows)
+    v_scaled = _scaled(v[np.newaxis])[0][0]
+    scales = np.sqrt(np.vecdot(scaled, scaled)) * np.sqrt(np.vecdot(v_scaled, v_scaled))
+    return np.vecdot(scaled, v_scaled), scales
+
+
+def _cpu_threads(tasks: int) -> int:
+    """Threads for ``tasks`` independent tasks: one per CPU this process may
+    run on, at most ``tasks``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, tasks)
 
 
 def _stack_vectors(vectors: Sequence[LatentVector], label: str) -> np.ndarray:

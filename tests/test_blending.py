@@ -24,6 +24,8 @@ from latentblendkit import (
 )
 from latentblendkit.blending import _sli_fold
 
+import loop_reference
+
 
 def random_unit(rng, d=6):
     v = rng.normal(size=d)
@@ -270,8 +272,8 @@ class TestWeightedStyleSet:
 
 
 def _reference_blend(vectors, weights, method, eps_omega):
-    """The blend as a plain per-pair loop over 1-D arrays: np.dot,
-    np.linalg.norm, math.acos and left-to-right accumulation. Returns
+    """The blend as a plain per-pair loop over 1-D arrays: the
+    ``loop_reference`` cosine, math.acos and left-to-right accumulation. Returns
     (vector, order_used, omega_trace), or the error type the fold meets."""
     total = math.fsum(weights)
     if total == 0.0:
@@ -288,10 +290,9 @@ def _reference_blend(vectors, weights, method, eps_omega):
         running += w[i]
         t = w[i] / running
         v = vectors[i]
-        n1, n2 = np.linalg.norm(cumulative), np.linalg.norm(v)
-        if n1 == 0.0 or n2 == 0.0:
+        if loop_reference.norm(cumulative) == 0.0 or loop_reference.norm(v) == 0.0:
             return ZeroVector
-        omega = math.acos(min(1.0, max(-1.0, np.dot(cumulative, v) / (n1 * n2))))
+        omega = math.acos(loop_reference.cosine(cumulative, v))
         if math.pi - omega < eps_omega:
             return AntipodalVectors
         if t == 1.0:

@@ -1,9 +1,12 @@
+import concurrent.futures
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from latentblendkit import (
     DimensionMismatch,
@@ -30,6 +33,7 @@ from latentblendkit import (
     unit,
     weather_to_text,
 )
+from latentblendkit.cli import main
 
 LONG_TEXT = "a very long description that definitely exceeds the ten word threshold"  # 12 words
 
@@ -280,7 +284,8 @@ class TestFuse:
 
 
 class TestCommandProvider:
-    def _script(self, tmp_path, body):
+    @staticmethod
+    def _script(tmp_path, body):
         script = tmp_path / "provider.py"
         script.write_text(body)
         return ProviderBinding(kind="external_command", locator=f"{sys.executable} {script}")
@@ -318,3 +323,180 @@ class TestCommandProvider:
         binding = ProviderBinding(kind="external_command", locator="/does/not/exist-cmd-xyz")
         with pytest.raises(ProviderUnavailable):
             fuse([desc("image", LONG_TEXT)], FusionConfig(), binding)
+
+    def test_unparsable_command_unavailable(self):
+        binding = ProviderBinding(kind="external_command", locator="python3 'unclosed")
+        with pytest.raises(ProviderUnavailable, match="cannot parse provider command") as info:
+            fuse([desc("audio", LONG_TEXT)], FusionConfig(), binding)
+        assert info.value.modality == "audio"
+
+    def test_output_at_the_cap_is_read(self, tmp_path, monkeypatch):
+        reply = json.dumps({"text": "y" * 4000})
+        binding = self._script(tmp_path, f"import sys\nsys.stdout.write({reply!r})\n")
+        monkeypatch.setattr(fusion, "PROVIDER_MAX_OUTPUT_BYTES", len(reply))
+        assert fuse([desc("image", LONG_TEXT)], FusionConfig(), binding) == "y" * 4000
+
+    def test_chatty_stderr_is_drained_and_truncated(self, tmp_path):
+        # 4 MiB of stderr, far past both the cap and a pipe's buffer
+        binding = self._script(
+            tmp_path,
+            "import json, sys\n"
+            "sys.stdin.read()\n"
+            "sys.stderr.write('  \\r\\n' + 'e' * (4 << 20))\n"
+            "print(json.dumps({'text': 'fine'}))\n"
+            "sys.exit(int(sys.argv[1]) if len(sys.argv) > 1 else 0)\n",
+        )
+        assert fuse([desc("image", LONG_TEXT)], FusionConfig(), binding) == "fine"
+        failing = ProviderBinding(kind="external_command", locator=f"{binding.locator} 2")
+        with pytest.raises(ProviderFailure) as info:
+            fuse([desc("image", LONG_TEXT)], FusionConfig(), failing)
+        assert str(info.value) == "[modality=image] provider exited 2: " + "e" * 200
+
+    def test_non_utf8_stdout_is_failure(self, tmp_path):
+        binding = self._script(tmp_path, "import sys\nsys.stdout.buffer.write(b'\\xff\\xfe')\n")
+        with pytest.raises(ProviderFailure, match="invalid JSON"):
+            fuse([desc("image", LONG_TEXT)], FusionConfig(), binding)
+
+    def test_output_cap_exits_5(self, tmp_path, monkeypatch):
+        binding = self._script(tmp_path, "import sys\nsys.stdout.write('x' * 5000)\n")
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps([{"modality": "weather", "condition": "rain", "temperature_c": 5.0,
+                                       "wind_mps": 2.0}, {"modality": "image", "text": LONG_TEXT}]))
+        monkeypatch.setattr(fusion, "PROVIDER_MAX_OUTPUT_BYTES", 4096)
+        result = CliRunner().invoke(main, ["fuse", "--inputs", str(inputs), "--provider-kind", "external_command",
+                                           "--provider", binding.locator])
+        assert result.exit_code == 5, result.output
+        assert result.stderr == "error: [modality=image] provider wrote more than 4096 bytes to stdout\n"
+        assert result.stdout == ""
+
+
+# Each description's text starts with its index: "d<i> ..." (12 words, so
+# flagged). The provider answers with the text upper-cased, after sleeping
+# longer for lower indices, so that the calls finish in reverse order.
+_INDEXED_PROVIDER = """\
+import json, sys, time
+req = json.load(sys.stdin)
+i = int(req["text"].split()[0][1:])
+time.sleep(0.05 * (8 - i))
+if "fail" in req["text"]:
+    sys.stderr.write(f"bad {i}")
+    sys.exit(3)
+print(json.dumps({"text": req["text"].upper()}))
+"""
+
+
+class TestConcurrentProviders:
+    MODALITIES = ("image", "audio", "text", "weather", "image", "text", "audio", "image")
+
+    @staticmethod
+    def _descriptions(failing=()):
+        return [
+            desc(m, f"d{i} {'fail' if i in failing else 'keep'} " + " ".join(["w"] * 10))
+            for i, m in enumerate(TestConcurrentProviders.MODALITIES)
+        ]
+
+    @staticmethod
+    def _spy_pools(monkeypatch):
+        created = []
+        real_pool = concurrent.futures.ThreadPoolExecutor
+
+        def spy(max_workers):
+            created.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+        return created
+
+    def test_out_of_order_finishes_give_the_serial_result(self, tmp_path, monkeypatch):
+        ds = self._descriptions() + [desc("text", "short one")]
+        binding = TestCommandProvider._script(tmp_path, _INDEXED_PROVIDER)
+        created = self._spy_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        concurrent_result = fuse_with_trace(ds, FusionConfig(), binding)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial_result = fuse_with_trace(ds, FusionConfig(), binding)
+        assert created == [8]
+        assert concurrent_result == serial_result
+        prompt, decisions = concurrent_result
+        assert prompt == ", ".join([d.text.upper() for d in ds[:-1]] + ["short one"])
+        assert [(d.modality, d.paraphrased) for d in decisions] == [(d.modality, d is not ds[-1]) for d in ds]
+
+    def test_first_failure_in_input_order_is_raised(self, tmp_path, monkeypatch):
+        # description 5 fails first in time, description 2 first in order
+        binding = TestCommandProvider._script(tmp_path, _INDEXED_PROVIDER)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        with pytest.raises(ProviderFailure) as info:
+            fuse(self._descriptions(failing=(2, 5)), FusionConfig(), binding)
+        assert info.value.modality == "text"
+        assert str(info.value) == "[modality=text] provider exited 3: bad 2"
+
+    def test_calls_not_started_at_a_failure_are_cancelled(self, tmp_path, monkeypatch):
+        # description 0 fails at once, while the other worker is on a slow
+        # description 1; of the six after those, at most one can start
+        log = tmp_path / "started.log"
+        body = (
+            "import json, sys, time\n"
+            "req = json.load(sys.stdin)\n"
+            f"with open({str(log)!r}, 'a') as fh:\n"
+            "    fh.write(req['text'].split()[0] + '\\n')\n"
+            "if 'fail' in req['text']:\n"
+            "    sys.exit(3)\n"
+            "time.sleep(0.5)\n"
+            "print(json.dumps({'text': 'ok'}))\n"
+        )
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(ProviderFailure, match="exited 3") as info:
+            fuse(self._descriptions(failing=(0,)), FusionConfig(), TestCommandProvider._script(tmp_path, body))
+        assert info.value.modality == "image"
+        started = log.read_text().split()
+        assert started[:2] in (["d0", "d1"], ["d1", "d0"])
+        assert len(started) <= 3
+
+    def test_missing_command_starts_no_process(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(fusion.subprocess, "Popen", lambda *a, **k: started.append(a))
+        binding = ProviderBinding(kind="external_command", locator="/does/not/exist-cmd-xyz")
+        ds = [desc("text", "short"), *self._descriptions()]
+        with pytest.raises(ProviderUnavailable, match="provider command not found") as info:
+            fuse(ds, FusionConfig(), binding)
+        assert info.value.modality == "image"
+        with pytest.raises(ProviderUnavailable, match="no paraphrase provider configured") as info:
+            fuse(ds, FusionConfig(), None)
+        assert info.value.modality == "image"
+        assert started == []
+
+    def test_one_flagged_description_or_one_cpu_makes_no_pool(self, tmp_path, monkeypatch):
+        binding = TestCommandProvider._script(tmp_path, _INDEXED_PROVIDER)
+        created = self._spy_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        one = [desc("text", "short"), self._descriptions()[7]]
+        assert fuse(one, FusionConfig(), binding) == "short, " + one[1].text.upper()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        ds = self._descriptions()[6:]
+        assert fuse(ds, FusionConfig(), binding) == ", ".join(d.text.upper() for d in ds)
+        assert created == []
+
+    @pytest.mark.skipif(
+        len(getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))(0)) < 2,
+        reason="needs 2 CPUs to run two providers at once",
+    )
+    def test_calls_overlap(self, tmp_path):
+        # each call leaves a marker, then waits for the other call's; run one
+        # after the other, the first would give up after 5 s and fail
+        body = (
+            "import json, sys, time\n"
+            "from pathlib import Path\n"
+            "req = json.load(sys.stdin)\n"
+            "me, other = req['text'].split()[0], req['text'].split()[1]\n"
+            f"root = Path({str(tmp_path)!r})\n"
+            "(root / me).touch()\n"
+            "deadline = time.monotonic() + 5.0\n"
+            "while not (root / other).exists():\n"
+            "    if time.monotonic() > deadline:\n"
+            "        sys.exit(7)\n"
+            "    time.sleep(0.01)\n"
+            "print(json.dumps({'text': me}))\n"
+        )
+        filler = " ".join(["w"] * 10)
+        ds = [desc("image", f"first second {filler}"), desc("audio", f"second first {filler}")]
+        assert fuse(ds, FusionConfig(), TestCommandProvider._script(tmp_path, body)) == "first, second"

@@ -24,6 +24,8 @@ from latentblendkit import (
 )
 from latentblendkit import metrics
 
+import loop_reference
+
 
 def embedding_set_with_ms(ms_values, weights, names=None):
     """One generated unit vector whose cosine to basis reference i is exactly
@@ -255,8 +257,7 @@ class TestGeneratedMatrix:
 
 
 def _loop_cosine(g: np.ndarray, r: np.ndarray) -> float:
-    c = float(np.dot(g, r)) / (float(np.linalg.norm(g)) * float(np.linalg.norm(r)))
-    return min(1.0, max(-1.0, c))
+    return loop_reference.cosine(g, r)
 
 
 def _loop_mean(gen: np.ndarray, r: np.ndarray) -> float:
@@ -275,13 +276,13 @@ _ELEMENTS = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
     data=st.data(),
 )
 def test_scores_equal_a_plain_per_row_loop(shape, data):
-    """Every score is == the one-vector-at-a-time arithmetic: np.dot, np.linalg.norm,
-    clamp, left-to-right sum."""
+    """Every score is == the one-vector-at-a-time arithmetic: np.dot, np.linalg.norm
+    (on rescaled vectors where those under- or overflow), clamp, left-to-right sum."""
     n, d, k = shape
     gen = data.draw(hnp.arrays(np.float64, (n, d), elements=_ELEMENTS))
     refs = data.draw(hnp.arrays(np.float64, (k, d), elements=_ELEMENTS))
     weights = data.draw(st.lists(st.floats(0.01, 10.0), min_size=k, max_size=k))
-    assume(all(np.linalg.norm(v) > 0.0 for v in (*gen, *refs)))
+    assume(all(v.any() for v in (*gen, *refs)))
     vectors = [LatentVector(g) for g in gen]
     for r in refs:
         assert mean_similarity(vectors, LatentVector(r)) == _loop_mean(gen, r)
@@ -305,12 +306,25 @@ def test_scores_equal_a_plain_per_row_loop(shape, data):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_overflowing_vectors_clamp_as_the_loop_does():
-    # the dots overflow to inf (numpy warns, in the loop's np.dot too), so
-    # each cosine is inf/inf; the loop's min(1, max(-1, nan)) gives -1
+    # the plain dots and norm products overflow (numpy warns), which made
+    # each cosine inf/inf, clamped to -1; such rows are now rescaled by a
+    # power of two, so a vector of 1e200s has cosine 1 with itself
     big = np.array([[1e200, 1e200], [1e200, -1e200], [3.0, 4.0]])
     ref = np.array([1e200, 1e200])
+    assert cosine_similarity(LatentVector(big[0]), LatentVector(ref)) == _loop_cosine(big[0], ref) == 1.0
+    assert cosine_similarity(LatentVector(big[1]), LatentVector(ref)) == pytest.approx(0.0, abs=1e-15)
     assert mean_similarity(big, LatentVector(ref)) == _loop_mean(big, ref)
-    assert cosine_similarity(LatentVector(big[0]), LatentVector(ref)) == _loop_cosine(big[0], ref) == -1.0
+    assert mean_similarity(big, LatentVector(ref)) == pytest.approx((1.0 + 0.0 + 7.0 / (5.0 * math.sqrt(2.0))) / 3)
+
+
+def test_underflowing_vectors_have_a_cosine():
+    # squared norms of 1e-320 are subnormal and the dot of these two is 0
+    tiny = np.array([[1e-160, 0.0], [0.0, 1e-160], [3e-200, 4e-200]])
+    ref = np.array([1e-160, 1e-160])
+    assert [cosine_similarity(LatentVector(g), LatentVector(ref)) for g in tiny] == [_loop_cosine(g, ref) for g in tiny]
+    assert cosine_similarity(LatentVector(tiny[0]), LatentVector(tiny[1])) == 0.0
+    assert cosine_similarity(LatentVector(tiny[2]), LatentVector(tiny[2])) == 1.0
+    assert mean_similarity(tiny, LatentVector(ref)) == pytest.approx((2 * math.sqrt(0.5) + 7.0 / (5.0 * math.sqrt(2.0))) / 3)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 15, 16, 17, 31, 64, 100, 257, 768, 1024])

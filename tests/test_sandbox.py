@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -327,7 +328,7 @@ class TestGuidanceSweep:
     def test_pool_is_capped_by_the_stack(self, monkeypatch):
         # one generated image, but six guidance values: six maps to share out
         created = TestThreadedSteps._spy_pools(monkeypatch)
-        monkeypatch.setattr(sandbox.os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         cfg = replace(TestThreadedSteps.WIDE, n_images=2, schedule=DdimScheduleConfig(steps=2))
         reports = run_guidance_sweep(cfg)
         assert created == [len(GUIDANCE_GRID)]
@@ -380,7 +381,7 @@ class TestThreadedSteps:
 
     def test_small_shapes_create_no_pool(self, monkeypatch):
         created = self._spy_pools(monkeypatch)
-        monkeypatch.setattr(sandbox.os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         run_sandbox(SandboxConfig())
         run_sandbox(SandboxConfig(n_images=3, feature_shape=(16, 48)))
         run_sandbox(SandboxConfig(n_images=2, feature_shape=(16, 128)))  # one image: nothing to share
@@ -388,11 +389,11 @@ class TestThreadedSteps:
 
     def test_more_workers_than_cores_match_serial(self, monkeypatch):
         created = self._spy_pools(monkeypatch)
-        monkeypatch.setattr(sandbox.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         serial = run_sandbox(self.WIDE).to_dict()
         assert created == []
 
-        monkeypatch.setattr(sandbox.os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         reports = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -411,8 +412,8 @@ class TestThreadedSteps:
 
     def test_affinity_fallback_to_cpu_count(self, monkeypatch):
         created = self._spy_pools(monkeypatch)
-        monkeypatch.delattr(sandbox.os, "sched_getaffinity")
-        monkeypatch.setattr(sandbox.os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         report = run_sandbox(self.WIDE)
         assert created == [3]
         monkeypatch.undo()

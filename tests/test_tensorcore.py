@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,16 @@ from latentblendkit import (
     InvalidShape,
     LatentVector,
     Matrix,
+    angle_between,
     channel_stats,
     dot,
     norm,
     softmax_rows,
+    sli_blend,
     unit,
+    WeightedStyleSet,
 )
+from latentblendkit.tensorcore import _row_norms
 
 
 class TestTypes:
@@ -66,6 +72,24 @@ class TestDotNorm:
         assert norm(LatentVector(np.zeros(4))) == 0.0
         assert norm(unit(2, 8)) == 1.0
         assert norm(LatentVector([3.0, 4.0])) == 5.0
+
+    def test_tiny_vector_has_a_norm_and_an_angle(self):
+        # squared, the entries underflow: np.linalg.norm of this vector is 0.0
+        tiny = LatentVector([1e-200, 2e-200])
+        assert norm(tiny) == pytest.approx(math.sqrt(5.0) * 1e-200, rel=1e-15)
+        assert _row_norms(np.array([[1e-200, 2e-200], [3.0, 4.0]])).tolist() == [norm(tiny), 5.0]
+        assert angle_between(tiny, tiny) == 0.0
+        assert angle_between(tiny, LatentVector([2.0, -1.0])) == pytest.approx(math.pi / 2, abs=1e-15)
+        assert angle_between(tiny, LatentVector([1.0, 0.0])) == pytest.approx(math.acos(1 / math.sqrt(5.0)), rel=1e-15)
+        blended = sli_blend(WeightedStyleSet.of([tiny, LatentVector([2e-200, -1e-200])], [1.0, 1.0]))
+        assert blended.omega_trace == pytest.approx((math.pi / 2,), rel=1e-15)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_vector_has_a_norm(self):
+        # squared, the entries overflow: np.linalg.norm of this vector is inf
+        huge = LatentVector([3e200, 4e200])
+        assert norm(huge) == pytest.approx(5e200, rel=1e-15)
+        assert angle_between(huge, huge) == 0.0
 
     def test_cauchy_schwarz_and_symmetry(self):
         rng = np.random.default_rng(11)

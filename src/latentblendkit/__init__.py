@@ -55,6 +55,7 @@ from .errors import (
 from .formats import (
     BlendSpec,
     BlendStyleRef,
+    decode,
     default_prompt_catalog,
     load_array,
     load_blend_spec,

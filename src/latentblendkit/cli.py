@@ -8,11 +8,11 @@ stderr. Exit codes are a stable contract: 0 success, 2 input validation,
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -39,6 +39,7 @@ from .errors import (
     ZeroVector,
 )
 from .formats import (
+    decode,
     default_prompt_catalog,
     load_array,
     load_blend_spec,
@@ -52,9 +53,9 @@ from .formats import (
 from .fusion import (
     EXTERNAL_COMMAND,
     FIXTURE_FILE,
+    MODALITIES,
     FusionConfig,
     ModalityDescription,
-    ParaphraseParams,
     ProviderBinding,
     QueryCatalog,
     WeatherRecord,
@@ -66,7 +67,6 @@ from .fusion import (
 from .metrics import EmbeddingSet, ReferenceStyle, _Owned, _style_means, _weighted_report
 from .sandbox import (
     GUIDANCE_GRID,
-    DdimScheduleConfig,
     SandboxConfig,
     build_schedule,
     run_guidance_sweep,
@@ -354,30 +354,37 @@ def attend(self_path, ref_paths, mu, sigma, auto_classify, threshold, lambda_wei
         )
 
 
-def _resolve_input(item: dict, index: int, catalog: QueryCatalog) -> tuple[ModalityDescription, dict]:
-    if not isinstance(item, dict) or "modality" not in item:
-        raise InputError(f"input {index}: each entry needs a 'modality'")
-    modality = item["modality"]
-    note: dict = {"modality": modality}
-    if modality == "music":
-        if "embedding" not in item:
-            raise InputError(f"input {index}: music entries need an 'embedding'")
-        match = best_music_query(LatentVector(item["embedding"]), catalog)
-        note["best_query"] = {"index": match.index, "text": match.text, "score": match.score}
-        return ModalityDescription.from_text("music", match.text), note
-    if modality == "weather":
-        try:
-            record = WeatherRecord(
-                condition=str(item["condition"]),
-                temperature_c=float(item["temperature_c"]),
-                wind_mps=float(item["wind_mps"]),
-            )
-        except KeyError as exc:
-            raise InputError(f"input {index}: weather entries need {exc}") from exc
-        return weather_to_text(record), note
-    if "text" not in item:
-        raise InputError(f"input {index}: '{modality}' entries need a 'text'")
-    return ModalityDescription.from_text(modality, str(item["text"])), note
+@dataclass(frozen=True)
+class _TextInput:
+    """A fuse input entry of a modality given as text."""
+
+    modality: str
+    text: str
+
+    def __post_init__(self):
+        if self.modality not in MODALITIES:
+            raise InputError(f"modality must be one of {', '.join(MODALITIES)}, got {self.modality!r}")
+
+
+@dataclass(frozen=True)
+class _MusicInput:
+    """A music fuse input entry, less its modality."""
+
+    embedding: tuple[float, ...]
+
+
+def _describe(item, where: str, path: str, catalog: QueryCatalog) -> tuple[ModalityDescription, dict]:
+    """The description of the fuse input entry ``item`` and its --explain note."""
+    match item:
+        case {"modality": "music", **fields}:
+            music = decode(_MusicInput, fields, where, path)
+            best = best_music_query(LatentVector(music.embedding), catalog)
+            note = {"modality": "music", "best_query": {"index": best.index, "text": best.text, "score": best.score}}
+            return ModalityDescription.from_text("music", best.text), note
+        case {"modality": "weather", **fields}:
+            return weather_to_text(decode(WeatherRecord, fields, where, path)), {"modality": "weather"}
+    entry = decode(_TextInput, item, where, path)
+    return ModalityDescription.from_text(entry.modality, entry.text), {"modality": entry.modality}
 
 
 @main.command()
@@ -402,14 +409,16 @@ def fuse(inputs_path, config_path, provider, provider_kind, catalog_path, explai
     """Fuse modality descriptions into one prompt."""
     with _exit_codes():
         raw = read_json(inputs_path, "fusion inputs", expect=list)
-        cfg = _load_fusion_config(config_path)
+        cfg = FusionConfig()
+        if config_path is not None:
+            cfg = decode(FusionConfig, read_json(config_path, "fusion config"), f"fusion config {config_path}")
         catalog = QueryCatalog.from_json_file(catalog_path) if catalog_path else default_query_catalog()
         binding = ProviderBinding(kind=provider_kind, locator=provider) if provider else None
 
         descriptions = []
         notes = []
         for i, item in enumerate(raw):
-            desc, note = _resolve_input(item, i, catalog)
+            desc, note = _describe(item, f"fusion inputs {inputs_path}", f"[{i}]", catalog)
             descriptions.append(desc)
             notes.append(note)
         prompt, decisions = fuse_with_trace(descriptions, cfg, binding)
@@ -423,56 +432,6 @@ def fuse(inputs_path, config_path, provider, provider_kind, catalog_path, explai
             _emit(prompt, output)
 
 
-def _load_fusion_config(config_path: str | None) -> FusionConfig:
-    if config_path is None:
-        return FusionConfig()
-    raw = read_json(config_path, "fusion config", expect=dict)
-    para = raw.get("paraphrase", {})
-    base = FusionConfig()
-    defaults = base.paraphrase
-    try:
-        return FusionConfig(
-            verbosity_threshold_k=int(raw.get("verbosity_threshold_k", base.verbosity_threshold_k)),
-            paraphrase=ParaphraseParams(
-                l_max=int(para.get("l_max", defaults.l_max)),
-                l_min=int(para.get("l_min", defaults.l_min)),
-                length_penalty=float(para.get("length_penalty", defaults.length_penalty)),
-                num_beams=int(para.get("num_beams", defaults.num_beams)),
-            ),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{config_path}: bad fusion config: {exc}") from exc
-
-
-def _load_sandbox_config(config_path: str | None, seed: int | None, guidance: float | None) -> SandboxConfig:
-    raw = {} if config_path is None else read_json(config_path, "sandbox config", expect=dict)
-    sched_raw = raw.get("schedule", {})
-    sched_defaults = DdimScheduleConfig()
-    rescale_raw = raw.get("rescale", {})
-    base = SandboxConfig()
-    try:
-        cfg = SandboxConfig(
-            guidance_scale=float(raw.get("guidance_scale", base.guidance_scale)),
-            seed=int(raw.get("seed", base.seed)),
-            n_images=int(raw.get("n_images", base.n_images)),
-            feature_shape=tuple(raw.get("feature_shape", base.feature_shape)),
-            schedule=DdimScheduleConfig(
-                beta_start=float(sched_raw.get("beta_start", sched_defaults.beta_start)),
-                beta_end=float(sched_raw.get("beta_end", sched_defaults.beta_end)),
-                beta_schedule=str(sched_raw.get("beta_schedule", sched_defaults.beta_schedule)),
-                steps=int(sched_raw.get("steps", sched_defaults.steps)),
-            ),
-            rescale=RescaleParams(
-                mu=float(rescale_raw.get("mu", base.rescale.mu)),
-                sigma=float(rescale_raw.get("sigma", base.rescale.sigma)),
-            ),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad sandbox config: {exc}") from exc
-    overrides = {"seed": seed, "guidance_scale": guidance}
-    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-
-
 @main.command()
 @click.option("--config", "config_path", default=None, type=click.Path())
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
@@ -484,7 +443,10 @@ def _load_sandbox_config(config_path: str | None, seed: int | None, guidance: fl
 def sandbox(config_path, seed, guidance, dump_schedule, guidance_grid, fmt, output):
     """Deterministic shared-attention generation loop at desk scale."""
     with _exit_codes():
-        cfg = _load_sandbox_config(config_path, seed, guidance)
+        raw = {} if config_path is None else read_json(config_path, "sandbox config", expect=dict)
+        overrides = {"seed": seed, "guidance_scale": guidance}
+        raw.update((key, value) for key, value in overrides.items() if value is not None)
+        cfg = decode(SandboxConfig, raw, "sandbox config" if config_path is None else f"sandbox config {config_path}")
         if dump_schedule:
             schedule = build_schedule(cfg.schedule)
             rows = [

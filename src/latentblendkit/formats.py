@@ -1,4 +1,5 @@
-"""File formats: NPY vectors/maps, JSON files, blend specs, and the prompt catalog.
+"""File formats: NPY vectors/maps, JSON files and their schema decoder, blend
+specs, and the prompt catalog.
 
 Only the NPY v1.0 subset is supported: little-endian f4/f8, C order, 1-D or
 2-D. The reader reports the byte offset of whatever it rejects; the writer
@@ -11,12 +12,16 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import struct
+import typing
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -70,7 +75,7 @@ def _load_npy(path: str | Path) -> np.ndarray:
     file's bytes, in the file's dtype and shape."""
     try:
         raw = Path(path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate in the path
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
     if raw[:6] != _MAGIC:
@@ -231,9 +236,9 @@ def _build_header(shape: tuple[int, ...]) -> bytes:
 def read_json(path: str | Path, what: str, expect: type | None = None):
     """Parse the JSON file ``path``, described as ``what`` in error messages.
 
-    An unreadable file raises IoFailure; invalid JSON, or a top-level value
-    that is not an ``expect`` (``dict`` or ``list``) when one is given,
-    raises InputError.
+    An unreadable file raises IoFailure; invalid JSON, JSON nested deeper
+    than the parser can follow, or a top-level value that is not an
+    ``expect`` (``dict`` or ``list``) when one is given, raises InputError.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -241,15 +246,116 @@ def read_json(path: str | Path, what: str, expect: type | None = None):
         raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise InputError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{what} {path} is nested too deeply") from exc
     if expect is not None and not isinstance(raw, expect):
         raise InputError(f"{what} {path} must be a JSON {'object' if expect is dict else 'array'}")
     return raw
+
+
+def decode(cls, raw, where: str, path: str = ""):
+    """The ``cls`` read from ``raw``, a parsed JSON value found at JSON path
+    ``path`` of the input ``where`` names.
+
+    ``cls`` is a frozen dataclass, read through its fields' annotations, or
+    a field type: float, int, str, bool, ``tuple[T, ...]``, a fixed-length
+    tuple such as ``tuple[int, int]``, or a dataclass. Types are strict: a
+    bool is never a number, a string never a number, a float never an int
+    (an int is a float), floats are finite and strings valid Unicode.
+    Unknown keys are rejected, save a dataclass's ``RETIRED_KEYS``, which
+    are ignored. A missing key takes the field's default: in a nested
+    object, the value in the enclosing field's default instance. Value
+    rules are each dataclass's ``__post_init__``. Every failure is an
+    InputError that reads ``{where}: {path}: {problem}``.
+    """
+    if dataclasses.is_dataclass(cls):
+        return _decode_object(cls, raw, where, path)
+    if typing.get_origin(cls) is tuple:
+        types = typing.get_args(cls)
+        if not isinstance(raw, list):
+            raise _error(where, path, f"expected array, got {_show(raw)}")
+        if types[-1] is Ellipsis:
+            types = types[:1] * len(raw)
+        elif len(raw) != len(types):
+            raise _error(where, path, f"expected {len(types)} items, got {len(raw)}")
+        return tuple(decode(t, item, where, f"{path}[{i}]") for i, (t, item) in enumerate(zip(types, raw)))
+    if not isinstance(raw, _JSON_TYPES[cls]) or isinstance(raw, bool) is not (cls is bool):
+        raise _error(where, path, f"expected {cls.__name__}, got {_show(raw)}")
+    if cls is float:
+        try:
+            raw = float(raw)  # a JSON int
+        except OverflowError:
+            raw = math.inf
+        if not math.isfinite(raw):
+            raise _error(where, path, f"{path.rpartition('.')[2]} must be finite, got {_show(raw)}")
+    if cls is str and _SURROGATE.search(raw):
+        raise _error(where, path, "string holds a lone surrogate")
+    return raw
+
+
+#: The JSON values that each scalar type accepts; a bool is never a number.
+_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str}
+#: json.loads joins escaped surrogate pairs, so any surrogate left is lone.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _decode_object(cls, raw, where: str, path: str, default=None):
+    """``decode`` of a dataclass; a ``default`` instance supplies missing keys."""
+    if not isinstance(raw, dict):
+        raise _error(where, path, f"expected object, got {_show(raw)}")
+    fields = _fields(cls)
+    for key in raw:
+        if key not in fields and key not in getattr(cls, "RETIRED_KEYS", ()):
+            raise _error(where, _join(path, key), "unknown key")
+    values = {}
+    for name, (tp, field_default) in fields.items():
+        if default is not None:
+            field_default = getattr(default, name)
+        if name not in raw:
+            if field_default is dataclasses.MISSING:
+                raise _error(where, _join(path, name), "missing")
+            values[name] = field_default
+        elif dataclasses.is_dataclass(field_default):
+            values[name] = _decode_object(tp, raw[name], where, _join(path, name), field_default)
+        else:
+            values[name] = decode(tp, raw[name], where, _join(path, name))
+    try:
+        return cls(**values)
+    except InputError as exc:
+        raise _error(where, path, str(exc)) from exc
+
+
+@cache  # get_type_hints takes ~40 us a class, longer than decoding a small object
+def _fields(cls) -> dict[str, tuple]:
+    """Each init field of the dataclass ``cls``: name -> (type, default or MISSING)."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls) if f.init}
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _error(where: str, path: str, problem: str) -> InputError:
+    return InputError(f"{where}: {path}: {problem}" if path else f"{where}: {problem}")
+
+
+def _show(value) -> str:
+    """A JSON value for an error message: a container by its kind, a scalar as JSON cut to 40 characters."""
+    if isinstance(value, (dict, list)):
+        return "object" if isinstance(value, dict) else "array"
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 @dataclass(frozen=True)
 class BlendStyleRef:
     path: str
     weight: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise InputError(f"weight must be finite and >= 0, got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -260,6 +366,20 @@ class BlendSpec:
     styles: tuple[BlendStyleRef, ...]
     eps_omega: float = DEFAULT_EPS_OMEGA
 
+    def __post_init__(self):
+        if self.method not in (LINEAR, SLI):
+            raise InputError(f"method must be 'linear' or 'sli', got {self.method!r}")
+        if not self.styles:
+            raise InputError("styles must be a non-empty array")
+        try:
+            total = math.fsum(s.weight for s in self.styles)  # as the blends sum them
+        except OverflowError:
+            total = math.inf
+        if not 0.0 < total < math.inf:
+            raise InputError(f"style weights must have a positive, finite sum, got {total}")
+        if not self.eps_omega > 0:
+            raise InputError(f"eps_omega must be > 0, got {self.eps_omega}")
+
 
 def load_blend_spec(path: str | Path) -> BlendSpec:
     """Parse and validate a blend-spec JSON file.
@@ -267,29 +387,9 @@ def load_blend_spec(path: str | Path) -> BlendSpec:
     Style paths are resolved relative to the blend-spec file's directory.
     """
     path = Path(path)
-    raw = read_json(path, "blend spec", expect=dict)
-    method = raw.get("method")
-    if method not in (LINEAR, SLI):
-        raise InputError(f"blend spec {path}: method must be 'linear' or 'sli', got {method!r}")
-    styles_raw = raw.get("styles")
-    if not isinstance(styles_raw, list) or not styles_raw:
-        raise InputError(f"blend spec {path}: 'styles' must be a non-empty array")
-    styles = []
-    total = 0.0
-    for i, item in enumerate(styles_raw):
-        if not isinstance(item, dict) or "path" not in item or "weight" not in item:
-            raise InputError(f"blend spec {path}: style {i} needs 'path' and 'weight'")
-        weight = float(item["weight"])
-        if not math.isfinite(weight) or weight < 0:
-            raise InputError(f"blend spec {path}: style {i} has invalid weight {item['weight']}")
-        total += weight
-        styles.append(BlendStyleRef(path=str(path.parent / item["path"]), weight=weight))
-    if total <= 0.0:
-        raise InputError(f"blend spec {path}: style weights must have a positive sum")
-    eps_omega = float(raw.get("eps_omega", DEFAULT_EPS_OMEGA))
-    if not eps_omega > 0:
-        raise InputError(f"blend spec {path}: eps_omega must be > 0")
-    return BlendSpec(method=method, styles=tuple(styles), eps_omega=eps_omega)
+    spec = decode(BlendSpec, read_json(path, "blend spec"), f"blend spec {path}")
+    styles = tuple(dataclasses.replace(s, path=str(path.parent / s.path)) for s in spec.styles)
+    return dataclasses.replace(spec, styles=styles)
 
 
 def default_prompt_catalog() -> list[str]:
@@ -303,6 +403,7 @@ def load_prompt_catalog(path: str | Path) -> list[str]:
 
 
 def load_prompt_catalog_obj(raw, source: str = "<memory>") -> list[str]:
-    if not isinstance(raw, list) or not all(isinstance(p, str) for p in raw) or not raw:
-        raise InputError(f"prompt catalog {source} must be a non-empty JSON array of strings")
-    return list(raw)
+    prompts = list(decode(tuple[str, ...], raw, f"prompt catalog {source}"))
+    if not prompts:
+        raise InputError(f"prompt catalog {source} is empty")
+    return prompts

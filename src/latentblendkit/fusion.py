@@ -41,7 +41,7 @@ from .errors import (
     ProviderUnavailable,
     ZeroVector,
 )
-from .formats import read_json
+from .formats import _SURROGATE, decode, read_json
 from .tensorcore import LatentVector, _cosines, _cpu_threads, _row_norms, _stack_vectors, norm
 
 MODALITIES = ("image", "audio", "music", "weather", "text")
@@ -87,6 +87,14 @@ class QueryEntry:
 
 
 @dataclass(frozen=True)
+class _QueryJson:
+    """A query catalog entry as a catalog file holds it."""
+
+    text: str
+    embedding: tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class QueryCatalog:
     """Ordered mood/atmosphere queries with their text embeddings, which
     are also stacked as the rows of one read-only matrix."""
@@ -108,14 +116,8 @@ class QueryCatalog:
 
     @classmethod
     def from_obj(cls, raw, source: str = "<memory>") -> "QueryCatalog":
-        if not isinstance(raw, list):
-            raise InputError(f"query catalog {source} must be a JSON array")
-        entries = []
-        for i, item in enumerate(raw):
-            if not isinstance(item, dict) or "text" not in item or "embedding" not in item:
-                raise InputError(f"query catalog {source} entry {i} needs 'text' and 'embedding'")
-            entries.append(QueryEntry(text=str(item["text"]), embedding=LatentVector(item["embedding"])))
-        return cls(queries=tuple(entries))
+        entries = decode(tuple[_QueryJson, ...], raw, f"query catalog {source}")
+        return cls(queries=tuple(QueryEntry(text=e.text, embedding=LatentVector(e.embedding)) for e in entries))
 
 
 def default_query_catalog() -> QueryCatalog:
@@ -320,8 +322,8 @@ def _fixture_lookup(mapping: dict, text: str, locator: str, modality: str) -> st
     if text not in mapping:
         raise ProviderFailure(f"fixture {locator} has no entry for the input text", modality=modality)
     out = mapping[text]
-    if not isinstance(out, str):
-        raise ProviderFailure(f"fixture {locator} maps the input to a non-string", modality=modality)
+    if not isinstance(out, str) or _SURROGATE.search(out):
+        raise ProviderFailure(f"fixture {locator} maps the input to a non-string or lone surrogate", modality=modality)
     return out
 
 
@@ -359,9 +361,10 @@ def _paraphrase_command(argv: list[str], params: ParaphraseParams, d: ModalityDe
         response = json.loads(_text(stdout, "strict"))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ProviderFailure(f"provider emitted invalid JSON: {exc}", modality=d.modality) from exc
-    if not isinstance(response, dict) or not isinstance(response.get("text"), str):
-        raise ProviderFailure("provider response lacks a string 'text' field", modality=d.modality)
-    return response["text"]
+    match response:
+        case {"text": str(text)} if not _SURROGATE.search(text):
+            return text
+    raise ProviderFailure("provider response lacks a 'text' string free of lone surrogates", modality=d.modality)
 
 
 def _text(data: bytes, errors: str) -> str:

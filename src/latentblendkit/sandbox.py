@@ -95,6 +95,13 @@ _STRENGTH_SCALE = 0.05
 #: 0.61 of the time.
 _THREAD_MIN_WORK = 262_144
 
+#: Most array elements a SandboxConfig may ask for, checked before anything
+#: is allocated: the maps (n_images * channels * positions), one map's
+#: attention logits (positions * 2 * positions) and the schedule (steps).
+#: The largest golden or benchmark config, (64, 256) x 8 images at 50
+#: steps, asks for 262,194; the cap is over 60 times that.
+MAX_ELEMENTS = 1 << 24
+
 
 @dataclass(frozen=True)
 class DdimScheduleConfig:
@@ -102,6 +109,10 @@ class DdimScheduleConfig:
     beta_end: float = 0.012
     beta_schedule: str = SCALED_LINEAR
     steps: int = 50
+
+    #: Keys of older scheduler configs that a config file may hold; they
+    #: are accepted and ignored.
+    RETIRED_KEYS = frozenset({"clip_sample", "set_alpha_to_one"})
 
     def __post_init__(self):
         if not 0.0 < self.beta_start < self.beta_end < 1.0:
@@ -169,6 +180,12 @@ class SandboxConfig:
         if c < 1 or n < 2:
             raise InputError(f"feature_shape must be at least (1, 2), got {self.feature_shape}")
         object.__setattr__(self, "feature_shape", (int(c), int(n)))
+        elements = self.n_images * c * n + n * 2 * n + self.schedule.steps
+        if elements > MAX_ELEMENTS:
+            raise InputError(
+                f"n_images, feature_shape and schedule.steps ask for {elements} array elements,"
+                f" more than MAX_ELEMENTS = {MAX_ELEMENTS}"
+            )
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from latentblendkit import (
     RescaleParams,
     SandboxConfig,
     cli,
+    decode,
     fusion,
     metrics,
     read_vectors,
@@ -565,15 +566,12 @@ class TestFuseCommand:
         assert result.stderr.startswith("error: [modality=image] provider did not answer within 0.5 s")
         assert time.monotonic() - start < 15
 
-    def test_config_defaults_come_from_the_dataclass(self, tmp_path, monkeypatch):
+    def test_config_defaults_come_from_the_dataclass(self):
         @dataclasses.dataclass(frozen=True)
         class Config(FusionConfig):
             verbosity_threshold_k: int = 7
 
-        monkeypatch.setattr(cli, "FusionConfig", Config)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"paraphrase": {"l_max": 40}}))
-        loaded = cli._load_fusion_config(str(cfg))
+        loaded = decode(Config, {"paraphrase": {"l_max": 40}}, "fusion config")
         assert loaded.verbosity_threshold_k == 7
         assert loaded.paraphrase == dataclasses.replace(ParaphraseParams(), l_max=40)
 
@@ -686,17 +684,13 @@ class TestSandboxCommand:
         assert result.stderr.startswith("error: ")
         assert f"{name} must be finite" in result.stderr
 
-    def test_config_defaults_come_from_the_dataclass(self, tmp_path, monkeypatch):
+    def test_config_defaults_come_from_the_dataclass(self):
         @dataclasses.dataclass(frozen=True)
         class Config(SandboxConfig):
             rescale: RescaleParams = RescaleParams(mu=0.25, sigma=2.0)
 
-        monkeypatch.setattr(cli, "SandboxConfig", Config)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"rescale": {"sigma": 0.5}}))
-        assert cli._load_sandbox_config(str(cfg), None, None).rescale == RescaleParams(mu=0.25, sigma=0.5)
-        cfg.write_text(json.dumps({"rescale": {}}))
-        assert cli._load_sandbox_config(str(cfg), None, None).rescale == Config().rescale
+        assert decode(Config, {"rescale": {"sigma": 0.5}}, "sandbox config").rescale == RescaleParams(mu=0.25, sigma=0.5)
+        assert decode(Config, {"rescale": {}}, "sandbox config").rescale == Config().rescale
 
     def test_output_file(self, runner, tmp_path):
         out = tmp_path / "report.json"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AllZeroWeights, DimensionMismatch, EmptySet, InputError
 from .normalization import AdainConfig, _adain_rows, _column_stats
-from .tensorcore import Matrix, _row_matmul, _softmax_rows_array, _weighted_rows
+from .tensorcore import Matrix, _row_matmul, _softmax_rows_array, _weight_sum, _weighted_rows
 
 
 class StyleClass(enum.Enum):
@@ -223,7 +223,7 @@ def lambda_rescaled_attention(
     """
     if not style_blocks:
         raise EmptySet("need at least one style block")
-    total = math.fsum(b.weight for b in style_blocks)
+    total = _weight_sum((b.weight for b in style_blocks), "style-block weights")
     if total == 0.0:
         raise AllZeroWeights("all style-block weights are zero")
     d_v = style_blocks[0].v.cols

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllZeroWeights, AntipodalVectors, DimensionMismatch, InputError
-from .tensorcore import LatentVector, _angle, _frozen_f64, _stack_vectors, angle_between
+from .tensorcore import LatentVector, _angle, _frozen_f64, _stack_vectors, _weight_sum, angle_between
 
 LINEAR = "linear"
 SLI = "sli"
@@ -89,7 +89,7 @@ def normalize_weights(s: WeightedStyleSet) -> WeightedStyleSet:
 
 
 def _normalized(weights: tuple[float, ...]) -> tuple[float, ...]:
-    total = math.fsum(weights)
+    total = _weight_sum(weights, "style weights")
     if total == 0.0:
         raise AllZeroWeights("cannot normalize: all weights are zero")
     return tuple(w / total for w in weights)

@@ -3,6 +3,10 @@
 Machine-readable output goes to stdout (or ``--output``); diagnostics go to
 stderr. Exit codes are a stable contract: 0 success, 2 input validation,
 3 numeric domain error, 4 provider unavailable, 5 provider failure.
+
+At module level this file imports only click and ``errors``: each command
+imports the modules it runs in its body, so ``--help`` imports no numpy and
+``sandbox`` never loads ``fusion`` or ``metrics``.
 """
 
 from __future__ import annotations
@@ -14,22 +18,11 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
 from . import __version__
-from .attention import (
-    RescaleParams,
-    StyleBlock,
-    classify_style,
-    lambda_rescaled_attention,
-    rescale_params_for,
-    row_entropy,
-    shared_attention,
-    StyleClassifierConfig,
-)
-from .blending import SLI, WeightedStyleSet, linear_blend, sli_blend
 from .errors import (
     BlendKitError,
     InputError,
@@ -38,41 +31,12 @@ from .errors import (
     ProviderUnavailable,
     ZeroVector,
 )
-from .formats import (
-    decode,
-    default_prompt_catalog,
-    load_array,
-    load_blend_spec,
-    load_prompt_catalog,
-    load_rows,
-    read_json,
-    read_vectors,
-    write_atomic,
-    write_vectors,
-)
-from .fusion import (
-    EXTERNAL_COMMAND,
-    FIXTURE_FILE,
-    MODALITIES,
-    FusionConfig,
-    ModalityDescription,
-    ProviderBinding,
-    QueryCatalog,
-    WeatherRecord,
-    best_music_query,
-    default_query_catalog,
-    fuse_with_trace,
-    weather_to_text,
-)
-from .metrics import EmbeddingSet, ReferenceStyle, _Owned, _style_means, _weighted_report
-from .sandbox import (
-    GUIDANCE_GRID,
-    SandboxConfig,
-    build_schedule,
-    run_guidance_sweep,
-    run_sandbox,
-)
-from .tensorcore import LatentVector, Matrix, norm
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .fusion import ModalityDescription, QueryCatalog
+    from .tensorcore import Matrix
 
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
@@ -114,6 +78,8 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         click.echo(text, nl=not text.endswith("\n"))
     else:
+        from .formats import write_atomic
+
         write_atomic(output, (text if text.endswith("\n") else text + "\n").encode("utf-8"))
 
 
@@ -140,6 +106,9 @@ def _parse_float_list(text: str, what: str) -> list[float]:
 
 
 def _load_matrix(path: str) -> Matrix:
+    from .formats import load_array
+    from .tensorcore import Matrix
+
     arr = load_array(path)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -166,6 +135,10 @@ def main():
 @output_option
 def blend(spec_path: str, out_path: str, output: str | None):
     """Blend style vectors per a spec file; print a JSON summary."""
+    from .blending import SLI, WeightedStyleSet, linear_blend, sli_blend
+    from .formats import load_blend_spec, read_vectors, write_vectors
+    from .tensorcore import LatentVector, norm
+
     with _exit_codes():
         spec = load_blend_spec(spec_path)
         vectors = []
@@ -204,6 +177,8 @@ def _load_generated(path: str) -> np.ndarray:
     """The embeddings of one --generated path as an (n, d) array: a file's
     rows (a 1-D file is one row), or a directory's .npy files concatenated
     in sorted order."""
+    from .formats import load_rows
+
     p = Path(path)
     files = sorted(p.glob("*.npy")) if p.is_dir() else [p]
     if not files:
@@ -228,6 +203,9 @@ def _load_generated(path: str) -> np.ndarray:
 @output_option
 def wms(generated_paths, refs_path, ref_names, weights, grid, fmt, output):
     """Per-style mean similarities and the weighted multi-style score."""
+    from .formats import read_vectors
+    from .metrics import EmbeddingSet, ReferenceStyle, _Owned, _style_means, _weighted_report
+
     with _exit_codes():
         refs = read_vectors(refs_path, rows=True)
         if ref_names:
@@ -301,6 +279,17 @@ def attend(self_path, ref_paths, mu, sigma, auto_classify, threshold, lambda_wei
 
     Each file provides a token matrix used as Q, K, and V on its side.
     """
+    from .attention import (
+        RescaleParams,
+        StyleBlock,
+        StyleClassifierConfig,
+        classify_style,
+        lambda_rescaled_attention,
+        rescale_params_for,
+        row_entropy,
+        shared_attention,
+    )
+
     with _exit_codes():
         self_m = _load_matrix(self_path)
         if lambda_weights is not None:
@@ -362,6 +351,8 @@ class _TextInput:
     text: str
 
     def __post_init__(self):
+        from .fusion import MODALITIES
+
         if self.modality not in MODALITIES:
             raise InputError(f"modality must be one of {', '.join(MODALITIES)}, got {self.modality!r}")
 
@@ -375,6 +366,10 @@ class _MusicInput:
 
 def _describe(item, where: str, path: str, catalog: QueryCatalog) -> tuple[ModalityDescription, dict]:
     """The description of the fuse input entry ``item`` and its --explain note."""
+    from .formats import decode
+    from .fusion import ModalityDescription, WeatherRecord, best_music_query, weather_to_text
+    from .tensorcore import LatentVector
+
     match item:
         case {"modality": "music", **fields}:
             music = decode(_MusicInput, fields, where, path)
@@ -398,8 +393,9 @@ def _describe(item, where: str, path: str, catalog: QueryCatalog) -> tuple[Modal
 )
 @click.option(
     "--provider-kind",
-    type=click.Choice([FIXTURE_FILE, EXTERNAL_COMMAND]),
-    default=FIXTURE_FILE,
+    # fusion.FIXTURE_FILE and EXTERNAL_COMMAND, spelled out so that --help loads no fusion
+    type=click.Choice(["fixture_file", "external_command"]),
+    default="fixture_file",
     show_default=True,
 )
 @click.option("--catalog", "catalog_path", default=None, type=click.Path(), help="Music query catalog.")
@@ -407,6 +403,9 @@ def _describe(item, where: str, path: str, catalog: QueryCatalog) -> tuple[Modal
 @output_option
 def fuse(inputs_path, config_path, provider, provider_kind, catalog_path, explain, output):
     """Fuse modality descriptions into one prompt."""
+    from .formats import decode, read_json
+    from .fusion import FusionConfig, ProviderBinding, QueryCatalog, default_query_catalog, fuse_with_trace
+
     with _exit_codes():
         raw = read_json(inputs_path, "fusion inputs", expect=list)
         cfg = FusionConfig()
@@ -442,6 +441,9 @@ def fuse(inputs_path, config_path, provider, provider_kind, catalog_path, explai
 @output_option
 def sandbox(config_path, seed, guidance, dump_schedule, guidance_grid, fmt, output):
     """Deterministic shared-attention generation loop at desk scale."""
+    from .formats import decode, read_json
+    from .sandbox import GUIDANCE_GRID, SandboxConfig, build_schedule, run_guidance_sweep, run_sandbox
+
     with _exit_codes():
         raw = {} if config_path is None else read_json(config_path, "sandbox config", expect=dict)
         overrides = {"seed": seed, "guidance_scale": guidance}
@@ -494,6 +496,9 @@ def sandbox(config_path, seed, guidance, dump_schedule, guidance_grid, fmt, outp
 @output_option
 def catalog(which, catalog_path, fmt, output):
     """Dump the shipped (or a given) query/prompt catalog."""
+    from .formats import default_prompt_catalog, load_prompt_catalog
+    from .fusion import QueryCatalog, default_query_catalog
+
     with _exit_codes():
         if which == "queries":
             cat = QueryCatalog.from_json_file(catalog_path) if catalog_path else default_query_catalog()

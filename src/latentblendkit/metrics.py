@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, InputError, ZeroVector
-from .tensorcore import LatentVector, _cosines, _frozen_f64, _row_norms, _stack_vectors, norm
+from .tensorcore import LatentVector, _cosines, _frozen_f64, _row_norms, _stack_vectors, _weight_sum, norm
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class EmbeddingSet:
             if r.name in names:
                 raise InputError(f"duplicate reference name '{r.name}'")
             names.add(r.name)
-        if math.fsum(r.weight for r in references) == 0.0:
+        if _weight_sum((r.weight for r in references), "reference weights") == 0.0:
             raise InputError("all reference weights are zero")
         object.__setattr__(self, "generated", generated)
         object.__setattr__(self, "references", references)
@@ -173,7 +173,7 @@ def _weighted_report(per_style: dict[str, float], weights: Sequence[float]) -> W
     serves every weight row of a grid. ``weights`` must be valid reference
     weights (finite, >= 0, not all zero), as an ``EmbeddingSet`` checks.
     """
-    total_w = math.fsum(weights)
+    total_w = _weight_sum(weights, "reference weights")
     values = list(per_style.values())
     wms = weighted_score(values, [w / total_w for w in weights])
     ms_gap = max(values) - min(values)  # equals the max pairwise |MS_i - MS_j|

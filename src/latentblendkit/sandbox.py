@@ -54,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .attention import IDENTITY_RESCALE, RescaleParams, _shared_attention
-from .errors import InputError
+from .errors import InputError, NumericDomainError
 from .normalization import _adain_rows
 from .tensorcore import DEFAULT_EPS_STD, _channel_stats, _cpu_threads, _frozen_f64
 
@@ -274,6 +274,11 @@ def run_guidance_sweep(
         new = np.ascontiguousarray((1.0 - s) * shuffled + s * np.swapaxes(updated, -1, -2))
         return new, masses, _stat_distances(new, *ref_stats)
 
+    def pool_step(x: np.ndarray, strengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``step`` in a pool thread, which does not inherit the caller's numpy error state."""
+        with np.errstate(all="ignore"):
+            return step(x, strengths)
+
     per_run = len(gens)
     maps = len(runs) * per_run
     initial = _mean(_stat_distances(gens, *ref_stats).tolist())
@@ -287,21 +292,30 @@ def run_guidance_sweep(
     per_step: list[list[float]] = [[] for _ in runs]
     workers = _pool_workers(maps, work)
     with ExitStack() as pool_scope:
-        step_map = map
+        # A config whose numbers overflow float64 (say rescale.sigma = 1e308)
+        # turns maps to NaN. The step means below raise on that, so numpy's
+        # warnings are off: once here, as per call it costs 2% of a small sweep.
+        pool_scope.enter_context(np.errstate(all="ignore"))
+        step_fn, step_map = step, map
         if workers > 1:
             # imported here: concurrent.futures pulls in logging, about 12 ms
             # of every CLI start, and most runs never make a pool
             from concurrent.futures import ThreadPoolExecutor
 
-            step_map = pool_scope.enter_context(ThreadPoolExecutor(max_workers=workers)).map
+            step_fn, step_map = pool_step, pool_scope.enter_context(ThreadPoolExecutor(max_workers=workers)).map
         for t in range(schedule.steps):
             fade = 1.0 - float(schedule.alpha_cumprod[t])
             strengths = np.repeat([min(1.0, _STRENGTH_SCALE * r.guidance_scale * fade) for r in runs], per_run)
-            parts = list(step_map(step, xs, np.split(strengths, bounds)))
+            parts = list(step_map(step_fn, xs, np.split(strengths, bounds)))
             xs = [p[0] for p in parts]
             distances = np.concatenate([p[2] for p in parts]).tolist()
             for r, dists in enumerate(per_step):
                 dists.append(_mean(distances[r * per_run : (r + 1) * per_run]))
+                if not math.isfinite(dists[-1]):
+                    raise NumericDomainError(
+                        f"sandbox step {t} of {schedule.steps} has a non-finite stat distance ({dists[-1]})"
+                        f" at guidance_scale {runs[r].guidance_scale}: the config overflows float64"
+                    )
 
     masses = np.concatenate([p[1] for p in parts]).tolist()
     return tuple(

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidShape, ZeroVector
+from .errors import DimensionMismatch, InputError, InvalidShape, ZeroVector
 
 DEFAULT_EPS_STD = 1e-5
 
@@ -38,6 +38,15 @@ def _frozen_f64(values, ndim: int, what: str, copy: bool = True) -> np.ndarray:
         raise InvalidShape(f"{what} contains NaN or Inf entries")
     arr.setflags(write=False)
     return arr
+
+
+def _weight_sum(weights, what: str) -> float:
+    """The exact sum of finite ``weights``; an InputError naming ``what``
+    when it overflows float64 (fsum raises rather than return inf)."""
+    try:
+        return math.fsum(weights)
+    except OverflowError:
+        raise InputError(f"{what} must have a finite sum, got inf") from None
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,11 @@ class TestLambdaRescaledAttention:
         with pytest.raises(DimensionMismatch):
             lambda_rescaled_attention(q, [StyleBlock(k=Matrix([[1.0, 2.0]]), v=q, weight=1.0)])
 
+    def test_weights_overflowing_their_sum(self):
+        q = Matrix([[1.0]])
+        with pytest.raises(InputError, match="style-block weights must have a finite sum, got inf"):
+            lambda_rescaled_attention(q, [StyleBlock(k=q, v=q, weight=1e308)] * 2)
+
 
 def test_row_entropy():
     w = Matrix([[1.0, 0.0], [0.5, 0.5]])

@@ -50,6 +50,12 @@ class TestNormalizeWeights:
         with pytest.raises(AllZeroWeights):
             normalize_weights(s)
 
+    @pytest.mark.parametrize("blend", [normalize_weights, linear_blend, sli_blend])
+    def test_weights_overflowing_their_sum(self, blend):
+        s = WeightedStyleSet.of([unit(0, 2), unit(1, 2)], [1e308, 1e308])
+        with pytest.raises(InputError, match="style weights must have a finite sum, got inf"):
+            blend(s)
+
     def test_negative_weight_rejected(self):
         with pytest.raises(InputError):
             WeightedStyleSet.of([unit(0, 2)], [-0.5])

@@ -22,6 +22,7 @@ from latentblendkit import (
     SandboxConfig,
     cli,
     decode,
+    formats,
     fusion,
     metrics,
     read_vectors,
@@ -231,7 +232,7 @@ class TestWmsCommand:
             return load
 
         # --refs goes through read_vectors, each --generated path through _load_generated
-        monkeypatch.setattr(cli, "read_vectors", counting(cli.read_vectors))
+        monkeypatch.setattr(formats, "read_vectors", counting(formats.read_vectors))
         monkeypatch.setattr(cli, "_load_generated", counting(cli._load_generated))
         # one path reused for all seven rows, or two paths alternating
         paths = [str(gens[0])] if n_files == 1 else [str(gens[i % 2]) for i in range(7)]
@@ -252,7 +253,7 @@ class TestWmsCommand:
             write_vectors(g, rng.standard_normal((9, 6)))
         built = []
         scored = []
-        real_set, real_ms = cli.EmbeddingSet, metrics._mean_similarity
+        real_set, real_ms = metrics.EmbeddingSet, metrics._mean_similarity
 
         def counting_set(*args, **kwargs):
             built.append(1)
@@ -262,7 +263,7 @@ class TestWmsCommand:
             scored.append(1)
             return real_ms(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "EmbeddingSet", counting_set)
+        monkeypatch.setattr(metrics, "EmbeddingSet", counting_set)
         monkeypatch.setattr(metrics, "_mean_similarity", counting_ms)
         paths = [str(gens[i % n_files]) for i in range(len(cli.WEIGHT_GRID))]
         args = ["wms", "--refs", str(tmp_path / "refs.npy"), "--grid", "--format", "json"]
@@ -404,7 +405,7 @@ class TestWmsCommand:
         # the set freezes the matrix the CLI loaded rather than copying it
         self._fixture(tmp_path, (0.36150, 0.42156))
         loaded, scored = [], []
-        real_load, real_means = cli._load_generated, cli._style_means
+        real_load, real_means = cli._load_generated, metrics._style_means
 
         def load(path):
             loaded.append(real_load(path))
@@ -415,7 +416,7 @@ class TestWmsCommand:
             return real_means(es)
 
         monkeypatch.setattr(cli, "_load_generated", load)
-        monkeypatch.setattr(cli, "_style_means", means)
+        monkeypatch.setattr(metrics, "_style_means", means)
         result = runner.invoke(
             main, ["wms", "--generated", str(tmp_path / "gen.npy"), "--refs", str(tmp_path / "refs.npy"), "--grid"]
         )
@@ -683,6 +684,15 @@ class TestSandboxCommand:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ")
         assert f"{name} must be finite" in result.stderr
+
+    @pytest.mark.parametrize("flags", [["--format", "json"], ["--format", "csv"], ["--guidance-grid"]])
+    def test_overflowing_config_exit_3_naming_the_step(self, runner, tmp_path, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rescale": {"sigma": 1e308}}))
+        result = runner.invoke(main, ["sandbox", "--config", str(cfg), *flags])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert result.stderr.startswith("error: sandbox step 0 of 50 has a non-finite stat distance (nan)")
+        assert result.stdout == ""
 
     def test_config_defaults_come_from_the_dataclass(self):
         @dataclasses.dataclass(frozen=True)

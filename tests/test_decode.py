@@ -209,12 +209,21 @@ MALFORMED = {
     "steps over the cap": (_SANDBOX, {"schedule": {"steps": 10**12}}, "schedule.steps"),
     "catalog text number": (_CATALOG, [{"text": 5, "embedding": [1.0]}], "[0].text"),
     "catalog embedding string": (_CATALOG, [{"text": "a", "embedding": ["x", 1]}], "[0].embedding[0]"),
+    "wms weights overflowing their sum": (
+        ["wms", "--generated", "{d}/s.npy", "--refs", "{d}/refs.npy", "--weights", "1e308,1e308"], None,
+        "reference weights must have a finite sum",
+    ),
+    "lambda weights overflowing their sum": (
+        ["attend", "--self", "{d}/s.npy", "--ref", "{d}/s.npy", "--ref", "{d}/s.npy", "--lambda-weights", "1e308,1e308"],
+        None, "style-block weights must have a finite sum",
+    ),
 }
 
 
 @pytest.mark.parametrize("argv, content, json_path", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_exits_2_naming_the_json_path(runner, tmp_path, argv, content, json_path):
     write_vectors(tmp_path / "s.npy", np.array([1.0, 2.0]))
+    write_vectors(tmp_path / "refs.npy", np.array([[1.0, 0.0], [0.0, 1.0]]))
     (tmp_path / "short.json").write_text(json.dumps([{"modality": "text", "text": "a quiet harbor"}]))
     f = tmp_path / "in.json"
     if content is not None:

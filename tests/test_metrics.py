@@ -176,6 +176,11 @@ class TestWmsScore:
                 ),
             )
 
+    def test_weights_overflowing_their_sum(self):
+        refs = (ReferenceStyle("a", unit(0, 2), 1e308), ReferenceStyle("b", unit(1, 2), 1e308))
+        with pytest.raises(InputError, match="reference weights must have a finite sum, got inf"):
+            EmbeddingSet(generated=(unit(0, 2),), references=refs)
+
 
 class TestGeneratedMatrix:
     def _refs(self, d=3):

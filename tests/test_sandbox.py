@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from latentblendkit import (
     InputError,
     LatentVector,
     Matrix,
+    NumericDomainError,
     RescaleParams,
     SandboxConfig,
     SandboxReport,
@@ -409,6 +411,17 @@ class TestThreadedSteps:
         assert not worker.is_alive()
         assert created == [8] * 4  # one worker per generated image, more than the cores
         assert reports == [serial] * 4
+
+    def test_overflow_in_pool_threads_raises_without_warnings(self, monkeypatch):
+        # the pool's threads do not inherit the caller's numpy error state
+        created = self._spy_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = replace(self.WIDE, rescale=RescaleParams(mu=0.0, sigma=1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDomainError, match=r"^sandbox step 0 of 6 has a non-finite stat distance"):
+                run_sandbox(cfg)
+        assert created == [2]
 
     def test_affinity_fallback_to_cpu_count(self, monkeypatch):
         created = self._spy_pools(monkeypatch)

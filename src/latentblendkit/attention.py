@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AllZeroWeights, DimensionMismatch, EmptySet, InputError
+from .errors import AllZeroWeights, DimensionMismatch, EmptySet, InputError, NumericDomainError
 from .normalization import AdainConfig, _adain_rows, _column_stats
 from .tensorcore import Matrix, _row_matmul, _softmax_rows_array, _weight_sum, _weighted_rows
 
@@ -119,15 +119,32 @@ class MultiStyleAttentionOutput:
 
 def attention(inp: AttentionInputs) -> tuple[Matrix, Matrix]:
     """Plain scaled dot-product attention; returns (output, weights)."""
-    weights = _softmax_rows_array(_scaled_logits(inp.q.data, inp.k.data))
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = _finite_rows(_softmax_rows_array(_scaled_logits(inp.q.data, inp.k.data)))
     out = _weighted_rows(weights, inp.v.data)
     return Matrix(out), Matrix(weights)
 
 
-def _scaled_logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    logits = _row_matmul(q, k)
+def _scaled_logits(q: np.ndarray, k: np.ndarray, tail: int | None = None) -> np.ndarray:
+    """q @ k.T / sqrt(dim), through ``_row_matmul`` (``tail`` as there)."""
+    logits = _row_matmul(q, k, tail)
     logits /= math.sqrt(q.shape[-1])
     return logits
+
+
+def _finite_rows(weights: np.ndarray) -> np.ndarray:
+    """``weights`` from ``_softmax_rows_array``, or a NumericDomainError if
+    the max logit of a row was not finite: the softmax makes such a row all
+    NaN, so the first column shows it, without a pass over every entry.
+
+    The public attention functions call their kernels with numpy's overflow
+    and invalid warnings off, and report the one overflow that matters here.
+    A max that is finite while other logits overflow to -inf is harmless:
+    their weights are exactly 0.
+    """
+    if not np.isfinite(weights[..., 0]).all():
+        raise NumericDomainError("attention logits overflowed float64: a row's largest logit is not finite")
+    return weights
 
 
 def classify_style(ref_k: Matrix, cfg: StyleClassifierConfig = StyleClassifierConfig()) -> StyleClass:
@@ -172,8 +189,13 @@ def shared_attention(
 
     eps_std = adain_cfg.eps_std
     q_hat = _adain_rows(self_q.data, *_column_stats(ref_q.data, eps_std), eps_std)
-    k_hat = _adain_rows(self_k.data, *_column_stats(ref_k.data, eps_std), eps_std)
-    out, weights, ref_mass = _shared_attention(q_hat, k_hat, self_v.data, ref_k.data, ref_v.data, rescale)
+    # the same inputs make the same bits, and queries that are the keys let
+    # the kernel compute half the self logits
+    same = self_k is self_q and ref_k is ref_q
+    k_hat = q_hat if same else _adain_rows(self_k.data, *_column_stats(ref_k.data, eps_std), eps_std)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, weights, ref_mass = _shared_attention(q_hat, k_hat, self_v.data, ref_k.data, ref_v.data, rescale)
+        _finite_rows(weights)
     return SharedAttentionOutput(updated=Matrix(out), weights=Matrix(weights), ref_mass=float(ref_mass))
 
 
@@ -190,16 +212,40 @@ def _shared_attention(
     The self arrays are one (tokens x dim) matrix, or a stack of them in
     leading axes that all attend to the same reference; ``ref_mass`` has
     one entry per matrix. ``q_hat`` should be C-contiguous: the einsum's
-    summation order follows the memory layout of its operands, which is
-    also why the key and value blocks are built C-contiguous.
+    summation order follows the memory layout of its operands. Pass
+    ``k_hat`` itself as ``q_hat`` when the queries are the keys: the kernel
+    then takes the self logits as the symmetric product of the keys.
     """
-    n_ref = ref_k.shape[0]
-    logits = _scaled_logits(q_hat, _ref_then_self(ref_k, k_hat))
-    ref_block = logits[..., :n_ref]  # a view: the rescale writes into logits
-    ref_block *= rescale.sigma
-    ref_block += rescale.mu
+    keys = _ref_then_self(ref_k, k_hat)
+    values = _ref_then_self(ref_v, self_v)
+    return _attend_blocks(keys, values, ref_k.shape[0], rescale, None if q_hat is k_hat else q_hat)
+
+
+def _attend_blocks(
+    keys: np.ndarray,
+    values: np.ndarray,
+    n_ref: int,
+    rescale: RescaleParams,
+    q_hat: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_shared_attention`` over built [reference || self] key and value
+    blocks, each matrix of them C-contiguous, whose first ``n_ref`` tokens
+    are the reference's; ``q_hat`` None means the queries are the self keys.
+
+    Then the self logits are symmetric, and ``_row_matmul`` may compute half
+    of them. The identity rescale is skipped: ``x * 1.0 + 0.0`` only turns
+    -0.0 into +0.0, which the max-shifted exp cannot tell apart.
+    """
+    if q_hat is None:
+        logits = _scaled_logits(keys[..., n_ref:, :], keys, n_ref)
+    else:
+        logits = _scaled_logits(q_hat, keys)
+    if rescale.sigma != 1.0 or rescale.mu != 0.0:
+        ref_block = logits[..., :n_ref]  # a view: the rescale writes into logits
+        ref_block *= rescale.sigma
+        ref_block += rescale.mu
     weights = _softmax_rows_array(logits)
-    out = _weighted_rows(weights, _ref_then_self(ref_v, self_v))
+    out = _weighted_rows(weights, values)
     return out, weights, weights[..., :n_ref].sum(axis=-1).mean(axis=-1)
 
 
@@ -234,9 +280,9 @@ def lambda_rescaled_attention(
             raise DimensionMismatch(f"block value dims disagree: {b.v.cols} vs {d_v}")
 
     lambdas = tuple(b.weight / total for b in style_blocks)
-    scaled = [lam * _scaled_logits(self_q.data, b.k.data) for lam, b in zip(lambdas, style_blocks)]
-    logits = np.concatenate(scaled, axis=1)
-    weights = _softmax_rows_array(logits)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = [lam * _scaled_logits(self_q.data, b.k.data) for lam, b in zip(lambdas, style_blocks)]
+        weights = _finite_rows(_softmax_rows_array(np.concatenate(scaled, axis=1)))
     out = _weighted_rows(weights, np.concatenate([b.v.data for b in style_blocks], axis=0))
 
     masses = []

@@ -21,14 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllZeroWeights, AntipodalVectors, DimensionMismatch, InputError
-from .tensorcore import LatentVector, _angle, _frozen_f64, _stack_vectors, _weight_sum, angle_between
-
-LINEAR = "linear"
-SLI = "sli"
-
-#: Below this angle (radians) sin(omega) is numerically unusable and the
-#: straight-line interpolation is the correct limit.
-DEFAULT_EPS_OMEGA = 1e-7
+from .tensorcore import (
+    DEFAULT_EPS_OMEGA, LINEAR, SLI, LatentVector, _angle, _frozen_f64, _stack_vectors, _weight_sum, angle_between
+)
 
 
 @dataclass(frozen=True)

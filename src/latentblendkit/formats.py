@@ -28,7 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .blending import DEFAULT_EPS_OMEGA, LINEAR, SLI
 from .errors import (
     BadMagic,
     DimensionMismatch,
@@ -41,7 +40,7 @@ from .errors import (
     UnsupportedOrder,
     UnsupportedVersion,
 )
-from .tensorcore import FeatureMap, LatentVector, Matrix
+from .tensorcore import DEFAULT_EPS_OMEGA, LINEAR, SLI, FeatureMap, LatentVector, Matrix
 
 _MAGIC = b"\x93NUMPY"
 _HEADER_START = 10  # magic (6) + version (2) + header length (2)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelMismatch, DimensionMismatch, InputError
-from .tensorcore import DEFAULT_EPS_STD, FeatureMap, Matrix, _channel_stats
+from .tensorcore import DEFAULT_EPS_STD, FeatureMap, Matrix, _centred_stats, _channel_stats
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,19 @@ def adain_rows(x: Matrix, ref: Matrix, cfg: AdainConfig = AdainConfig()) -> Matr
     return Matrix(_adain_rows(x.data, ref_mean, ref_std, cfg.eps_std))
 
 
-def _adain(g: np.ndarray, s_mean: np.ndarray, s_std: np.ndarray, eps_std: float) -> np.ndarray:
-    """AdaIN of a C-contiguous (..., channels, positions) array to given target stats."""
-    g_mean, g_std = _channel_stats(g, eps_std)
-    return s_std[:, None] * (g - g_mean[..., None]) / g_std[..., None] + s_mean[:, None]
+def _adain(
+    g: np.ndarray, s_mean: np.ndarray, s_std: np.ndarray, eps_std: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """AdaIN of a C-contiguous (..., channels, positions) array to given
+    target stats, into ``out`` (of any layout) when given.
+
+    The centred array that the stats leave behind is scaled in place, so
+    the only new buffers are the stats' own.
+    """
+    _, g_std, centred = _centred_stats(g, eps_std)
+    centred *= s_std[:, None]
+    centred /= g_std
+    return np.add(centred, s_mean[:, None], out=centred if out is None else out)
 
 
 def _column_stats(x: np.ndarray, eps_std: float) -> tuple[np.ndarray, np.ndarray]:
@@ -65,10 +74,11 @@ def _column_stats(x: np.ndarray, eps_std: float) -> tuple[np.ndarray, np.ndarray
 
 def _adain_rows(x: np.ndarray, ref_mean: np.ndarray, ref_std: np.ndarray, eps_std: float) -> np.ndarray:
     """AdaIN of the columns of a token matrix, or of each matrix in a stack
-    of them, to given per-column target stats.
+    of them, to given per-column target stats, as a new C-contiguous array.
 
-    Both transposes are made C-contiguous, so reductions and the matrix
-    products downstream see the same memory layout whatever ``x``'s is.
+    The columns are copied to C order before their stats are taken, so the
+    reductions see the same memory layout whatever ``x``'s is.
     """
-    cols = np.ascontiguousarray(np.swapaxes(x, -1, -2))
-    return np.ascontiguousarray(np.swapaxes(_adain(cols, ref_mean, ref_std, eps_std), -1, -2))
+    out = np.empty(x.shape)
+    _adain(np.ascontiguousarray(np.swapaxes(x, -1, -2)), ref_mean, ref_std, eps_std, out=np.swapaxes(out, -1, -2))
+    return out

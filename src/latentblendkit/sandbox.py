@@ -24,13 +24,24 @@ bit for bit, because each map gets the same arithmetic in the same order:
 - every reduction (channel stats, softmax, reference mass, stat distance)
   runs over the last axis of a C-contiguous array, which numpy sums row by
   row exactly as it sums one row alone;
-- the layouts are pinned: ``x[..., perm]`` on a stack is not C-contiguous,
-  and ``_adain_rows`` copies the shuffled maps to C order before taking
-  their stats; the [reference || self] key and value blocks are built
-  C-contiguous (with a column-major value block, 4 of 96 trial configs,
-  all with one channel, changed);
+- the layouts are pinned: the shuffle is ``np.take(x, perm, axis=-1)``,
+  which is C-contiguous, so the stats need no copy (``x[..., perm]`` on a
+  stack is not); each chunk of maps keeps C-contiguous [reference || self]
+  key and value blocks, whose reference halves are written once per run
+  and whose self halves each step overwrites, AdaIN's output straight into
+  the keys (with a column-major value block, 4 of 96 trial configs, all
+  with one channel, changed);
 - the two einsums run as one 2-D call per map (``tensorcore._per_matrix``);
+  the queries are the self keys, so the self logits are symmetric, and
+  from ``tensorcore._MIRROR_MIN_ROWS`` positions of two or more channels
+  only their upper 64-row tiles are computed and mirrored, a gate set from
+  the measured table there;
 - per-step means are summed in image order in the calling thread.
+
+Each step does only arithmetic that reaches the report: the channel stats
+take each map's mean once and hand the centred map to AdaIN, the softmax
+runs in place, and the identity rescale is skipped (exact, see
+``attention._attend_blocks``).
 
 Below a work gate (channels * positions**2 per map) one call takes as many
 maps as fit in the gate's work, which bounds its memory; the default
@@ -53,9 +64,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .attention import IDENTITY_RESCALE, RescaleParams, _shared_attention
+from .attention import IDENTITY_RESCALE, RescaleParams, _attend_blocks
 from .errors import InputError, NumericDomainError
-from .normalization import _adain_rows
+from .normalization import _adain
 from .tensorcore import DEFAULT_EPS_STD, _channel_stats, _cpu_threads, _frozen_f64
 
 SCALED_LINEAR = "scaled_linear"
@@ -258,26 +269,37 @@ def run_guidance_sweep(
     gens = rng.standard_normal((cfg.n_images - 1, c, n))
     perm = rng.permutation(n)
 
-    # The reference is frozen, so its token stats serve every step's AdaIN;
-    # the generated tokens act as Q, K and V at once, so one AdaIN gives
-    # both the normalized queries and keys.
-    ref_tokens = ref.T
+    # The reference is frozen, so its token stats serve every step's AdaIN
+    # and its tokens the reference half of every key and value block.
     ref_stats = _channel_stats(ref, DEFAULT_EPS_STD)
 
-    def step(x: np.ndarray, strengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(new maps, reference masses, stat distances) of a stack of maps at one step."""
-        shuffled = x[..., perm]
-        tokens = np.swapaxes(shuffled, -1, -2)
-        normed = _adain_rows(tokens, *ref_stats, DEFAULT_EPS_STD)
-        updated, _, masses = _shared_attention(normed, normed, tokens, ref_tokens, ref_tokens, cfg.rescale)
-        s = strengths[:, None, None]
-        new = np.ascontiguousarray((1.0 - s) * shuffled + s * np.swapaxes(updated, -1, -2))
-        return new, masses, _stat_distances(new, *ref_stats)
+    def blocks(x: np.ndarray) -> np.ndarray:
+        """A C-contiguous [reference || self] token block for each map of ``x``, its self half unset."""
+        block = np.empty((len(x), 2 * n, c))
+        block[:, :n, :] = ref.T
+        return block
 
-    def pool_step(x: np.ndarray, strengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def step(
+        x: np.ndarray, keys: np.ndarray, values: np.ndarray, strengths: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(new maps, reference masses, stat distances) of a stack of maps at one step.
+
+        The generated tokens act as Q, K and V at once, so one AdaIN, written
+        into the self half of ``keys``, gives both the queries and the keys.
+        """
+        shuffled = np.take(x, perm, axis=-1)
+        _adain(shuffled, *ref_stats, DEFAULT_EPS_STD, out=np.swapaxes(keys[:, n:, :], -1, -2))
+        values[:, n:, :] = np.swapaxes(shuffled, -1, -2)
+        updated, _, masses = _attend_blocks(keys, values, n, cfg.rescale)
+        s = strengths[:, None, None]
+        shuffled *= 1.0 - s
+        shuffled += s * np.swapaxes(updated, -1, -2)
+        return shuffled, masses, _stat_distances(shuffled, *ref_stats)
+
+    def pool_step(*args: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``step`` in a pool thread, which does not inherit the caller's numpy error state."""
         with np.errstate(all="ignore"):
-            return step(x, strengths)
+            return step(*args)
 
     per_run = len(gens)
     maps = len(runs) * per_run
@@ -289,6 +311,12 @@ def run_guidance_sweep(
     # the first step frees the starting maps.
     xs = np.split(np.concatenate([gens] * len(runs)), bounds)
     del gens
+    keys = [blocks(x) for x in xs]
+    values = [blocks(x) for x in xs]
+    # (steps, maps): each map's blend strength at each step, split by chunk
+    fades = 1.0 - schedule.alpha_cumprod
+    scales = np.repeat([_STRENGTH_SCALE * r.guidance_scale for r in runs], per_run)
+    strengths = np.split(np.minimum(1.0, scales * fades[:, None]), bounds, axis=1)
     per_step: list[list[float]] = [[] for _ in runs]
     workers = _pool_workers(maps, work)
     with ExitStack() as pool_scope:
@@ -304,9 +332,7 @@ def run_guidance_sweep(
 
             step_fn, step_map = pool_step, pool_scope.enter_context(ThreadPoolExecutor(max_workers=workers)).map
         for t in range(schedule.steps):
-            fade = 1.0 - float(schedule.alpha_cumprod[t])
-            strengths = np.repeat([min(1.0, _STRENGTH_SCALE * r.guidance_scale * fade) for r in runs], per_run)
-            parts = list(step_map(step_fn, xs, np.split(strengths, bounds)))
+            parts = list(step_map(step_fn, xs, keys, values, [chunk[t] for chunk in strengths]))
             xs = [p[0] for p in parts]
             distances = np.concatenate([p[2] for p in parts]).tolist()
             for r, dists in enumerate(per_step):

@@ -20,6 +20,16 @@ from .errors import DimensionMismatch, InputError, InvalidShape, ZeroVector
 
 DEFAULT_EPS_STD = 1e-5
 
+# The blend methods and their degenerate-angle cutoff live here, beside the
+# angle kernel, so that the blend-spec decoder in formats can name them
+# without loading blending.
+LINEAR = "linear"
+SLI = "sli"
+
+#: Below this angle (radians) sin(omega) is numerically unusable and the
+#: straight-line interpolation is the correct limit.
+DEFAULT_EPS_OMEGA = 1e-7
+
 _TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
 _HUGE = float(np.finfo(np.float64).max)
 
@@ -145,28 +155,73 @@ def _channel_stats(x: np.ndarray, eps_std: float) -> tuple[np.ndarray, np.ndarra
     last bits of the result, depend on the memory layout. Each row of a
     stack then reduces exactly as it would on its own.
     """
-    return x.mean(axis=-1), np.maximum(x.std(axis=-1), eps_std)  # population std: divide by N
+    mean, std, _ = _centred_stats(x, eps_std)
+    return mean[..., 0], std[..., 0]
+
+
+def _centred_stats(x: np.ndarray, eps_std: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean, floored std, x - mean) over the last axis of a C-contiguous
+    ``x``, the first two with that axis kept at length 1.
+
+    The arithmetic is that of ``x.mean(axis=-1)`` and ``x.std(axis=-1)``
+    (population std: divide by N), bit for bit: add.reduce and a division
+    by the count, then subtract, square, add.reduce, divide and sqrt. The
+    mean is taken once rather than twice, and the centred array is left for
+    AdaIN, which needs it again.
+    """
+    count = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= count
+    centred = x - mean
+    std = np.add.reduce(np.square(centred), axis=-1, keepdims=True)
+    std /= count
+    np.sqrt(std, out=std)
+    np.maximum(std, eps_std, out=std)
+    return mean, std, centred
 
 
 def softmax_rows(m: Matrix) -> Matrix:
     """Row-wise softmax with max-subtraction for overflow safety."""
-    return Matrix(_softmax_rows_array(m.data))
+    return Matrix(_softmax_rows_array(m.data.copy()))
 
 
 def _softmax_rows_array(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of ``logits`` (left untouched) into one new array.
+    """Softmax over the last axis of ``logits``, written over ``logits``,
+    which it returns; a call allocates no logits-sized buffer.
 
-    The shift, exp and division all run in place on that array, so a call
-    allocates one logits-sized buffer rather than three; concurrent calls
-    from the sandbox's threads then stop churning allocator pages.
+    A row whose max is not finite (an overflowed logit, +-inf or NaN) comes
+    out all NaN, and every other row finite: so one entry per row shows
+    whether its max was finite.
     """
-    e = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
-def _row_matmul(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
+#: Rows of a symmetric a @ a.T per tile of ``_row_matmul``'s mirrored path.
+_TILE = 64
+
+#: Fewest rows of ``a`` from which ``_row_matmul`` computes a @ a.T from its
+#: upper tiles; below them, or with one-dim rows, it takes the full einsum.
+#: Tiled/full time ratios of the reference and self logits of one map, (rows,
+#: dims) as in a sandbox's (positions, channels), measured on 2 vCPUs (median
+#: of 7 alternating timings; below 1 the tiles win):
+#:
+#:     dims   64 rows  96 rows  128 rows  192 rows  256 rows  300 rows
+#:     1      1.82     1.78     1.60      1.41      1.42      1.33
+#:     2      1.21     1.06     0.98      0.92      0.88      0.87
+#:     4      1.18     1.05     0.97      0.89      0.88      0.86
+#:     8      1.15     1.00     0.97      0.90      0.87      0.86
+#:     16     1.12     0.99     0.94      0.88      0.86      0.85
+#:     64     1.05     0.94     0.90      0.86      0.84      0.83
+#:
+#: One-dim rows take einsum's outer-product loop, which the tiles' extra
+#: calls and mirror copies cannot beat.
+_MIRROR_MIN_ROWS = 128
+
+
+def _row_matmul(a: np.ndarray, b_t: np.ndarray, tail: int | None = None) -> np.ndarray:
     """a @ b_t.T via einsum, for one matrix or each matrix of a 3-D stack.
 
     einsum (without ``optimize``) runs a fixed-order single-threaded loop,
@@ -175,8 +230,27 @@ def _row_matmul(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
     for a BLAS ``a @ b_t.T`` (2 vCPUs, numpy 2.4, OpenBLAS 0.3.31). einsum is
     kept for its fixed summation order, which the sandbox goldens pin bit
     for bit.
+
+    With ``tail``, ``a`` is ``b_t[..., tail:, :]``, so the columns from
+    ``tail`` on hold the symmetric a @ a.T. From ``_MIRROR_MIN_ROWS`` rows
+    of two or more dims only its upper ``_TILE``-row tiles are computed, and
+    each is mirrored below the diagonal. That is exact: each entry is an
+    einsum dot of two C-contiguous rows, whose summation order does not
+    depend on which operand comes first, nor on what else the call computes.
     """
-    return _per_matrix("id,jd->ij", a, b_t, b_t.shape[-2])
+    rows, dims = a.shape[-2:]
+    cols = b_t.shape[-2]
+    if tail is None or rows < _MIRROR_MIN_ROWS or dims < 2:
+        return _per_matrix("id,jd->ij", a, b_t, cols)
+    out = np.empty((*a.shape[:-1], cols))
+    for a2, b2, out2 in zip(a.reshape(-1, rows, dims), b_t.reshape(-1, cols, dims), out.reshape(-1, rows, cols)):
+        np.einsum("id,jd->ij", a2, b2[:tail], out=out2[:, :tail])
+        gram = out2[:, tail:]
+        for top in range(0, rows, _TILE):
+            bottom = top + _TILE
+            np.einsum("id,jd->ij", a2[top:bottom], a2[top:], out=gram[top:bottom, top:])
+            gram[bottom:, top:bottom] = gram[top:bottom, bottom:].T
+    return out
 
 
 def _weighted_rows(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -186,8 +260,10 @@ def _weighted_rows(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _per_matrix(subscripts: str, a: np.ndarray, b: np.ndarray, cols: int) -> np.ndarray:
     """A 2-D einsum of ``a`` and ``b``, or of each pair of their matrices
-    when both are 3-D stacks, written into one (maps, rows, cols) array.
+    when both are 3-D stacks, written into one new (maps, rows, cols) array.
 
+    Only each matrix need be C-contiguous, not the stack: the sandbox's
+    queries are the self halves of its [reference || self] key blocks.
     A 3-D einsum sums each matrix in the same order, but through numpy's
     generic iteration loop rather than its specialised 2-D one. For the 18
     maps of a default sandbox sweep, 32 tokens of 8 dims against 64 keys,

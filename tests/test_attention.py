@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from latentblendkit import (
     EmptySet,
     InputError,
     Matrix,
+    NumericDomainError,
     RescaleParams,
     StyleBlock,
     StyleClass,
@@ -208,6 +210,20 @@ class TestSharedAttention:
             assert np.array_equal(weights[i], one[1])
             assert mass[i] == one[2]
 
+    @pytest.mark.parametrize("rows", [7, 150])
+    def test_queries_that_are_the_keys_match_separate_keys(self, rows):
+        # the same Matrix as queries and keys shares one AdaIN, and from 128
+        # rows the kernel computes the self logits from mirrored tiles
+        rng = np.random.default_rng(rows)
+        m, ref, v = Matrix(rng.normal(size=(rows, 12))), Matrix(rng.normal(size=(90, 12))), Matrix(rng.normal(size=(90, 5)))
+        own_v = Matrix(rng.normal(size=(rows, 5)))
+        rescale = RescaleParams(0.3, 0.9)
+        same = shared_attention(m, m, own_v, ref, ref, v, rescale)
+        apart = shared_attention(m, Matrix(m.data), own_v, ref, Matrix(ref.data), v, rescale)
+        assert np.array_equal(same.updated.data, apart.updated.data)
+        assert np.array_equal(same.weights.data, apart.weights.data)
+        assert same.ref_mass == apart.ref_mass
+
     def test_dimension_checks(self):
         with pytest.raises(DimensionMismatch):
             shared_attention(
@@ -305,6 +321,43 @@ class TestLambdaRescaledAttention:
         q = Matrix([[1.0]])
         with pytest.raises(InputError, match="style-block weights must have a finite sum, got inf"):
             lambda_rescaled_attention(q, [StyleBlock(k=q, v=q, weight=1e308)] * 2)
+
+
+class TestOverflow:
+    """Finite inputs whose logits overflow float64 raise NumericDomainError
+    (exit 3), with no numpy warning on the way."""
+
+    BIG = Matrix(np.full((5, 4), 1e200))
+    OK = Matrix(np.random.default_rng(0).normal(size=(5, 4)))
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_attention(self):
+        with pytest.raises(NumericDomainError, match="^attention logits overflowed float64"):
+            attention(AttentionInputs(q=self.BIG, k=self.BIG, v=self.OK))
+
+    @pytest.mark.parametrize("own", ["BIG", "OK"])
+    def test_shared_attention(self, own):
+        m = getattr(self, own)
+        with pytest.raises(NumericDomainError, match="^attention logits overflowed float64"):
+            shared_attention(m, m, m, self.BIG, self.BIG, self.BIG)
+
+    def test_lambda_rescaled_attention(self):
+        with pytest.raises(NumericDomainError, match="^attention logits overflowed float64"):
+            lambda_rescaled_attention(self.BIG, [StyleBlock(k=self.BIG, v=self.BIG, weight=1.0)])
+
+    def test_shift_to_minus_inf_is_harmless(self):
+        # sigma 1e308 spreads the reference logits past float64's range; the
+        # max-shift overflows only to -inf, whose weight is exactly 0
+        rng = np.random.default_rng(9)
+        own, ref = Matrix(rng.normal(scale=0.5, size=(4, 3))), Matrix(rng.normal(scale=0.5, size=(4, 3)))
+        out = shared_attention(own, own, own, ref, ref, ref, rescale=RescaleParams(0.0, 1e308))
+        assert out.ref_mass == 1.0
+        assert set(out.weights.data.ravel().tolist()) == {0.0, 1.0}
 
 
 def test_row_entropy():

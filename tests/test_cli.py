@@ -7,6 +7,7 @@ import os
 import sys
 import threading
 import time
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -491,6 +492,65 @@ class TestAttendCommand:
         result = runner.invoke(main, ["attend", "--self", m, "--ref", m, *flags])
         assert result.exit_code == 2
         assert result.stderr.startswith(f"error: {name} must be finite")
+
+    @staticmethod
+    def golden_outputs(runner, tmp_path) -> dict:
+        """Stdout bytes of shared attention with the default and an explicit
+        rescale, of --auto-classify on a normal and a famous reference, and
+        of a three-block --lambda-weights run, keyed as in
+        tests/golden/attend_cli.json. The self tokens outnumber a 64-row tile."""
+        rng = np.random.default_rng(1111)
+        paths = {}
+        for name, rows, scale in [("self", 150, 1.0), ("ref", 120, 1.0), ("quiet", 90, 0.05), ("loud", 90, 0.5),
+                                  ("b1", 40, 1.0), ("b2", 60, 0.7), ("b3", 90, 1.3)]:
+            paths[name] = str(tmp_path / f"{name}.npy")
+            np.save(paths[name], scale * rng.standard_normal((rows, 24)))
+        shared = ["attend", "--self", paths["self"], "--ref"]
+        commands = {
+            "shared_default": [*shared, paths["ref"]],
+            "shared_rescale": [*shared, paths["ref"], "--mu", "0.4", "--sigma", "0.7"],
+            "auto_normal": [*shared, paths["quiet"], "--auto-classify"],
+            "auto_famous": [*shared, paths["loud"], "--auto-classify"],
+            "lambda_three": [*shared, paths["b1"], "--ref", paths["b2"], "--ref", paths["b3"],
+                             "--lambda-weights", "0.5,1.5,1"],
+        }
+        out = {}
+        for key, args in commands.items():
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            out[key] = result.stdout_bytes.decode("utf-8")
+        return out
+
+    def test_golden_bytes(self, runner, tmp_path):
+        golden = json.loads((GOLDEN / "attend_cli.json").read_text())
+        assert self.golden_outputs(runner, tmp_path) == golden
+
+    @pytest.mark.parametrize(
+        "own, extra",
+        [("big", ["--lambda-weights", "1"]), ("ok", []), ("big", [])],
+        ids=["lambda", "shared-ok-self", "shared-big-self"],
+    )
+    def test_overflowing_logits_exit_3_without_warnings(self, runner, tmp_path, own, extra):
+        np.save(tmp_path / "big.npy", np.full((5, 4), 1e200))
+        np.save(tmp_path / "ok.npy", np.random.default_rng(0).normal(size=(5, 4)))
+        args = ["attend", "--self", str(tmp_path / f"{own}.npy"), "--ref", str(tmp_path / "big.npy"), *extra]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == "error: attention logits overflowed float64: a row's largest logit is not finite\n"
+
+    def test_huge_sigma_exits_0_without_warnings(self, runner, tmp_path):
+        rng = np.random.default_rng(9)
+        np.save(tmp_path / "self.npy", rng.normal(scale=0.5, size=(4, 3)))
+        np.save(tmp_path / "ref.npy", rng.normal(scale=0.5, size=(4, 3)))
+        args = ["attend", "--self", str(tmp_path / "self.npy"), "--ref", str(tmp_path / "ref.npy"), "--sigma", "1e308"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        assert json.loads(result.stdout)["ref_mass"] == 1.0
 
     def test_conflicting_flags_exit_2(self, runner, tmp_path):
         write_vectors(tmp_path / "m.npy", np.eye(2))

@@ -30,7 +30,7 @@ from latentblendkit import (
     run_guidance_sweep,
     run_sandbox,
 )
-from latentblendkit import sandbox
+from latentblendkit import sandbox, tensorcore
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -304,11 +304,46 @@ class TestGuidanceSweep:
                           rescale=RescaleParams(mu=0.69, sigma=0.8)),
             # 9 maps of a quarter of the gate's work: calls of 4, 4 and 1 map
             SandboxConfig(feature_shape=(16, 64), schedule=DdimScheduleConfig(steps=3)),
+            # positions just below, at and above the mirrored self block's
+            # gate, in calls of two maps
+            SandboxConfig(n_images=3, feature_shape=(8, 127), schedule=DdimScheduleConfig(steps=3),
+                          rescale=RescaleParams(mu=0.69, sigma=0.8)),
+            SandboxConfig(n_images=3, feature_shape=(8, 128), schedule=DdimScheduleConfig(steps=3)),
+            SandboxConfig(n_images=3, feature_shape=(8, 129), schedule=DdimScheduleConfig(steps=3),
+                          rescale=RescaleParams(mu=-0.4, sigma=1.3)),
+            # positions not a multiple of the 64-row tile; and one channel,
+            # which the gate leaves to the full einsum
+            SandboxConfig(n_images=3, feature_shape=(4, 300), schedule=DdimScheduleConfig(steps=3)),
+            SandboxConfig(n_images=3, feature_shape=(1, 300), schedule=DdimScheduleConfig(steps=3)),
+            # at the pool gate: one map per task on four threads, mirrored
+            SandboxConfig(n_images=3, feature_shape=(16, 128), schedule=DdimScheduleConfig(steps=3),
+                          rescale=RescaleParams(mu=0.69, sigma=0.8)),
         ],
     )
-    def test_sweep_equals_loop_reference(self, cfg):
+    def test_sweep_equals_loop_reference(self, cfg, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
         grid = (5.0, 10.0, 30.0)
         assert run_guidance_sweep(cfg, grid) == tuple(loop_reference(replace(cfg, guidance_scale=g)) for g in grid)
+
+    def test_gate_configs_straddle_the_mirrored_self_block(self, monkeypatch):
+        # one map, one step: the logits and the weighted sum are one einsum
+        # each, unless the self logits come in 64-row tiles
+        calls = []
+        real_einsum = np.einsum
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape)
+            return real_einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        counts = {}
+        for c, n in [(8, 127), (8, 128), (8, 129), (4, 300), (1, 300)]:
+            calls.clear()
+            run_sandbox(SandboxConfig(n_images=2, feature_shape=(c, n), schedule=DdimScheduleConfig(steps=1)))
+            counts[c, n] = len(calls)
+        assert tensorcore._MIRROR_MIN_ROWS == 128 and tensorcore._TILE == 64
+        # the reference logits, one call per tile, the weighted sum
+        assert counts == {(8, 127): 2, (8, 128): 1 + 2 + 1, (8, 129): 1 + 3 + 1, (4, 300): 1 + 5 + 1, (1, 300): 2}
 
     def test_default_grid_is_one_kernel_call_per_step(self, monkeypatch):
         created = TestThreadedSteps._spy_pools(monkeypatch)

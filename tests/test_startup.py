@@ -78,7 +78,18 @@ def test_sandbox_loads_no_fusion_metrics_or_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(proc.stdout)["per_step_stat_distance"]) == 1
     assert "latentblendkit.sandbox" in modules
-    assert not modules & {"latentblendkit.fusion", "latentblendkit.metrics", "subprocess"}
+    assert not modules & {"latentblendkit.fusion", "latentblendkit.metrics", "latentblendkit.blending", "subprocess"}
+
+
+def test_fuse_loads_no_blending_or_sandbox(tmp_path):
+    # formats, which decodes every JSON input, names the blend methods without loading blending
+    entries = [{"modality": "image", "text": "a castle"}, {"modality": "music", "embedding": [1.0] + [0.0] * 23}]
+    (tmp_path / "inputs.json").write_text(json.dumps(entries))
+    proc, modules = _lbk(["fuse", "--inputs", "inputs.json"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(b"a castle, ")
+    assert {"latentblendkit.fusion", "latentblendkit.formats"} <= modules
+    assert not modules & {"latentblendkit.blending", "latentblendkit.sandbox"}
 
 
 def test_blend_loads_no_sandbox_or_fusion(tmp_path):

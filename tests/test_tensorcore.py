@@ -19,6 +19,7 @@ from latentblendkit import (
     unit,
     WeightedStyleSet,
 )
+from latentblendkit import tensorcore
 from latentblendkit.tensorcore import _row_norms
 
 
@@ -128,7 +129,38 @@ class TestChannelStats:
             np.testing.assert_allclose(st_shifted.std, st.std, atol=1e-12)
 
 
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 7), (2, 5, 8), (4, 9, 129), (2, 3, 1000)])
+    def test_kernel_is_numpy_mean_and_std_bit_for_bit(self, shape):
+        # one mean per row rather than two, and the centred array kept
+        x = np.random.default_rng(sum(shape)).normal(loc=3.0, scale=2.5, size=shape)
+        x[..., 0, :] = 1.5  # a constant row: its std is floored
+        mean, std, centred = tensorcore._centred_stats(x, 1e-5)
+        assert np.array_equal(mean[..., 0], x.mean(axis=-1))
+        assert np.array_equal(std[..., 0], np.maximum(x.std(axis=-1), 1e-5))
+        assert np.array_equal(centred, x - x.mean(axis=-1, keepdims=True))
+
+
 class TestSoftmaxRows:
+    def test_kernel_overwrites_and_returns_its_argument(self):
+        logits = np.random.default_rng(2).normal(scale=5.0, size=(3, 4, 6))
+        want = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        want /= want.sum(axis=-1, keepdims=True)
+        assert tensorcore._softmax_rows_array(logits) is logits
+        assert np.array_equal(logits, want)
+
+    def test_public_softmax_leaves_its_matrix(self):
+        m = Matrix([[1.0, 2.0], [0.5, -3.0]])
+        before = m.data.copy()
+        softmax_rows(m)
+        assert np.array_equal(m.data, before)
+
+    def test_non_finite_row_max_makes_a_nan_row(self):
+        logits = np.array([[np.inf, 1.0, 0.0], [-np.inf, -np.inf, -np.inf], [np.nan, 1.0, 2.0], [1e308, -1e308, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = tensorcore._softmax_rows_array(logits)
+        assert np.isnan(out[:3]).all()
+        assert out[3].tolist() == [1.0, 0.0, 0.0]
+
     def test_symmetric_row(self):
         out = softmax_rows(Matrix([[0.0, 0.0]]))
         np.testing.assert_allclose(out.data, [[0.5, 0.5]])
@@ -150,3 +182,29 @@ class TestSoftmaxRows:
             assert out.shape == m.data.shape
             np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
             assert ((out >= 0) & (out <= 1)).all()
+
+
+class TestMirroredRowMatmul:
+    @pytest.mark.parametrize(
+        "rows, dims, n_ref",
+        [(128, 2, 5), (128, 8, 128), (129, 3, 64), (191, 16, 40), (192, 8, 1), (300, 4, 300), (256, 64, 256)],
+    )
+    def test_tiles_equal_the_full_einsum(self, rows, dims, n_ref):
+        rng = np.random.default_rng(rows * dims)
+        keys = np.empty((2, n_ref + rows, dims))
+        keys[:, :n_ref] = rng.normal(size=(n_ref, dims))
+        keys[:, n_ref:] = rng.normal(scale=3.0, size=(2, rows, dims))
+        q = keys[:, n_ref:]
+        assert rows >= tensorcore._MIRROR_MIN_ROWS
+        tiled = tensorcore._row_matmul(q, keys, n_ref)
+        for i in range(2):
+            # fresh C-order operands: the bits depend neither on the views nor on their alignment
+            full = np.einsum("id,jd->ij", q[i].copy(), keys[i].copy())
+            assert np.array_equal(tiled[i], full)
+            assert np.array_equal(tensorcore._row_matmul(q[i], keys[i], n_ref), full)
+            gram = full[:, n_ref:]
+            assert np.array_equal(gram, gram.T)
+
+    def test_below_the_gate_is_one_full_einsum(self):
+        keys = np.random.default_rng(0).normal(size=(254, 8))
+        assert np.array_equal(tensorcore._row_matmul(keys[127:], keys, 127), np.einsum("id,jd->ij", keys[127:], keys))

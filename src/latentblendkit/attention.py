@@ -120,8 +120,8 @@ class MultiStyleAttentionOutput:
 def attention(inp: AttentionInputs) -> tuple[Matrix, Matrix]:
     """Plain scaled dot-product attention; returns (output, weights)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = _finite_rows(_softmax_rows_array(_scaled_logits(inp.q.data, inp.k.data)))
-    out = _weighted_rows(weights, inp.v.data)
+        out, weights, _ = _attend_blocks(inp.k.data, inp.v.data, 0, IDENTITY_RESCALE, inp.q.data)
+        _finite_rows(weights)
     return Matrix(out), Matrix(weights)
 
 
@@ -193,32 +193,11 @@ def shared_attention(
     # the kernel compute half the self logits
     same = self_k is self_q and ref_k is ref_q
     k_hat = q_hat if same else _adain_rows(self_k.data, *_column_stats(ref_k.data, eps_std), eps_std)
+    keys, values = np.concatenate((ref_k.data, k_hat)), np.concatenate((ref_v.data, self_v.data))
     with np.errstate(over="ignore", invalid="ignore"):
-        out, weights, ref_mass = _shared_attention(q_hat, k_hat, self_v.data, ref_k.data, ref_v.data, rescale)
+        out, weights, ref_mass = _attend_blocks(keys, values, ref_k.rows, rescale, None if same else q_hat)
         _finite_rows(weights)
     return SharedAttentionOutput(updated=Matrix(out), weights=Matrix(weights), ref_mass=float(ref_mass))
-
-
-def _shared_attention(
-    q_hat: np.ndarray,
-    k_hat: np.ndarray,
-    self_v: np.ndarray,
-    ref_k: np.ndarray,
-    ref_v: np.ndarray,
-    rescale: RescaleParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(updated, weights, ref_mass) of already-normalized queries and keys.
-
-    The self arrays are one (tokens x dim) matrix, or a stack of them in
-    leading axes that all attend to the same reference; ``ref_mass`` has
-    one entry per matrix. ``q_hat`` should be C-contiguous: the einsum's
-    summation order follows the memory layout of its operands. Pass
-    ``k_hat`` itself as ``q_hat`` when the queries are the keys: the kernel
-    then takes the self logits as the symmetric product of the keys.
-    """
-    keys = _ref_then_self(ref_k, k_hat)
-    values = _ref_then_self(ref_v, self_v)
-    return _attend_blocks(keys, values, ref_k.shape[0], rescale, None if q_hat is k_hat else q_hat)
 
 
 def _attend_blocks(
@@ -228,13 +207,18 @@ def _attend_blocks(
     rescale: RescaleParams,
     q_hat: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_shared_attention`` over built [reference || self] key and value
-    blocks, each matrix of them C-contiguous, whose first ``n_ref`` tokens
+    """(updated, weights, ref_mass) of already-normalized queries over
+    [reference || self] key and value blocks, whose first ``n_ref`` tokens
     are the reference's; ``q_hat`` None means the queries are the self keys.
 
-    Then the self logits are symmetric, and ``_row_matmul`` may compute half
-    of them. The identity rescale is skipped: ``x * 1.0 + 0.0`` only turns
-    -0.0 into +0.0, which the max-shifted exp cannot tell apart.
+    The blocks are one (tokens x dim) matrix each, or stacks of them in
+    leading axes, with one query matrix per block and one ``ref_mass`` entry
+    per matrix. Each matrix of the blocks and ``q_hat`` must be C-contiguous:
+    the einsum's summation order follows the memory layout of its operands.
+    When the queries are the self keys, the self logits are symmetric, and
+    ``_row_matmul`` may compute half of them. The identity rescale is
+    skipped: ``x * 1.0 + 0.0`` only turns -0.0 into +0.0, which the
+    max-shifted exp cannot tell apart.
     """
     if q_hat is None:
         logits = _scaled_logits(keys[..., n_ref:, :], keys, n_ref)
@@ -247,15 +231,6 @@ def _attend_blocks(
     weights = _softmax_rows_array(logits)
     out = _weighted_rows(weights, values)
     return out, weights, weights[..., :n_ref].sum(axis=-1).mean(axis=-1)
-
-
-def _ref_then_self(ref: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """C-contiguous [ref || own] along the token axis, for each matrix of ``own``."""
-    n_ref = ref.shape[0]
-    block = np.empty((*own.shape[:-2], n_ref + own.shape[-2], own.shape[-1]))
-    block[..., :n_ref, :] = ref
-    block[..., n_ref:, :] = own
-    return block
 
 
 def lambda_rescaled_attention(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AllZeroWeights, AntipodalVectors, DimensionMismatch, InputError
 from .tensorcore import (
-    DEFAULT_EPS_OMEGA, LINEAR, SLI, LatentVector, _angle, _frozen_f64, _stack_vectors, _weight_sum, angle_between
+    DEFAULT_EPS_OMEGA, LINEAR, SLI, LatentVector, _angle, _stack_vectors, _weight_sum, angle_between
 )
 
 
@@ -44,10 +44,7 @@ class WeightedStyleSet:
             raise InputError(f"{len(self.vectors)} vectors but {len(weights)} weights")
         if not weights:
             raise InputError("WeightedStyleSet needs at least one style")
-        if isinstance(self.vectors, np.ndarray):
-            vectors = _frozen_f64(self.vectors, 2, "WeightedStyleSet.vectors")
-        else:
-            vectors = _stack_vectors(self.vectors, "style {}")
+        vectors = _stack_vectors(self.vectors, "style {}", "WeightedStyleSet.vectors")
         for i, w in enumerate(weights):
             if not math.isfinite(w) or w < 0:
                 raise InputError(f"style {i} has invalid weight {w}")

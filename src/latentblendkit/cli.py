@@ -14,8 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -36,12 +34,6 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .fusion import ModalityDescription, QueryCatalog
-    from .tensorcore import Matrix
-
-EXIT_INPUT = 2
-EXIT_NUMERIC = 3
-EXIT_PROVIDER_UNAVAILABLE = 4
-EXIT_PROVIDER_FAILURE = 5
 
 #: The weight grid used by ``wms --grid`` (two-reference sweeps).
 WEIGHT_GRID = (
@@ -55,23 +47,21 @@ WEIGHT_GRID = (
 )
 
 
-@contextmanager
-def _exit_codes():
-    try:
-        yield
-    except ProviderUnavailable as exc:
-        _die(EXIT_PROVIDER_UNAVAILABLE, exc)
-    except ProviderFailure as exc:
-        _die(EXIT_PROVIDER_FAILURE, exc)
-    except NumericDomainError as exc:
-        _die(EXIT_NUMERIC, exc)
-    except BlendKitError as exc:  # validation, format, and IO problems
-        _die(EXIT_INPUT, exc)
+#: A BlendKitError exits with the code of the first class here that it is an
+#: instance of; the base class, for input, format and IO problems, is last.
+_EXIT_CODES = ((ProviderUnavailable, 4), (ProviderFailure, 5), (NumericDomainError, 3), (BlendKitError, 2))
 
 
-def _die(code: int, exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(code)
+class _Cli(click.Group):
+    """The command group: a BlendKitError from any command prints
+    ``error: ...`` to stderr and exits with its ``_EXIT_CODES`` code."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BlendKitError as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(next(code for cls, code in _EXIT_CODES if isinstance(exc, cls)))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -105,16 +95,6 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     return values
 
 
-def _load_matrix(path: str) -> Matrix:
-    from .formats import load_array
-    from .tensorcore import Matrix
-
-    arr = load_array(path)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    return Matrix(arr)
-
-
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True
 )
@@ -123,7 +103,7 @@ output_option = click.option(
 )
 
 
-@click.group()
+@click.group(cls=_Cli)
 @click.version_option(version=__version__)
 def main():
     """Latent style blending, shared attention, similarity scoring, fusion."""
@@ -139,38 +119,37 @@ def blend(spec_path: str, out_path: str, output: str | None):
     from .formats import load_blend_spec, read_vectors, write_vectors
     from .tensorcore import LatentVector, norm
 
-    with _exit_codes():
-        spec = load_blend_spec(spec_path)
-        vectors = []
-        for style in spec.styles:
-            loaded = read_vectors(style.path)
-            if not isinstance(loaded, LatentVector):
-                raise InputError(f"{style.path}: expected a 1-D style vector")
-            if spec.method == SLI and norm(loaded) == 0.0:
-                raise ZeroVector(f"{style.path}: zero style vector cannot be spherically blended")
-            vectors.append(loaded)
-        styles = WeightedStyleSet.of(vectors, [s.weight for s in spec.styles])
-        try:
-            if spec.method == SLI:
-                result = sli_blend(styles, spec.eps_omega)
-            else:
-                result = linear_blend(styles)
-        except NumericDomainError as exc:
-            paths = ", ".join(s.path for s in spec.styles)
-            raise type(exc)(f"{exc} (spec {spec_path}, styles: {paths})") from exc
-        write_vectors(out_path, result.vector)
-        _emit(
-            json.dumps(
-                {
-                    "method": result.method,
-                    "order_used": list(result.order_used),
-                    "omega_trace": list(result.omega_trace),
-                    "norm": norm(result.vector),
-                    "out": out_path,
-                }
-            ),
-            output,
-        )
+    spec = load_blend_spec(spec_path)
+    vectors = []
+    for style in spec.styles:
+        loaded = read_vectors(style.path)
+        if not isinstance(loaded, LatentVector):
+            raise InputError(f"{style.path}: expected a 1-D style vector")
+        if spec.method == SLI and norm(loaded) == 0.0:
+            raise ZeroVector(f"{style.path}: zero style vector cannot be spherically blended")
+        vectors.append(loaded)
+    styles = WeightedStyleSet.of(vectors, [s.weight for s in spec.styles])
+    try:
+        if spec.method == SLI:
+            result = sli_blend(styles, spec.eps_omega)
+        else:
+            result = linear_blend(styles)
+    except NumericDomainError as exc:
+        paths = ", ".join(s.path for s in spec.styles)
+        raise type(exc)(f"{exc} (spec {spec_path}, styles: {paths})") from exc
+    write_vectors(out_path, result.vector)
+    _emit(
+        json.dumps(
+            {
+                "method": result.method,
+                "order_used": list(result.order_used),
+                "omega_trace": list(result.omega_trace),
+                "norm": norm(result.vector),
+                "out": out_path,
+            }
+        ),
+        output,
+    )
 
 
 def _load_generated(path: str) -> np.ndarray:
@@ -206,63 +185,62 @@ def wms(generated_paths, refs_path, ref_names, weights, grid, fmt, output):
     from .formats import read_vectors
     from .metrics import EmbeddingSet, ReferenceStyle, _Owned, _style_means, _weighted_report
 
-    with _exit_codes():
-        refs = read_vectors(refs_path, rows=True)
-        if ref_names:
-            names = [n.strip() for n in ref_names.split(",")]
-            if len(names) != len(refs):
-                raise InputError(f"{len(names)} names for {len(refs)} references")
-        else:
-            names = [f"ref{i + 1}" for i in range(len(refs))]
+    refs = read_vectors(refs_path, rows=True)
+    if ref_names:
+        names = [n.strip() for n in ref_names.split(",")]
+        if len(names) != len(refs):
+            raise InputError(f"{len(names)} names for {len(refs)} references")
+    else:
+        names = [f"ref{i + 1}" for i in range(len(refs))]
 
-        if grid:
-            if len(refs) != 2:
-                raise InputError(f"--grid needs exactly 2 references, got {len(refs)}")
-            if len(generated_paths) not in (1, len(WEIGHT_GRID)):
-                raise InputError(
-                    f"--grid takes 1 or {len(WEIGHT_GRID)} --generated paths, got {len(generated_paths)}"
-                )
-            configs = [
-                (list(pair), generated_paths[0] if len(generated_paths) == 1 else generated_paths[i])
-                for i, pair in enumerate(WEIGHT_GRID)
-            ]
-        else:
-            if weights is None:
-                raise InputError("--weights is required without --grid")
-            if len(generated_paths) != 1:
-                raise InputError("exactly one --generated path expected without --grid")
-            w = _parse_float_list(weights, "--weights")
-            if len(w) != len(refs):
-                raise InputError(f"{len(w)} weights for {len(refs)} references")
-            configs = [(w, generated_paths[0])]
+    if grid:
+        if len(refs) != 2:
+            raise InputError(f"--grid needs exactly 2 references, got {len(refs)}")
+        if len(generated_paths) not in (1, len(WEIGHT_GRID)):
+            raise InputError(
+                f"--grid takes 1 or {len(WEIGHT_GRID)} --generated paths, got {len(generated_paths)}"
+            )
+        configs = [
+            (list(pair), generated_paths[0] if len(generated_paths) == 1 else generated_paths[i])
+            for i, pair in enumerate(WEIGHT_GRID)
+        ]
+    else:
+        if weights is None:
+            raise InputError("--weights is required without --grid")
+        if len(generated_paths) != 1:
+            raise InputError("exactly one --generated path expected without --grid")
+        w = _parse_float_list(weights, "--weights")
+        if len(w) != len(refs):
+            raise InputError(f"{len(w)} weights for {len(refs)} references")
+        configs = [(w, generated_paths[0])]
 
-        # MS does not depend on the weights, so each distinct --generated set
-        # is loaded, validated and scored once. Its EmbeddingSet checks the
-        # first row's weights; the remaining grid rows are built in. The set
-        # freezes the loaded matrix in place: nothing else holds it.
-        style_means: dict[str, dict[str, float]] = {}
-        rows = []
-        for w, gen_path in configs:
-            if gen_path not in style_means:
-                style_means[gen_path] = _style_means(
-                    EmbeddingSet(
-                        generated=_Owned(_load_generated(gen_path)),
-                        references=tuple(
-                            ReferenceStyle(name=nm, embedding=emb, weight=wt)
-                            for nm, emb, wt in zip(names, refs, w)
-                        ),
-                    )
+    # MS does not depend on the weights, so each distinct --generated set
+    # is loaded, validated and scored once. Its EmbeddingSet checks the
+    # first row's weights; the remaining grid rows are built in. The set
+    # freezes the loaded matrix in place: nothing else holds it.
+    style_means: dict[str, dict[str, float]] = {}
+    rows = []
+    for w, gen_path in configs:
+        if gen_path not in style_means:
+            style_means[gen_path] = _style_means(
+                EmbeddingSet(
+                    generated=_Owned(_load_generated(gen_path)),
+                    references=tuple(
+                        ReferenceStyle(name=nm, embedding=emb, weight=wt)
+                        for nm, emb, wt in zip(names, refs, w)
+                    ),
                 )
-            report = _weighted_report(style_means[gen_path], w)
-            row: dict = {}
-            for nm, wt in zip(names, w):
-                row[f"w_{nm}"] = wt
-            for nm in names:
-                row[f"MS_{nm}"] = report.per_style_ms[nm]
-            row["WMS"] = report.wms
-            row["MS_GAP"] = report.ms_gap
-            rows.append(row)
-        _emit_rows(rows, fmt, output)
+            )
+        report = _weighted_report(style_means[gen_path], w)
+        row: dict = {}
+        for nm, wt in zip(names, w):
+            row[f"w_{nm}"] = wt
+        for nm in names:
+            row[f"MS_{nm}"] = report.per_style_ms[nm]
+        row["WMS"] = report.wms
+        row["MS_GAP"] = report.ms_gap
+        rows.append(row)
+    _emit_rows(rows, fmt, output)
 
 
 @main.command()
@@ -289,58 +267,56 @@ def attend(self_path, ref_paths, mu, sigma, auto_classify, threshold, lambda_wei
         row_entropy,
         shared_attention,
     )
+    from .formats import load_rows
+    from .tensorcore import Matrix
 
-    with _exit_codes():
-        self_m = _load_matrix(self_path)
-        if lambda_weights is not None:
-            w = _parse_float_list(lambda_weights, "--lambda-weights")
-            if len(w) != len(ref_paths):
-                raise InputError(f"{len(w)} lambda weights for {len(ref_paths)} --ref blocks")
-            blocks = [
-                StyleBlock(k=_load_matrix(p), v=_load_matrix(p), weight=wt)
-                for p, wt in zip(ref_paths, w)
-            ]
-            out = lambda_rescaled_attention(self_m, blocks)
-            _emit(
-                json.dumps(
-                    {
-                        "mode": "lambda",
-                        "lambdas": list(out.lambdas),
-                        "block_mass": list(out.block_mass),
-                        "row_entropy": row_entropy(out.weights),
-                    }
-                ),
-                output,
-            )
-            return
-
-        if len(ref_paths) != 1:
-            raise InputError("exactly one --ref expected without --lambda-weights")
-        ref_m = _load_matrix(ref_paths[0])
-        classification = None
-        if auto_classify:
-            if mu is not None or sigma is not None:
-                raise InputError("--auto-classify conflicts with explicit --mu/--sigma")
-            cfg = StyleClassifierConfig(threshold_t=threshold)
-            style = classify_style(ref_m, cfg)
-            params = rescale_params_for(style, cfg)
-            classification = style.value
-        else:
-            params = RescaleParams(mu=mu if mu is not None else 0.0, sigma=sigma if sigma is not None else 1.0)
-        out = shared_attention(self_m, self_m, self_m, ref_m, ref_m, ref_m, rescale=params)
+    self_m = Matrix(load_rows([self_path]))
+    if lambda_weights is not None:
+        w = _parse_float_list(lambda_weights, "--lambda-weights")
+        if len(w) != len(ref_paths):
+            raise InputError(f"{len(w)} lambda weights for {len(ref_paths)} --ref blocks")
+        refs = [Matrix(load_rows([p])) for p in ref_paths]
+        out = lambda_rescaled_attention(self_m, [StyleBlock(k=m, v=m, weight=wt) for m, wt in zip(refs, w)])
         _emit(
             json.dumps(
                 {
-                    "mode": "shared",
-                    "classification": classification,
-                    "mu": params.mu,
-                    "sigma": params.sigma,
-                    "ref_mass": out.ref_mass,
+                    "mode": "lambda",
+                    "lambdas": list(out.lambdas),
+                    "block_mass": list(out.block_mass),
                     "row_entropy": row_entropy(out.weights),
                 }
             ),
             output,
         )
+        return
+
+    if len(ref_paths) != 1:
+        raise InputError("exactly one --ref expected without --lambda-weights")
+    ref_m = Matrix(load_rows([ref_paths[0]]))
+    classification = None
+    if auto_classify:
+        if mu is not None or sigma is not None:
+            raise InputError("--auto-classify conflicts with explicit --mu/--sigma")
+        cfg = StyleClassifierConfig(threshold_t=threshold)
+        style = classify_style(ref_m, cfg)
+        params = rescale_params_for(style, cfg)
+        classification = style.value
+    else:
+        params = RescaleParams(mu=mu if mu is not None else 0.0, sigma=sigma if sigma is not None else 1.0)
+    out = shared_attention(self_m, self_m, self_m, ref_m, ref_m, ref_m, rescale=params)
+    _emit(
+        json.dumps(
+            {
+                "mode": "shared",
+                "classification": classification,
+                "mu": params.mu,
+                "sigma": params.sigma,
+                "ref_mass": out.ref_mass,
+                "row_entropy": row_entropy(out.weights),
+            }
+        ),
+        output,
+    )
 
 
 @dataclass(frozen=True)
@@ -406,29 +382,28 @@ def fuse(inputs_path, config_path, provider, provider_kind, catalog_path, explai
     from .formats import decode, read_json
     from .fusion import FusionConfig, ProviderBinding, QueryCatalog, default_query_catalog, fuse_with_trace
 
-    with _exit_codes():
-        raw = read_json(inputs_path, "fusion inputs", expect=list)
-        cfg = FusionConfig()
-        if config_path is not None:
-            cfg = decode(FusionConfig, read_json(config_path, "fusion config"), f"fusion config {config_path}")
-        catalog = QueryCatalog.from_json_file(catalog_path) if catalog_path else default_query_catalog()
-        binding = ProviderBinding(kind=provider_kind, locator=provider) if provider else None
+    raw = read_json(inputs_path, "fusion inputs", expect=list)
+    cfg = FusionConfig()
+    if config_path is not None:
+        cfg = decode(FusionConfig, read_json(config_path, "fusion config"), f"fusion config {config_path}")
+    catalog = QueryCatalog.from_json_file(catalog_path) if catalog_path else default_query_catalog()
+    binding = ProviderBinding(kind=provider_kind, locator=provider) if provider else None
 
-        descriptions = []
-        notes = []
-        for i, item in enumerate(raw):
-            desc, note = _describe(item, f"fusion inputs {inputs_path}", f"[{i}]", catalog)
-            descriptions.append(desc)
-            notes.append(note)
-        prompt, decisions = fuse_with_trace(descriptions, cfg, binding)
-        if explain:
-            for note, decision in zip(notes, decisions):
-                note["paraphrased"] = decision.paraphrased
-                note["text_in"] = decision.text_in
-                note["text_out"] = decision.text_out
-            _emit(json.dumps({"prompt": prompt, "decisions": notes}), output)
-        else:
-            _emit(prompt, output)
+    descriptions = []
+    notes = []
+    for i, item in enumerate(raw):
+        desc, note = _describe(item, f"fusion inputs {inputs_path}", f"[{i}]", catalog)
+        descriptions.append(desc)
+        notes.append(note)
+    prompt, decisions = fuse_with_trace(descriptions, cfg, binding)
+    if explain:
+        for note, decision in zip(notes, decisions):
+            note["paraphrased"] = decision.paraphrased
+            note["text_in"] = decision.text_in
+            note["text_out"] = decision.text_out
+        _emit(json.dumps({"prompt": prompt, "decisions": notes}), output)
+    else:
+        _emit(prompt, output)
 
 
 @main.command()
@@ -444,49 +419,48 @@ def sandbox(config_path, seed, guidance, dump_schedule, guidance_grid, fmt, outp
     from .formats import decode, read_json
     from .sandbox import GUIDANCE_GRID, SandboxConfig, build_schedule, run_guidance_sweep, run_sandbox
 
-    with _exit_codes():
-        raw = {} if config_path is None else read_json(config_path, "sandbox config", expect=dict)
-        overrides = {"seed": seed, "guidance_scale": guidance}
-        raw.update((key, value) for key, value in overrides.items() if value is not None)
-        cfg = decode(SandboxConfig, raw, "sandbox config" if config_path is None else f"sandbox config {config_path}")
-        if dump_schedule:
-            schedule = build_schedule(cfg.schedule)
-            rows = [
-                {
-                    "step": t,
-                    "beta": float(schedule.betas[t]),
-                    "alpha_cumprod": float(schedule.alpha_cumprod[t]),
-                }
-                for t in range(schedule.steps)
-            ]
-            _emit_rows(rows, fmt, output)
-            return
-        if guidance_grid:
-            rows = [
-                {
-                    "guidance": g,
-                    "initial_stat_distance": report.initial_stat_distance,
-                    "final_stat_distance": report.final_stat_distance,
-                    "final_ref_mass": report.final_ref_mass,
-                }
-                for g, report in zip(GUIDANCE_GRID, run_guidance_sweep(cfg))
-            ]
-            _emit_rows(rows, fmt, output)
-            return
-        report = run_sandbox(cfg)
-        if fmt == "json":
-            _emit(json.dumps(report.to_dict()), output)
-        else:
-            rows = [
-                {"step": t, "stat_distance": d}
-                for t, d in enumerate(report.per_step_stat_distance)
-            ]
-            click.echo(
-                f"initial={report.initial_stat_distance} final={report.final_stat_distance} "
-                f"ref_mass={report.final_ref_mass}",
-                err=True,
-            )
-            _emit(_rows_to_csv(rows), output)
+    raw = {} if config_path is None else read_json(config_path, "sandbox config", expect=dict)
+    overrides = {"seed": seed, "guidance_scale": guidance}
+    raw.update((key, value) for key, value in overrides.items() if value is not None)
+    cfg = decode(SandboxConfig, raw, "sandbox config" if config_path is None else f"sandbox config {config_path}")
+    if dump_schedule:
+        schedule = build_schedule(cfg.schedule)
+        rows = [
+            {
+                "step": t,
+                "beta": float(schedule.betas[t]),
+                "alpha_cumprod": float(schedule.alpha_cumprod[t]),
+            }
+            for t in range(schedule.steps)
+        ]
+        _emit_rows(rows, fmt, output)
+        return
+    if guidance_grid:
+        rows = [
+            {
+                "guidance": g,
+                "initial_stat_distance": report.initial_stat_distance,
+                "final_stat_distance": report.final_stat_distance,
+                "final_ref_mass": report.final_ref_mass,
+            }
+            for g, report in zip(GUIDANCE_GRID, run_guidance_sweep(cfg))
+        ]
+        _emit_rows(rows, fmt, output)
+        return
+    report = run_sandbox(cfg)
+    if fmt == "json":
+        _emit(json.dumps(report.to_dict()), output)
+    else:
+        rows = [
+            {"step": t, "stat_distance": d}
+            for t, d in enumerate(report.per_step_stat_distance)
+        ]
+        click.echo(
+            f"initial={report.initial_stat_distance} final={report.final_stat_distance} "
+            f"ref_mass={report.final_ref_mass}",
+            err=True,
+        )
+        _emit(_rows_to_csv(rows), output)
 
 
 @main.command()
@@ -499,25 +473,24 @@ def catalog(which, catalog_path, fmt, output):
     from .formats import default_prompt_catalog, load_prompt_catalog
     from .fusion import QueryCatalog, default_query_catalog
 
-    with _exit_codes():
-        if which == "queries":
-            cat = QueryCatalog.from_json_file(catalog_path) if catalog_path else default_query_catalog()
-            if fmt == "json":
-                entries = [
-                    {"index": i, "text": q.text, "embedding": q.embedding.data.tolist()}
-                    for i, q in enumerate(cat.queries)
-                ]
-                _emit(json.dumps({"queries": entries}), output)
-            else:
-                rows = [{"index": i, "text": q.text} for i, q in enumerate(cat.queries)]
-                _emit(_rows_to_csv(rows), output)
+    if which == "queries":
+        cat = QueryCatalog.from_json_file(catalog_path) if catalog_path else default_query_catalog()
+        if fmt == "json":
+            entries = [
+                {"index": i, "text": q.text, "embedding": q.embedding.data.tolist()}
+                for i, q in enumerate(cat.queries)
+            ]
+            _emit(json.dumps({"queries": entries}), output)
         else:
-            prompts = load_prompt_catalog(catalog_path) if catalog_path else default_prompt_catalog()
-            if fmt == "json":
-                _emit(json.dumps({"prompts": prompts}), output)
-            else:
-                rows = [{"index": i, "text": p} for i, p in enumerate(prompts)]
-                _emit(_rows_to_csv(rows), output)
+            rows = [{"index": i, "text": q.text} for i, q in enumerate(cat.queries)]
+            _emit(_rows_to_csv(rows), output)
+    else:
+        prompts = load_prompt_catalog(catalog_path) if catalog_path else default_prompt_catalog()
+        if fmt == "json":
+            _emit(json.dumps({"prompts": prompts}), output)
+        else:
+            rows = [{"index": i, "text": p} for i, p in enumerate(prompts)]
+            _emit(_rows_to_csv(rows), output)
 
 
 if __name__ == "__main__":

@@ -90,20 +90,22 @@ def _load_npy(path: str | Path) -> np.ndarray:
 
     try:
         header = ast.literal_eval(raw[_HEADER_START:header_end].decode("latin-1"))
+        if header.keys() != {"descr", "fortran_order", "shape"}:
+            raise ValueError("its keys must be exactly descr, fortran_order and shape")
         descr = header["descr"]
         fortran_order = header["fortran_order"]
         shape = header["shape"]
-    except (ValueError, SyntaxError, KeyError, TypeError) as exc:
+    except (ValueError, SyntaxError, AttributeError, TypeError) as exc:
         raise NpyFormatError(f"{path}: malformed header dict: {exc}", offset=_HEADER_START) from exc
 
-    if descr not in _SUPPORTED_DTYPES:
+    if not isinstance(descr, str) or descr not in _SUPPORTED_DTYPES:
         raise UnsupportedDtype(f"{path}: dtype {descr!r} not in (<f4, <f8)", offset=_HEADER_START)
     if fortran_order is not False:
         raise UnsupportedOrder(f"{path}: fortran_order must be False", offset=_HEADER_START)
     if (
         not isinstance(shape, tuple)
         or not 1 <= len(shape) <= 2
-        or not all(isinstance(s, int) and s >= 1 for s in shape)
+        or not all(type(s) is int and s >= 1 for s in shape)  # a bool is an int, but no size
     ):
         raise NpyFormatError(
             f"{path}: shape {shape!r} outside the 1-D/2-D, size >= 1 subset", offset=_HEADER_START
@@ -221,11 +223,7 @@ def _create_temp(path: Path) -> tuple[int, Path]:
 
 
 def _build_header(shape: tuple[int, ...]) -> bytes:
-    if len(shape) == 1:
-        shape_repr = f"({shape[0]},)"
-    else:
-        shape_repr = f"({shape[0]}, {shape[1]})"
-    header = f"{{'descr': '<f8', 'fortran_order': False, 'shape': {shape_repr}, }}"
+    header = f"{{'descr': '<f8', 'fortran_order': False, 'shape': {tuple(shape)!r}, }}"
     # pad with spaces + newline so the total preamble is a multiple of 64
     pad = (64 - (_HEADER_START + len(header) + 1) % 64) % 64
     header = header + " " * pad + "\n"

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -213,7 +213,11 @@ def needs_paraphrasing(d: ModalityDescription, cfg: FusionConfig = FusionConfig(
 
 def concatenate_descriptions(ds: Sequence[ModalityDescription]) -> str:
     """Join non-empty texts with ', ' in input order; empty entries vanish."""
-    return ", ".join(d.text for d in ds if d.text)
+    return _join_texts(d.text for d in ds)
+
+
+def _join_texts(texts: Iterable[str]) -> str:
+    return ", ".join(t for t in texts if t)
 
 
 def weather_to_text(record: WeatherRecord) -> ModalityDescription:
@@ -256,15 +260,13 @@ def fuse_with_trace(
     """Like ``fuse`` but also reports the per-description decisions."""
     flags = [needs_paraphrasing(d, cfg) for d in ds]
     paraphrases = iter(_paraphrase([d for d, f in zip(ds, flags) if f], cfg.paraphrase, paraphraser))
-    processed = []
     decisions = []
     for d, flagged in zip(ds, flags):
         text = next(paraphrases) if flagged else d.text
-        processed.append(ModalityDescription.from_text(d.modality, text))
         decisions.append(
             FusionDecision(modality=d.modality, paraphrased=flagged, text_in=d.text, text_out=text)
         )
-    return concatenate_descriptions(processed), decisions
+    return _join_texts(d.text_out for d in decisions), decisions
 
 
 def _paraphrase(

@@ -87,9 +87,7 @@ def _generated_matrix(generated, empty: str) -> np.ndarray:
         generated = tuple(generated)
     if len(generated) == 0:
         raise EmptySet(empty)
-    if isinstance(generated, np.ndarray):
-        return _frozen_f64(generated, 2, "generated")
-    return _stack_vectors(generated, "generated[{}]")
+    return _stack_vectors(generated, "generated[{}]", "generated")
 
 
 @dataclass(frozen=True)

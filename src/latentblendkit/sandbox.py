@@ -229,11 +229,6 @@ def _mean(values: list[float]) -> float:
     return total / len(values)
 
 
-def _pool_workers(maps: int, work: int) -> int:
-    """Threads for one step's ``maps`` maps of ``work`` each; 0 or 1 means run them serially."""
-    return _cpu_threads(maps) if work >= _THREAD_MIN_WORK else 0
-
-
 def run_sandbox(cfg: SandboxConfig) -> SandboxReport:
     """Run the toy generation loop and report statistic convergence.
 
@@ -318,7 +313,8 @@ def run_guidance_sweep(
     scales = np.repeat([_STRENGTH_SCALE * r.guidance_scale for r in runs], per_run)
     strengths = np.split(np.minimum(1.0, scales * fades[:, None]), bounds, axis=1)
     per_step: list[list[float]] = [[] for _ in runs]
-    workers = _pool_workers(maps, work)
+    # 0 or 1 worker runs the maps serially
+    workers = _cpu_threads(maps) if work >= _THREAD_MIN_WORK else 0
     with ExitStack() as pool_scope:
         # A config whose numbers overflow float64 (say rescale.sigma = 1e308)
         # turns maps to NaN. The step means below raise on that, so numpy's

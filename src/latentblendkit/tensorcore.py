@@ -392,9 +392,12 @@ def _cpu_threads(tasks: int) -> int:
     return min(cpus, tasks)
 
 
-def _stack_vectors(vectors: Sequence[LatentVector], label: str) -> np.ndarray:
-    """A new read-only (k, d) matrix of k >= 1 vectors, one per row. The
-    first whose d_z differs from vector 0's is named ``label.format(i)``."""
+def _stack_vectors(vectors: Sequence[LatentVector] | np.ndarray, label: str, what: str = "vectors") -> np.ndarray:
+    """A new read-only (k, d) matrix of k >= 1 vectors, one per row, or the
+    ``_frozen_f64`` copy of a (k, d) array, which errors name ``what``. The
+    first vector whose d_z differs from vector 0's is named ``label.format(i)``."""
+    if isinstance(vectors, np.ndarray):
+        return _frozen_f64(vectors, 2, what)
     d = vectors[0].d_z
     for i, v in enumerate(vectors):
         if v.d_z != d:

@@ -195,20 +195,24 @@ class TestSharedAttention:
             assert masses[0] < masses[1] < masses[2]
 
     def test_stack_equals_one_matrix_at_a_time(self):
-        from latentblendkit.attention import _shared_attention
+        # the sandbox's stacked path: blocks that share one reference half,
+        # with the self keys as queries and with queries of their own
+        from latentblendkit.attention import _attend_blocks
 
         rng = np.random.default_rng(11)
-        ref = rng.normal(size=(9, 5))
-        q = rng.normal(size=(4, 7, 5))
-        v = rng.normal(size=(4, 7, 5))
+        ref_k, ref_v = rng.normal(size=(9, 5)), rng.normal(size=(9, 5))
+        keys, values = np.empty((4, 16, 5)), np.empty((4, 16, 5))
+        keys[:, :9], keys[:, 9:] = ref_k, rng.normal(size=(4, 7, 5))
+        values[:, :9], values[:, 9:] = ref_v, rng.normal(size=(4, 7, 5))
         rescale = RescaleParams(0.69, 0.5)
-        out, weights, mass = _shared_attention(q, q, v, ref, ref, rescale)
-        assert out.flags.c_contiguous and weights.shape == (4, 7, 16) and mass.shape == (4,)
-        for i in range(4):
-            one = _shared_attention(q[i], q[i], v[i], ref, ref, rescale)
-            assert np.array_equal(out[i], one[0])
-            assert np.array_equal(weights[i], one[1])
-            assert mass[i] == one[2]
+        for q in (None, rng.normal(size=(4, 7, 5))):
+            out, weights, mass = _attend_blocks(keys, values, 9, rescale, q)
+            assert out.flags.c_contiguous and weights.shape == (4, 7, 16) and mass.shape == (4,)
+            for i in range(4):
+                one = _attend_blocks(keys[i], values[i], 9, rescale, None if q is None else q[i])
+                assert np.array_equal(out[i], one[0])
+                assert np.array_equal(weights[i], one[1])
+                assert mass[i] == one[2]
 
     @pytest.mark.parametrize("rows", [7, 150])
     def test_queries_that_are_the_keys_match_separate_keys(self, rows):

@@ -23,6 +23,7 @@ from latentblendkit import (
     SandboxConfig,
     cli,
     decode,
+    errors,
     formats,
     fusion,
     metrics,
@@ -482,6 +483,26 @@ class TestAttendCommand:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["lambdas"] == [0.16666666666666669, 0.33333333333333337, 0.5]
 
+    def test_lambda_weights_read_each_file_once(self, runner, tmp_path, monkeypatch):
+        # one read of --self and one of each --ref, whose matrix is the block's K and V
+        for name in ("q", "a", "b"):
+            write_vectors(tmp_path / f"{name}.npy", np.eye(3))
+        reads = Counter()
+        real = formats._load_npy
+
+        def counting(path):
+            reads[Path(path).name] += 1
+            return real(path)
+
+        monkeypatch.setattr(formats, "_load_npy", counting)
+        result = runner.invoke(
+            main,
+            ["attend", "--self", str(tmp_path / "q.npy"), "--ref", str(tmp_path / "a.npy"),
+             "--ref", str(tmp_path / "b.npy"), "--lambda-weights", "1,2"],
+        )
+        assert result.exit_code == 0, result.output
+        assert reads == {"q.npy": 1, "a.npy": 1, "b.npy": 1}
+
     @pytest.mark.parametrize(
         "flags, name",
         [(["--mu", "nan"], "mu"), (["--mu", "-inf"], "mu"), (["--sigma", "inf"], "sigma"), (["--sigma", "nan"], "sigma")],
@@ -829,3 +850,35 @@ class TestCatalogCommand:
         result = runner.invoke(main, ["catalog", "--which", "queries", "--format", "json"])
         payload = json.loads(result.output)
         assert len(payload["queries"][0]["embedding"]) == 24
+
+
+def _error_classes(cls=errors.BlendKitError):
+    """``cls`` and every class of ``latentblendkit.errors`` below it."""
+    found = [cls]
+    for sub in cls.__subclasses__():
+        if sub.__module__ == errors.__name__:
+            found.extend(c for c in _error_classes(sub) if c not in found)
+    return found
+
+
+def _exit_code_of(cls) -> int:
+    """The documented exit code of a BlendKitError class."""
+    if issubclass(cls, errors.ProviderUnavailable):
+        return 4
+    if issubclass(cls, errors.ProviderFailure):
+        return 5
+    return 3 if issubclass(cls, errors.NumericDomainError) else 2
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_code(runner, monkeypatch, cls):
+    exc = cls("boom", offset=7) if issubclass(cls, errors.NpyFormatError) else cls("boom")
+
+    def fail():
+        raise exc
+
+    monkeypatch.setattr(formats, "default_prompt_catalog", fail)
+    result = runner.invoke(main, ["catalog", "--which", "prompts"])
+    assert result.exit_code == _exit_code_of(cls)
+    assert result.stderr.startswith("error: ")
+    assert result.stdout == ""

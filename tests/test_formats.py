@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,7 @@ from latentblendkit import (
     read_vectors,
     write_vectors,
 )
+from latentblendkit.cli import main
 from latentblendkit.formats import load_rows, read_json, write_atomic
 
 
@@ -233,6 +235,34 @@ class TestReaderErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):
             load_array(tmp_path / "ghost.npy")
+
+    #: Header dicts outside the NPY v1.0 subset, each before a full
+    #: 32-byte payload: four float64s.
+    BAD_HEADERS = {
+        "missing_key": "{'descr': '<f8', 'shape': (4,), }",
+        "not_a_dict": "[('descr', '<f8'), ('fortran_order', False), ('shape', (4,))]",
+        "fourth_key": "{'descr': '<f8', 'fortran_order': False, 'shape': (4,), 'x': 1, }",
+        "list_descr": "{'descr': ['<f8'], 'fortran_order': False, 'shape': (4,), }",
+        "bool_shape": "{'descr': '<f8', 'fortran_order': False, 'shape': (True, 4), }",
+    }
+
+    @staticmethod
+    def _with_header(path, header: str):
+        header = header.encode("latin-1") + b"\n"
+        path.write_bytes(b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header + bytes(32))
+        return path
+
+    @pytest.mark.parametrize("header", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
+    def test_header_outside_the_subset(self, tmp_path, header):
+        with pytest.raises(NpyFormatError) as exc:
+            load_array(self._with_header(tmp_path / "h.npy", header))
+        assert exc.value.offset == 10
+
+    def test_header_outside_the_subset_exits_2(self, tmp_path):
+        bad = str(self._with_header(tmp_path / "h.npy", self.BAD_HEADERS["list_descr"]))
+        result = CliRunner().invoke(main, ["attend", "--self", bad, "--ref", bad])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: ") and "(byte offset 10)" in result.stderr
 
 
 class TestWriterErrors:

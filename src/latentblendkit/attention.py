@@ -11,6 +11,10 @@ change the result.
 ``lambda_rescaled_attention`` is the multi-reference balancing variant:
 each style block's logits are scaled by its relative weight before a joint
 softmax, so no single style can dominate by activation magnitude alone.
+
+These two, plain ``attention`` and the sandbox's step are one operation:
+an affine transform of some key blocks' logits before one joint softmax,
+which ``_attend_blocks`` computes for each of them.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllZeroWeights, DimensionMismatch, EmptySet, InputError, NumericDomainError
-from .normalization import AdainConfig, _adain_rows, _column_stats
-from .tensorcore import Matrix, _row_matmul, _softmax_rows_array, _weight_sum, _weighted_rows
+from .normalization import AdainConfig, _adain_rows
+from .tensorcore import Matrix, _row_matmul, _row_norms, _softmax_rows_array, _weight_sum, _weighted_rows
 
 
 class StyleClass(enum.Enum):
@@ -119,32 +123,7 @@ class MultiStyleAttentionOutput:
 
 def attention(inp: AttentionInputs) -> tuple[Matrix, Matrix]:
     """Plain scaled dot-product attention; returns (output, weights)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, weights, _ = _attend_blocks(inp.k.data, inp.v.data, 0, IDENTITY_RESCALE, inp.q.data)
-        _finite_rows(weights)
-    return Matrix(out), Matrix(weights)
-
-
-def _scaled_logits(q: np.ndarray, k: np.ndarray, tail: int | None = None) -> np.ndarray:
-    """q @ k.T / sqrt(dim), through ``_row_matmul`` (``tail`` as there)."""
-    logits = _row_matmul(q, k, tail)
-    logits /= math.sqrt(q.shape[-1])
-    return logits
-
-
-def _finite_rows(weights: np.ndarray) -> np.ndarray:
-    """``weights`` from ``_softmax_rows_array``, or a NumericDomainError if
-    the max logit of a row was not finite: the softmax makes such a row all
-    NaN, so the first column shows it, without a pass over every entry.
-
-    The public attention functions call their kernels with numpy's overflow
-    and invalid warnings off, and report the one overflow that matters here.
-    A max that is finite while other logits overflow to -inf is harmless:
-    their weights are exactly 0.
-    """
-    if not np.isfinite(weights[..., 0]).all():
-        raise NumericDomainError("attention logits overflowed float64: a row's largest logit is not finite")
-    return weights
+    return _attend(inp.k.data, inp.v.data, (), inp.q.data)
 
 
 def classify_style(ref_k: Matrix, cfg: StyleClassifierConfig = StyleClassifierConfig()) -> StyleClass:
@@ -153,7 +132,7 @@ def classify_style(ref_k: Matrix, cfg: StyleClassifierConfig = StyleClassifierCo
     The mean over token rows stands in for "the" key norm: it is
     permutation-invariant and scales with the activations.
     """
-    mean_norm = float(np.linalg.norm(ref_k.data, axis=1).mean())
+    mean_norm = float(_row_norms(ref_k.data).mean())
     return StyleClass.FAMOUS if mean_norm > cfg.threshold_t else StyleClass.NORMAL
 
 
@@ -187,50 +166,78 @@ def shared_attention(
     if self_k.rows != self_v.rows:
         raise DimensionMismatch(f"self K has {self_k.rows} tokens but V has {self_v.rows}")
 
-    eps_std = adain_cfg.eps_std
-    q_hat = _adain_rows(self_q.data, *_column_stats(ref_q.data, eps_std), eps_std)
+    q_hat = _adain_rows(self_q.data, ref_q.data, adain_cfg.eps_std)
     # the same inputs make the same bits, and queries that are the keys let
     # the kernel compute half the self logits
     same = self_k is self_q and ref_k is ref_q
-    k_hat = q_hat if same else _adain_rows(self_k.data, *_column_stats(ref_k.data, eps_std), eps_std)
+    k_hat = q_hat if same else _adain_rows(self_k.data, ref_k.data, adain_cfg.eps_std)
     keys, values = np.concatenate((ref_k.data, k_hat)), np.concatenate((ref_v.data, self_v.data))
+    out, weights = _attend(keys, values, ((ref_k.rows, rescale.sigma, rescale.mu),), None if same else q_hat)
+    return SharedAttentionOutput(updated=out, weights=weights, ref_mass=float(_mass(weights.data, 0, ref_k.rows)))
+
+
+def _attend(
+    keys: np.ndarray, values: np.ndarray, blocks: Sequence[tuple[int, float, float]], q_hat: np.ndarray | None
+) -> tuple[Matrix, Matrix]:
+    """``_attend_blocks`` for the public functions, as (updated, weights)
+    matrices, with numpy's overflow and invalid warnings off, or a
+    NumericDomainError if the max logit of a row was not finite.
+
+    The softmax makes such a row all NaN, so the first column shows it,
+    without a pass over every entry. A max that is finite while other
+    logits overflow to -inf is harmless: their weights are exactly 0.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        out, weights, ref_mass = _attend_blocks(keys, values, ref_k.rows, rescale, None if same else q_hat)
-        _finite_rows(weights)
-    return SharedAttentionOutput(updated=Matrix(out), weights=Matrix(weights), ref_mass=float(ref_mass))
+        out, weights = _attend_blocks(keys, values, blocks, q_hat)
+    if not np.isfinite(weights[..., 0]).all():
+        raise NumericDomainError("attention logits overflowed float64: a row's largest logit is not finite")
+    return Matrix(out), Matrix(weights)
 
 
 def _attend_blocks(
-    keys: np.ndarray,
-    values: np.ndarray,
-    n_ref: int,
-    rescale: RescaleParams,
-    q_hat: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(updated, weights, ref_mass) of already-normalized queries over
-    [reference || self] key and value blocks, whose first ``n_ref`` tokens
-    are the reference's; ``q_hat`` None means the queries are the self keys.
+    keys: np.ndarray, values: np.ndarray, blocks: Sequence[tuple[int, float, float]], q_hat: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(updated, weights) of already-normalized queries over key and value
+    blocks, with an affine transform of some blocks' logits before the one
+    joint softmax.
 
-    The blocks are one (tokens x dim) matrix each, or stacks of them in
-    leading axes, with one query matrix per block and one ``ref_mass`` entry
-    per matrix. Each matrix of the blocks and ``q_hat`` must be C-contiguous:
-    the einsum's summation order follows the memory layout of its operands.
-    When the queries are the self keys, the self logits are symmetric, and
-    ``_row_matmul`` may compute half of them. The identity rescale is
-    skipped: ``x * 1.0 + 0.0`` only turns -0.0 into +0.0, which the
-    max-shifted exp cannot tell apart.
+    ``blocks`` lists ``(tokens, scale, shift)`` for each leading key block,
+    in order: its logits become ``logit * scale + shift``. The keys after
+    them, the self block, keep their logits; ``q_hat`` None means the
+    queries are those self keys. A scale of 1 and a shift of 0 are skipped:
+    ``x * 1.0`` is ``x``, and ``x + 0.0`` only turns -0.0 into +0.0, which
+    the max-shifted exp cannot tell apart.
+
+    The keys and values are one (tokens x dim) matrix each, or stacks of
+    them in leading axes, with one query matrix per matrix. Each matrix of
+    the blocks and ``q_hat`` must be C-contiguous: the einsum's summation
+    order follows the memory layout of its operands. A key's logits do not
+    depend on the other keys in the call, so joining blocks into one call
+    changes no bit. When the queries are the self keys, the self logits are
+    symmetric, and ``_row_matmul`` may compute half of them.
     """
+    lead = sum(tokens for tokens, _, _ in blocks)
     if q_hat is None:
-        logits = _scaled_logits(keys[..., n_ref:, :], keys, n_ref)
+        logits = _row_matmul(keys[..., lead:, :], keys, lead)
     else:
-        logits = _scaled_logits(q_hat, keys)
-    if rescale.sigma != 1.0 or rescale.mu != 0.0:
-        ref_block = logits[..., :n_ref]  # a view: the rescale writes into logits
-        ref_block *= rescale.sigma
-        ref_block += rescale.mu
+        logits = _row_matmul(q_hat, keys)
+    logits /= math.sqrt(keys.shape[-1])
+    start = 0
+    for tokens, scale, shift in blocks:
+        block = logits[..., start : start + tokens]  # a view: the transform writes into logits
+        if scale != 1.0:
+            block *= scale
+        if shift != 0.0:
+            block += shift
+        start += tokens
     weights = _softmax_rows_array(logits)
-    out = _weighted_rows(weights, values)
-    return out, weights, weights[..., :n_ref].sum(axis=-1).mean(axis=-1)
+    return _weighted_rows(weights, values), weights
+
+
+def _mass(weights: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The attention mass on keys ``start:stop``, averaged over query rows:
+    one entry per matrix of a stack, a scalar for one matrix."""
+    return weights[..., start:stop].sum(axis=-1).mean(axis=-1)
 
 
 def lambda_rescaled_attention(
@@ -255,20 +262,15 @@ def lambda_rescaled_attention(
             raise DimensionMismatch(f"block value dims disagree: {b.v.cols} vs {d_v}")
 
     lambdas = tuple(b.weight / total for b in style_blocks)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = [lam * _scaled_logits(self_q.data, b.k.data) for lam, b in zip(lambdas, style_blocks)]
-        weights = _finite_rows(_softmax_rows_array(np.concatenate(scaled, axis=1)))
-    out = _weighted_rows(weights, np.concatenate([b.v.data for b in style_blocks], axis=0))
-
-    masses = []
-    start = 0
-    for b in style_blocks:
-        stop = start + b.k.rows
-        masses.append(float(weights[:, start:stop].sum(axis=1).mean()))
-        start = stop
-    return MultiStyleAttentionOutput(
-        updated=Matrix(out), weights=Matrix(weights), block_mass=tuple(masses), lambdas=lambdas
+    out, weights = _attend(
+        np.concatenate([b.k.data for b in style_blocks]),
+        np.concatenate([b.v.data for b in style_blocks]),
+        [(b.k.rows, lam, 0.0) for b, lam in zip(style_blocks, lambdas)],
+        self_q.data,
     )
+    bounds = np.cumsum([0] + [b.k.rows for b in style_blocks]).tolist()
+    masses = tuple(float(_mass(weights.data, start, stop)) for start, stop in zip(bounds, bounds[1:]))
+    return MultiStyleAttentionOutput(updated=out, weights=weights, block_mass=masses, lambdas=lambdas)
 
 
 def row_entropy(weights: Matrix) -> list[float]:

@@ -97,6 +97,10 @@ def _load_npy(path: str | Path) -> np.ndarray:
         shape = header["shape"]
     except (ValueError, SyntaxError, AttributeError, TypeError) as exc:
         raise NpyFormatError(f"{path}: malformed header dict: {exc}", offset=_HEADER_START) from exc
+    # a literal nested deeper than the parser can follow fits in the header:
+    # '1+' * 20000 raises RecursionError, '-' * 60000 + '1' MemoryError
+    except (RecursionError, MemoryError) as exc:
+        raise NpyFormatError(f"{path}: header nested too deeply", offset=_HEADER_START) from exc
 
     if not isinstance(descr, str) or descr not in _SUPPORTED_DTYPES:
         raise UnsupportedDtype(f"{path}: dtype {descr!r} not in (<f4, <f8)", offset=_HEADER_START)
@@ -233,20 +237,33 @@ def _build_header(shape: tuple[int, ...]) -> bytes:
 def read_json(path: str | Path, what: str, expect: type | None = None):
     """Parse the JSON file ``path``, described as ``what`` in error messages.
 
-    An unreadable file raises IoFailure; invalid JSON, JSON nested deeper
-    than the parser can follow, or a top-level value that is not an
-    ``expect`` (``dict`` or ``list``) when one is given, raises InputError.
+    An unreadable file raises IoFailure; a file that is not UTF-8, or whose
+    text ``_parse_json`` rejects, raises InputError.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except ValueError as exc:  # UnicodeDecodeError, or a NUL in the path
         raise InputError(f"{what} {path} is not valid JSON: {exc}") from exc
+    return _parse_json(text, f"{what} {path}", expect)
+
+
+def _parse_json(text: str, what: str, expect: type | None = None):
+    """The JSON value of ``text``, described as ``what`` in error messages.
+
+    Text that is not JSON, JSON nested deeper than the parser can follow,
+    or a top-level value that is not an ``expect`` (``dict`` or ``list``)
+    when one is given, raises InputError.
+    """
+    try:
+        raw = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError
+        raise InputError(f"{what} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise InputError(f"{what} {path} is nested too deeply") from exc
+        raise InputError(f"{what} is nested too deeply") from exc
     if expect is not None and not isinstance(raw, expect):
-        raise InputError(f"{what} {path} must be a JSON {'object' if expect is dict else 'array'}")
+        raise InputError(f"{what} must be a JSON {'object' if expect is dict else 'array'}")
     return raw
 
 

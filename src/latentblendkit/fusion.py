@@ -37,11 +37,12 @@ from .errors import (
     DimensionMismatch,
     EmptySet,
     InputError,
+    IoFailure,
     ProviderFailure,
     ProviderUnavailable,
     ZeroVector,
 )
-from .formats import _SURROGATE, decode, read_json
+from .formats import _SURROGATE, _parse_json, decode, read_json
 from .tensorcore import LatentVector, _cosines, _cpu_threads, _row_norms, _stack_vectors, norm
 
 MODALITIES = ("image", "audio", "music", "weather", "text")
@@ -308,16 +309,12 @@ def _paraphrase(
 
 def _load_fixture(locator: str, modality: str) -> dict:
     """The fixture provider's text -> replacement map."""
-    path = Path(locator)
-    if not path.is_file():
-        raise ProviderUnavailable(f"fixture file not found: {locator}", modality=modality)
     try:
-        mapping = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
-        raise ProviderFailure(f"malformed fixture {locator}: {exc}", modality=modality) from exc
-    if not isinstance(mapping, dict):
-        raise ProviderFailure(f"fixture {locator} must be a JSON object", modality=modality)
-    return mapping
+        return read_json(locator, "paraphrase fixture", expect=dict)
+    except IoFailure as exc:
+        raise ProviderUnavailable(str(exc), modality=modality) from exc
+    except InputError as exc:
+        raise ProviderFailure(str(exc), modality=modality) from exc
 
 
 def _fixture_lookup(mapping: dict, text: str, locator: str, modality: str) -> str:
@@ -360,9 +357,9 @@ def _paraphrase_command(argv: list[str], params: ParaphraseParams, d: ModalityDe
             f"provider exited {returncode}: {_text(stderr, 'replace').strip()[:200]}", modality=d.modality
         )
     try:
-        response = json.loads(_text(stdout, "strict"))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ProviderFailure(f"provider emitted invalid JSON: {exc}", modality=d.modality) from exc
+        response = _parse_json(_text(stdout, "strict"), "provider output")
+    except (InputError, UnicodeDecodeError) as exc:
+        raise ProviderFailure(f"invalid JSON: {exc}", modality=d.modality) from exc
     match response:
         case {"text": str(text)} if not _SURROGATE.search(text):
             return text

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChannelMismatch, DimensionMismatch, InputError
+from .errors import ChannelMismatch, DimensionMismatch, InputError, NumericDomainError
 from .tensorcore import DEFAULT_EPS_STD, FeatureMap, Matrix, _centred_stats, _channel_stats
 
 
@@ -36,8 +36,7 @@ def adain(g: FeatureMap, s: FeatureMap, cfg: AdainConfig = AdainConfig()) -> Fea
     """
     if g.channels != s.channels:
         raise ChannelMismatch(f"channel counts differ: {g.channels} vs {s.channels}")
-    s_mean, s_std = _channel_stats(s.data, cfg.eps_std)
-    return FeatureMap(_adain(g.data, s_mean, s_std, cfg.eps_std))
+    return FeatureMap(_adain_rows(g.data.T, s.data.T, cfg.eps_std).T)
 
 
 def adain_rows(x: Matrix, ref: Matrix, cfg: AdainConfig = AdainConfig()) -> Matrix:
@@ -48,15 +47,13 @@ def adain_rows(x: Matrix, ref: Matrix, cfg: AdainConfig = AdainConfig()) -> Matr
     """
     if x.cols != ref.cols:
         raise DimensionMismatch(f"feature dims differ: {x.cols} vs {ref.cols}")
-    ref_mean, ref_std = _column_stats(ref.data, cfg.eps_std)
-    return Matrix(_adain_rows(x.data, ref_mean, ref_std, cfg.eps_std))
+    return Matrix(_adain_rows(x.data, ref.data, cfg.eps_std))
 
 
-def _adain(
-    g: np.ndarray, s_mean: np.ndarray, s_std: np.ndarray, eps_std: float, out: np.ndarray | None = None
-) -> np.ndarray:
+def _adain(g: np.ndarray, s_mean: np.ndarray, s_std: np.ndarray, eps_std: float, out: np.ndarray) -> np.ndarray:
     """AdaIN of a C-contiguous (..., channels, positions) array to given
-    target stats, into ``out`` (of any layout) when given.
+    target stats, written into ``out`` (of any layout); returns the floored
+    std of ``g`` that it divided by.
 
     The centred array that the stats leave behind is scaled in place, so
     the only new buffers are the stats' own.
@@ -64,21 +61,29 @@ def _adain(
     _, g_std, centred = _centred_stats(g, eps_std)
     centred *= s_std[:, None]
     centred /= g_std
-    return np.add(centred, s_mean[:, None], out=centred if out is None else out)
+    np.add(centred, s_mean[:, None], out=out)
+    return g_std
 
 
-def _column_stats(x: np.ndarray, eps_std: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column (mean, floored std) of a token matrix."""
-    return _channel_stats(np.ascontiguousarray(x.T), eps_std)
-
-
-def _adain_rows(x: np.ndarray, ref_mean: np.ndarray, ref_std: np.ndarray, eps_std: float) -> np.ndarray:
-    """AdaIN of the columns of a token matrix, or of each matrix in a stack
-    of them, to given per-column target stats, as a new C-contiguous array.
+def _adain_rows(x: np.ndarray, ref: np.ndarray, eps_std: float) -> np.ndarray:
+    """AdaIN of the columns of the token matrix ``x`` to the column stats
+    of ``ref``, as a new C-contiguous array.
 
     The columns are copied to C order before their stats are taken, so the
-    reductions see the same memory layout whatever ``x``'s is.
+    reductions see the same memory layout whatever the inputs' is; for the
+    transposed maps of ``adain`` that copies nothing.
+
+    This is the public functions' boundary. numpy's overflow warnings are
+    off, and a std of either side that is not finite raises
+    NumericDomainError: squares of entries near 1e160 overflow, and dividing
+    by an infinite std would collapse every position onto the target mean.
+    The sandbox calls ``_adain`` itself: its maps are convex blends of
+    bounded maps, and a check there would cost every step.
     """
     out = np.empty(x.shape)
-    _adain(np.ascontiguousarray(np.swapaxes(x, -1, -2)), ref_mean, ref_std, eps_std, out=np.swapaxes(out, -1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_mean, ref_std = _channel_stats(np.ascontiguousarray(ref.T), eps_std)
+        x_std = _adain(np.ascontiguousarray(x.T), ref_mean, ref_std, eps_std, out.T)
+    if not (np.isfinite(ref_std).all() and np.isfinite(x_std).all()):
+        raise NumericDomainError("AdaIN statistics overflowed float64: a channel's std is not finite")
     return out

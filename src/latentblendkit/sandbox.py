@@ -64,7 +64,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attention import IDENTITY_RESCALE, RescaleParams, _attend_blocks
+from .attention import IDENTITY_RESCALE, RescaleParams, _attend_blocks, _mass
 from .errors import InputError, NumericDomainError
 from .normalization import _adain
 from .tensorcore import DEFAULT_EPS_STD, _channel_stats, _cpu_threads, _frozen_f64
@@ -285,11 +285,11 @@ def run_guidance_sweep(
         shuffled = np.take(x, perm, axis=-1)
         _adain(shuffled, *ref_stats, DEFAULT_EPS_STD, out=np.swapaxes(keys[:, n:, :], -1, -2))
         values[:, n:, :] = np.swapaxes(shuffled, -1, -2)
-        updated, _, masses = _attend_blocks(keys, values, n, cfg.rescale)
+        updated, weights = _attend_blocks(keys, values, ((n, cfg.rescale.sigma, cfg.rescale.mu),))
         s = strengths[:, None, None]
         shuffled *= 1.0 - s
         shuffled += s * np.swapaxes(updated, -1, -2)
-        return shuffled, masses, _stat_distances(shuffled, *ref_stats)
+        return shuffled, _mass(weights, 0, n), _stat_distances(shuffled, *ref_stats)
 
     def pool_step(*args: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``step`` in a pool thread, which does not inherit the caller's numpy error state."""

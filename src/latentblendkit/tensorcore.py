@@ -307,12 +307,17 @@ def _row_norms(x: np.ndarray) -> np.ndarray | float:
     A row keeps the bits of np.linalg.norm, the square root of its
     np.vecdot with itself, unless that squared norm is not a finite normal
     float (entries near 1e-160 underflow it, near 1e160 overflow it). Such
-    a row is first scaled by a power of two near its max-abs, which is exact.
+    a row is first scaled by a power of two near its max-abs, which is exact,
+    and numpy's warning for the unscaled pass is not raised.
     """
     if x.ndim == 1:  # in Python floats: each angle takes two of these and one _cosines
-        square = float(np.vecdot(x, x))
+        # np.vdot runs np.vecdot's BLAS dot but checks no floating-point
+        # flags, so the fallback mends an overflow without a warning; an
+        # errstate would cost this hot path about 2.5 us a call (numpy 2.4)
+        square = float(np.vdot(x, x))
         return math.sqrt(square) if _TINY <= square <= _HUGE else float(_scaled_norms(x[np.newaxis])[0])
-    squares = np.vecdot(x, x)  # >= 0, and never NaN for finite x
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.vecdot(x, x)  # >= 0, and never NaN for finite x
     norms = np.sqrt(squares)
     off = ~_normal(squares)
     if off.any():
@@ -337,13 +342,14 @@ def _cosines(rows: np.ndarray, norms: np.ndarray, v: np.ndarray, v_norm: float) 
     """
     if rows.shape[-1] != v.shape[0]:
         raise DimensionMismatch(f"dot: dimensions differ ({rows.shape[-1]} vs {v.shape[0]})")
-    if rows.ndim == 1:  # in Python floats, as in _row_norms
-        dot, scale = float(np.vecdot(rows, v)), norms * v_norm
+    if rows.ndim == 1:  # in Python floats and np.vdot, as in _row_norms
+        dot, scale = float(np.vdot(rows, v)), norms * v_norm
         if not (_TINY <= abs(dot) <= _HUGE and _TINY <= scale <= _HUGE):
             dot, scale = (float(t[0]) for t in _scaled_cosine_terms(rows[np.newaxis], v))
         return min(1.0, max(-1.0, dot / scale))
-    dots = np.vecdot(rows, v)
-    scales = norms * v_norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = np.vecdot(rows, v)
+        scales = norms * v_norm
     off = ~(_normal(np.abs(dots)) & _normal(scales))
     if off.any():
         dots[off], scales[off] = _scaled_cosine_terms(rows[off], v)

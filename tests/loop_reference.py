@@ -20,8 +20,14 @@ def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(x, -e), e
 
 
+def _unscaled_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """np.dot(a, b), which may overflow: the callers redo it scaled, so numpy's warning is off."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.dot(a, b))
+
+
 def norm(x: np.ndarray) -> float:
-    if on_scale(float(np.dot(x, x))):
+    if on_scale(_unscaled_dot(x, x)):
         return float(np.linalg.norm(x))
     scaled, e = _scaled(x)
     return math.ldexp(float(np.linalg.norm(scaled)), e)
@@ -29,7 +35,7 @@ def norm(x: np.ndarray) -> float:
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """The cosine of two nonzero vectors, clamped to [-1, 1]."""
-    dot, scale = float(np.dot(a, b)), norm(a) * norm(b)
+    dot, scale = _unscaled_dot(a, b), norm(a) * norm(b)
     if not (on_scale(dot) and on_scale(scale)):
         a, b = _scaled(a)[0], _scaled(b)[0]
         dot, scale = float(np.dot(a, b)), float(np.linalg.norm(a)) * float(np.linalg.norm(b))

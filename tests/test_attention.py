@@ -9,6 +9,7 @@ from latentblendkit import (
     AttentionInputs,
     DimensionMismatch,
     EmptySet,
+    FeatureMap,
     InputError,
     Matrix,
     NumericDomainError,
@@ -16,6 +17,8 @@ from latentblendkit import (
     StyleBlock,
     StyleClass,
     StyleClassifierConfig,
+    adain,
+    adain_rows,
     attention,
     classify_style,
     lambda_rescaled_attention,
@@ -197,22 +200,23 @@ class TestSharedAttention:
     def test_stack_equals_one_matrix_at_a_time(self):
         # the sandbox's stacked path: blocks that share one reference half,
         # with the self keys as queries and with queries of their own
-        from latentblendkit.attention import _attend_blocks
+        from latentblendkit.attention import _attend_blocks, _mass
 
         rng = np.random.default_rng(11)
         ref_k, ref_v = rng.normal(size=(9, 5)), rng.normal(size=(9, 5))
         keys, values = np.empty((4, 16, 5)), np.empty((4, 16, 5))
         keys[:, :9], keys[:, 9:] = ref_k, rng.normal(size=(4, 7, 5))
         values[:, :9], values[:, 9:] = ref_v, rng.normal(size=(4, 7, 5))
-        rescale = RescaleParams(0.69, 0.5)
+        blocks = ((9, 0.5, 0.69),)
         for q in (None, rng.normal(size=(4, 7, 5))):
-            out, weights, mass = _attend_blocks(keys, values, 9, rescale, q)
+            out, weights = _attend_blocks(keys, values, blocks, q)
+            mass = _mass(weights, 0, 9)
             assert out.flags.c_contiguous and weights.shape == (4, 7, 16) and mass.shape == (4,)
             for i in range(4):
-                one = _attend_blocks(keys[i], values[i], 9, rescale, None if q is None else q[i])
-                assert np.array_equal(out[i], one[0])
-                assert np.array_equal(weights[i], one[1])
-                assert mass[i] == one[2]
+                one, one_weights = _attend_blocks(keys[i], values[i], blocks, None if q is None else q[i])
+                assert np.array_equal(out[i], one)
+                assert np.array_equal(weights[i], one_weights)
+                assert mass[i] == _mass(one_weights, 0, 9)
 
     @pytest.mark.parametrize("rows", [7, 150])
     def test_queries_that_are_the_keys_match_separate_keys(self, rows):
@@ -326,6 +330,35 @@ class TestLambdaRescaledAttention:
         with pytest.raises(InputError, match="style-block weights must have a finite sum, got inf"):
             lambda_rescaled_attention(q, [StyleBlock(k=q, v=q, weight=1e308)] * 2)
 
+    def test_equals_the_per_block_arithmetic(self):
+        # each block's logits on their own, lambda * einsum(q, k_i) / sqrt(d),
+        # joined for one max-shifted softmax, then the einsum weighted sum and
+        # each block's mean mass: joining the blocks first changes no bit
+        rng = np.random.default_rng(31)
+        for d in (1, 2, 3, 8, 17, 64):
+            for _ in range(4):
+                q = rng.normal(size=(int(rng.integers(1, 300)), d))
+                ks = [rng.normal(size=(int(rng.integers(1, 200)), d)) for _ in range(int(rng.integers(1, 4)))]
+                vs = [rng.normal(size=(len(k), 3)) for k in ks]
+                w = rng.choice([0.0, 0.3, 1.0, 2.5], size=len(ks))
+                w[rng.integers(len(ks))] = 1.0
+                out = lambda_rescaled_attention(
+                    Matrix(q), [StyleBlock(k=Matrix(k), v=Matrix(v), weight=float(wi)) for k, v, wi in zip(ks, vs, w)]
+                )
+
+                lambdas = [float(wi) / math.fsum(w) for wi in w]
+                logits = np.concatenate(
+                    [lam * (np.einsum("id,jd->ij", q, k) / math.sqrt(d)) for lam, k in zip(lambdas, ks)], axis=1
+                )
+                shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+                weights = shifted / shifted.sum(axis=1, keepdims=True)
+                stops = np.cumsum([len(k) for k in ks]).tolist()
+                masses = [float(weights[:, stop - len(k) : stop].sum(axis=1).mean()) for k, stop in zip(ks, stops)]
+                assert out.lambdas == tuple(lambdas)
+                assert np.array_equal(out.weights.data, weights)
+                assert np.array_equal(out.updated.data, np.einsum("ij,jv->iv", weights, np.concatenate(vs)))
+                assert out.block_mass == tuple(masses)
+
 
 class TestOverflow:
     """Finite inputs whose logits overflow float64 raise NumericDomainError
@@ -353,6 +386,25 @@ class TestOverflow:
     def test_lambda_rescaled_attention(self):
         with pytest.raises(NumericDomainError, match="^attention logits overflowed float64"):
             lambda_rescaled_attention(self.BIG, [StyleBlock(k=self.BIG, v=self.BIG, weight=1.0)])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spread, ok: shared_attention(spread, spread, spread, ok, ok, ok),
+            lambda spread, ok: shared_attention(ok, ok, ok, spread, spread, spread),
+            lambda spread, ok: adain_rows(spread, ok),
+            lambda spread, ok: adain_rows(ok, spread),
+            lambda spread, ok: adain(FeatureMap(spread.data), FeatureMap(ok.data)),
+            lambda spread, ok: adain(FeatureMap(ok.data), FeatureMap(spread.data)),
+        ],
+        ids=["shared-self", "shared-ref", "adain_rows-x", "adain_rows-ref", "adain-g", "adain-s"],
+    )
+    def test_adain_statistics_that_overflow(self, call):
+        # the squares of these entries overflow, so a std is inf, which made
+        # the self tokens collapse onto the reference mean
+        spread = Matrix(1e200 * np.random.default_rng(3).normal(size=(5, 4)))
+        with pytest.raises(NumericDomainError, match="^AdaIN statistics overflowed float64"):
+            call(spread, self.OK)
 
     def test_shift_to_minus_inf_is_harmless(self):
         # sigma 1e308 spreads the reference logits past float64's range; the

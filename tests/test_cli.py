@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import struct
 import sys
 import threading
 import time
@@ -684,6 +685,83 @@ class TestFuseCommand:
         )
         assert result.exit_code == 0, result.output
         assert result.output.strip() == "via env"
+
+
+class TestOverflowAndNesting:
+    """Inputs whose numbers overflow float64, or whose JSON or NPY header
+    nests deeper than a parser can follow, exit with their code and print
+    no numpy warning; the scores of huge vectors are those of the scaled
+    fallback, bit for bit."""
+
+    NESTED = "[" * 200_000 + "]" * 200_000
+    # name: (arguments, exit code, the whole stdout at exit 0, else a part of stderr)
+    CASES = {
+        "fuse-nested-fixture": (["fuse", "--inputs", "in.json", "--provider", "nested.json"], 5, "nested too deeply"),
+        "fuse-nested-reply": (
+            ["fuse", "--inputs", "in.json", "--provider-kind", "external_command",
+             "--provider", f"{sys.executable} nested.py"],
+            5,
+            "nested too deeply",
+        ),
+        "npy-nested-sum": (["attend", "--self", "sum.npy", "--ref", "ok.npy"], 2, "(byte offset 10)"),
+        "npy-nested-negation": (["attend", "--self", "negation.npy", "--ref", "ok.npy"], 2, "(byte offset 10)"),
+        "attend-adain": (["attend", "--self", "spread.npy", "--ref", "ok.npy"], 3, "AdaIN statistics overflowed"),
+        "attend-auto-classify": (
+            ["attend", "--self", "ok.npy", "--ref", "huge.npy", "--auto-classify"],
+            3,
+            "attention logits overflowed",
+        ),
+        "wms": (
+            ["wms", "--generated", "gen.npy", "--refs", "refs.npy", "--weights", "1,3"],
+            0,
+            "w_ref1,w_ref2,MS_ref1,MS_ref2,WMS,MS_GAP\n"
+            "1.0,3.0,0.541595652597734,-0.4812655007557783,-0.22555021241740023,1.0228611533535124\n",
+        ),
+        "fuse-huge-music": (["fuse", "--inputs", "music.json"], 0, "dark and intense\n"),
+        "blend": (
+            ["blend", "--spec", "spec.json", "--out", "blend.npy"],
+            0,
+            '{"method": "sli", "order_used": [1, 0], "omega_trace": [0.7520400891923356],'
+            ' "norm": 2.3818196968407677e+200, "out": "blend.npy"}\n',
+        ),
+    }
+
+    @staticmethod
+    def _inputs(tmp_path):
+        rng = np.random.default_rng(0)
+        (tmp_path / "in.json").write_text(json.dumps([{"modality": "image", "text": TestFuseCommand.LONG}]))
+        (tmp_path / "nested.json").write_text(TestOverflowAndNesting.NESTED)
+        (tmp_path / "music.json").write_text(json.dumps([{"modality": "music", "embedding": [1e200] * 24}]))
+        (tmp_path / "nested.py").write_text(
+            "import sys\nsys.stdin.read()\nsys.stdout.write('[' * 200_000 + ']' * 200_000)\n"
+        )
+        for name, header in (("sum", "1+" * 20000 + "1"), ("negation", "-" * 60000 + "1")):
+            header = header.encode("latin-1") + b"\n"
+            (tmp_path / f"{name}.npy").write_bytes(b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header)
+        write_vectors(tmp_path / "ok.npy", rng.normal(size=(5, 4)))
+        write_vectors(tmp_path / "spread.npy", 1e200 * rng.normal(size=(5, 4)))  # its squares overflow
+        write_vectors(tmp_path / "huge.npy", np.full((5, 4), 1e200))
+        write_vectors(tmp_path / "gen.npy", np.array([[1e200, 1e200, 0.0], [1e200, -1e200, 0.0], [3e200, 4e200, 1.0]]))
+        write_vectors(tmp_path / "refs.npy", np.array([[1e200, 1e200, 1e200], [-2e200, 1e200, 0.0]]))
+        write_vectors(tmp_path / "a.npy", np.array([1e200, 2e200, 0.0]))
+        write_vectors(tmp_path / "b.npy", np.array([2e200, 1e200, 1e200]))
+        styles = [{"path": "a.npy", "weight": 1.0}, {"path": "b.npy", "weight": 2.0}]
+        (tmp_path / "spec.json").write_text(json.dumps({"method": "sli", "styles": styles}))
+
+    @pytest.mark.parametrize("case", CASES.keys())
+    def test_exit_code_and_no_warning(self, runner, tmp_path, monkeypatch, case):
+        args, code, expected = self.CASES[case]
+        self._inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, args)
+        assert result.exit_code == code, result.output
+        assert "Warning" not in result.stderr
+        if code == 0:
+            assert (result.stdout, result.stderr) == (expected, "")
+        else:
+            assert result.stderr.startswith("error: ") and expected in result.stderr, result.stderr
 
 
 class TestSandboxCommand:

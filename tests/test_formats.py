@@ -244,6 +244,8 @@ class TestReaderErrors:
         "fourth_key": "{'descr': '<f8', 'fortran_order': False, 'shape': (4,), 'x': 1, }",
         "list_descr": "{'descr': ['<f8'], 'fortran_order': False, 'shape': (4,), }",
         "bool_shape": "{'descr': '<f8', 'fortran_order': False, 'shape': (True, 4), }",
+        "nested_sum": "1+" * 20000 + "1",  # RecursionError in the parser
+        "nested_negation": "-" * 60000 + "1",  # MemoryError in the parser
     }
 
     @staticmethod

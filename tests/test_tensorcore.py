@@ -85,7 +85,6 @@ class TestDotNorm:
         blended = sli_blend(WeightedStyleSet.of([tiny, LatentVector([2e-200, -1e-200])], [1.0, 1.0]))
         assert blended.omega_trace == pytest.approx((math.pi / 2,), rel=1e-15)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_vector_has_a_norm(self):
         # squared, the entries overflow: np.linalg.norm of this vector is inf
         huge = LatentVector([3e200, 4e200])

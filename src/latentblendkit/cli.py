@@ -64,25 +64,30 @@ class _Cli(click.Group):
             ctx.exit(next(code for cls, code in _EXIT_CODES if isinstance(exc, cls)))
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(doc, output: str | None, fmt: str = "json") -> None:
+    """Write a command's output to stdout, or to the file ``output``.
+
+    A ``str`` is written as it is. A list of row dicts becomes RFC 4180 CSV
+    with a header and CRLF line ends, or ``{"rows": [...]}`` JSON, as
+    ``fmt`` says. Any other value becomes one line of JSON. The output
+    always ends in a newline.
+    """
+    if isinstance(doc, list) and fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(doc[0]), lineterminator="\r\n")
+        writer.writeheader()
+        writer.writerows(doc)
+        doc = buf.getvalue()
+    elif not isinstance(doc, str):
+        doc = json.dumps({"rows": doc} if isinstance(doc, list) else doc)
+    if not doc.endswith("\n"):
+        doc += "\n"
     if output is None:
-        click.echo(text, nl=not text.endswith("\n"))
+        click.echo(doc, nl=False, color=True)  # keep escape codes in the data, as a file does
     else:
         from .formats import write_atomic
 
-        write_atomic(output, (text if text.endswith("\n") else text + "\n").encode("utf-8"))
-
-
-def _rows_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\r\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _emit_rows(rows: list[dict], fmt: str, output: str | None) -> None:
-    _emit(json.dumps({"rows": rows}) if fmt == "json" else _rows_to_csv(rows), output)
+        write_atomic(output, doc.encode("utf-8"))
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
@@ -139,15 +144,13 @@ def blend(spec_path: str, out_path: str, output: str | None):
         raise type(exc)(f"{exc} (spec {spec_path}, styles: {paths})") from exc
     write_vectors(out_path, result.vector)
     _emit(
-        json.dumps(
-            {
-                "method": result.method,
-                "order_used": list(result.order_used),
-                "omega_trace": list(result.omega_trace),
-                "norm": norm(result.vector),
-                "out": out_path,
-            }
-        ),
+        {
+            "method": result.method,
+            "order_used": list(result.order_used),
+            "omega_trace": list(result.omega_trace),
+            "norm": norm(result.vector),
+            "out": out_path,
+        },
         output,
     )
 
@@ -232,15 +235,10 @@ def wms(generated_paths, refs_path, ref_names, weights, grid, fmt, output):
                 )
             )
         report = _weighted_report(style_means[gen_path], w)
-        row: dict = {}
-        for nm, wt in zip(names, w):
-            row[f"w_{nm}"] = wt
-        for nm in names:
-            row[f"MS_{nm}"] = report.per_style_ms[nm]
-        row["WMS"] = report.wms
-        row["MS_GAP"] = report.ms_gap
-        rows.append(row)
-    _emit_rows(rows, fmt, output)
+        row = {f"w_{nm}": wt for nm, wt in zip(names, w)}
+        row.update((f"MS_{nm}", ms) for nm, ms in report.per_style_ms.items())
+        rows.append({**row, "WMS": report.wms, "MS_GAP": report.ms_gap})
+    _emit(rows, output, fmt)
 
 
 @main.command()
@@ -277,46 +275,31 @@ def attend(self_path, ref_paths, mu, sigma, auto_classify, threshold, lambda_wei
             raise InputError(f"{len(w)} lambda weights for {len(ref_paths)} --ref blocks")
         refs = [Matrix(load_rows([p])) for p in ref_paths]
         out = lambda_rescaled_attention(self_m, [StyleBlock(k=m, v=m, weight=wt) for m, wt in zip(refs, w)])
-        _emit(
-            json.dumps(
-                {
-                    "mode": "lambda",
-                    "lambdas": list(out.lambdas),
-                    "block_mass": list(out.block_mass),
-                    "row_entropy": row_entropy(out.weights),
-                }
-            ),
-            output,
-        )
-        return
-
-    if len(ref_paths) != 1:
+        doc = {"mode": "lambda", "lambdas": list(out.lambdas), "block_mass": list(out.block_mass)}
+    elif len(ref_paths) != 1:
         raise InputError("exactly one --ref expected without --lambda-weights")
-    ref_m = Matrix(load_rows([ref_paths[0]]))
-    classification = None
-    if auto_classify:
-        if mu is not None or sigma is not None:
-            raise InputError("--auto-classify conflicts with explicit --mu/--sigma")
-        cfg = StyleClassifierConfig(threshold_t=threshold)
-        style = classify_style(ref_m, cfg)
-        params = rescale_params_for(style, cfg)
-        classification = style.value
     else:
-        params = RescaleParams(mu=mu if mu is not None else 0.0, sigma=sigma if sigma is not None else 1.0)
-    out = shared_attention(self_m, self_m, self_m, ref_m, ref_m, ref_m, rescale=params)
-    _emit(
-        json.dumps(
-            {
-                "mode": "shared",
-                "classification": classification,
-                "mu": params.mu,
-                "sigma": params.sigma,
-                "ref_mass": out.ref_mass,
-                "row_entropy": row_entropy(out.weights),
-            }
-        ),
-        output,
-    )
+        ref_m = Matrix(load_rows([ref_paths[0]]))
+        classification = None
+        if auto_classify:
+            if mu is not None or sigma is not None:
+                raise InputError("--auto-classify conflicts with explicit --mu/--sigma")
+            cfg = StyleClassifierConfig(threshold_t=threshold)
+            style = classify_style(ref_m, cfg)
+            params = rescale_params_for(style, cfg)
+            classification = style.value
+        else:
+            params = RescaleParams(mu=mu if mu is not None else 0.0, sigma=sigma if sigma is not None else 1.0)
+        out = shared_attention(self_m, self_m, self_m, ref_m, ref_m, ref_m, rescale=params)
+        doc = {
+            "mode": "shared",
+            "classification": classification,
+            "mu": params.mu,
+            "sigma": params.sigma,
+            "ref_mass": out.ref_mass,
+        }
+    doc["row_entropy"] = row_entropy(out.weights)
+    _emit(doc, output)
 
 
 @dataclass(frozen=True)
@@ -396,14 +379,8 @@ def fuse(inputs_path, config_path, provider, provider_kind, catalog_path, explai
         descriptions.append(desc)
         notes.append(note)
     prompt, decisions = fuse_with_trace(descriptions, cfg, binding)
-    if explain:
-        for note, decision in zip(notes, decisions):
-            note["paraphrased"] = decision.paraphrased
-            note["text_in"] = decision.text_in
-            note["text_out"] = decision.text_out
-        _emit(json.dumps({"prompt": prompt, "decisions": notes}), output)
-    else:
-        _emit(prompt, output)
+    explained = {"prompt": prompt, "decisions": [note | d._asdict() for note, d in zip(notes, decisions)]}
+    _emit(explained if explain else prompt, output)
 
 
 @main.command()
@@ -425,7 +402,7 @@ def sandbox(config_path, seed, guidance, dump_schedule, guidance_grid, fmt, outp
     cfg = decode(SandboxConfig, raw, "sandbox config" if config_path is None else f"sandbox config {config_path}")
     if dump_schedule:
         schedule = build_schedule(cfg.schedule)
-        rows = [
+        doc = [
             {
                 "step": t,
                 "beta": float(schedule.betas[t]),
@@ -433,10 +410,8 @@ def sandbox(config_path, seed, guidance, dump_schedule, guidance_grid, fmt, outp
             }
             for t in range(schedule.steps)
         ]
-        _emit_rows(rows, fmt, output)
-        return
-    if guidance_grid:
-        rows = [
+    elif guidance_grid:
+        doc = [
             {
                 "guidance": g,
                 "initial_stat_distance": report.initial_stat_distance,
@@ -445,13 +420,11 @@ def sandbox(config_path, seed, guidance, dump_schedule, guidance_grid, fmt, outp
             }
             for g, report in zip(GUIDANCE_GRID, run_guidance_sweep(cfg))
         ]
-        _emit_rows(rows, fmt, output)
-        return
-    report = run_sandbox(cfg)
-    if fmt == "json":
-        _emit(json.dumps(report.to_dict()), output)
+    elif fmt == "json":
+        doc = run_sandbox(cfg).to_dict()
     else:
-        rows = [
+        report = run_sandbox(cfg)
+        doc = [
             {"step": t, "stat_distance": d}
             for t, d in enumerate(report.per_step_stat_distance)
         ]
@@ -460,7 +433,7 @@ def sandbox(config_path, seed, guidance, dump_schedule, guidance_grid, fmt, outp
             f"ref_mass={report.final_ref_mass}",
             err=True,
         )
-        _emit(_rows_to_csv(rows), output)
+    _emit(doc, output, fmt)
 
 
 @main.command()
@@ -475,22 +448,20 @@ def catalog(which, catalog_path, fmt, output):
 
     if which == "queries":
         cat = QueryCatalog.from_json_file(catalog_path) if catalog_path else default_query_catalog()
-        if fmt == "json":
-            entries = [
-                {"index": i, "text": q.text, "embedding": q.embedding.data.tolist()}
-                for i, q in enumerate(cat.queries)
-            ]
-            _emit(json.dumps({"queries": entries}), output)
-        else:
-            rows = [{"index": i, "text": q.text} for i, q in enumerate(cat.queries)]
-            _emit(_rows_to_csv(rows), output)
+        texts = [q.text for q in cat.queries]
     else:
-        prompts = load_prompt_catalog(catalog_path) if catalog_path else default_prompt_catalog()
-        if fmt == "json":
-            _emit(json.dumps({"prompts": prompts}), output)
-        else:
-            rows = [{"index": i, "text": p} for i, p in enumerate(prompts)]
-            _emit(_rows_to_csv(rows), output)
+        texts = load_prompt_catalog(catalog_path) if catalog_path else default_prompt_catalog()
+    if fmt == "csv":
+        doc = [{"index": i, "text": text} for i, text in enumerate(texts)]
+    elif which == "queries":
+        entries = [
+            {"index": i, "text": q.text, "embedding": q.embedding.data.tolist()}
+            for i, q in enumerate(cat.queries)
+        ]
+        doc = {"queries": entries}
+    else:
+        doc = {"prompts": texts}
+    _emit(doc, output, fmt)
 
 
 if __name__ == "__main__":

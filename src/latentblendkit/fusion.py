@@ -98,10 +98,12 @@ class _QueryJson:
 @dataclass(frozen=True)
 class QueryCatalog:
     """Ordered mood/atmosphere queries with their text embeddings, which
-    are also stacked as the rows of one read-only matrix."""
+    are also stacked as the rows of one read-only matrix, whose row norms
+    are taken once for every match."""
 
     queries: tuple[QueryEntry, ...]
     _embeddings: np.ndarray = field(init=False, repr=False, compare=False)
+    _norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         queries = tuple(self.queries)
@@ -110,6 +112,7 @@ class QueryCatalog:
         embeddings = _stack_vectors([q.embedding for q in queries], "catalog entry {}")
         object.__setattr__(self, "queries", queries)
         object.__setattr__(self, "_embeddings", embeddings)
+        object.__setattr__(self, "_norms", _row_norms(embeddings))
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "QueryCatalog":
@@ -199,10 +202,9 @@ def best_music_query(music_embedding: LatentVector, catalog: QueryCatalog) -> Qu
     d = catalog._embeddings.shape[1]
     if music_embedding.d_z != d:
         raise DimensionMismatch(f"dot: dimensions differ ({music_embedding.d_z} vs {d})")
-    norms = _row_norms(catalog._embeddings)
-    if not norms.all():
+    if not catalog._norms.all():
         raise ZeroVector("cosine similarity undefined for zero vectors")
-    scores = _cosines(catalog._embeddings, norms, music_embedding.data, music_norm)
+    scores = _cosines(catalog._embeddings, catalog._norms, music_embedding.data, music_norm)
     best = int(np.argmax(scores))  # the first of equal maxima
     return QueryMatch(index=best, text=catalog.queries[best].text, score=float(scores[best]))
 

@@ -35,12 +35,14 @@ class EmbeddingSet:
 
     ``generated`` may be given as a sequence of LatentVectors or as an
     (n, d) array; it is stored as one read-only (n, d) float64 matrix,
-    with its row norms computed once for every reference's score.
+    with its row norms and the norm of each reference computed once for
+    every reference's score.
     """
 
     generated: np.ndarray
     references: tuple[ReferenceStyle, ...]
     _norms: np.ndarray = field(init=False, repr=False, compare=False)
+    _ref_norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         generated = _generated_matrix(self.generated, "no generated embeddings")
@@ -53,10 +55,11 @@ class EmbeddingSet:
             raise InputError(f"generated[{zero[0]}] is a zero vector")
         d = generated.shape[1]
         names = set()
-        for r in references:
+        ref_norms = tuple(norm(r.embedding) for r in references)
+        for r, ref_norm in zip(references, ref_norms):
             if r.embedding.d_z != d:
                 raise DimensionMismatch(f"reference '{r.name}' has d_z={r.embedding.d_z}, expected {d}")
-            if norm(r.embedding) == 0.0:
+            if ref_norm == 0.0:
                 raise InputError(f"reference '{r.name}' is a zero vector")
             if not math.isfinite(r.weight) or r.weight < 0:
                 raise InputError(f"reference '{r.name}' has invalid weight {r.weight}")
@@ -68,6 +71,7 @@ class EmbeddingSet:
         object.__setattr__(self, "generated", generated)
         object.__setattr__(self, "references", references)
         object.__setattr__(self, "_norms", norms)
+        object.__setattr__(self, "_ref_norms", ref_norms)
 
 
 class _Owned(NamedTuple):
@@ -109,25 +113,24 @@ class ScoreDropBound(NamedTuple):
 def cosine_similarity(a: LatentVector, b: LatentVector) -> float:
     """(a . b) / (|a| |b|), clamped to [-1, 1] against rounding."""
     gen = a.data[np.newaxis]
-    return _mean_similarity(gen, _row_norms(gen), b)
+    return _mean_similarity(gen, _row_norms(gen), b, norm(b))
 
 
 def mean_similarity(generated: Sequence[LatentVector] | np.ndarray, ref: LatentVector) -> float:
     """Mean cosine similarity of a generated set (LatentVectors or an (n, d)
     array) to one reference."""
     gen = _generated_matrix(generated, "mean similarity over an empty generated set")
-    return _mean_similarity(gen, _row_norms(gen), ref)
+    return _mean_similarity(gen, _row_norms(gen), ref, norm(ref))
 
 
-def _mean_similarity(gen: np.ndarray, norms: np.ndarray, ref: LatentVector) -> float:
+def _mean_similarity(gen: np.ndarray, norms: np.ndarray, ref: LatentVector, ref_norm: float) -> float:
     """Mean of the ``_cosines`` of the rows of a C-order (n, d) ``gen``,
-    whose ``_row_norms`` are ``norms``, to ``ref``.
+    whose ``_row_norms`` are ``norms``, to ``ref``, whose norm is ``ref_norm``.
 
     The mean is a plain left-to-right sum, so it does not depend on any
     parallel evaluation strategy (the builtin ``sum`` compensates from
     Python 3.12).
     """
-    ref_norm = norm(ref)
     if ref_norm == 0.0 or not norms.all():
         raise ZeroVector("cosine similarity undefined for zero vectors")
     total = 0.0
@@ -161,7 +164,10 @@ def wms_score(es: EmbeddingSet) -> WmsReport:
 
 def _style_means(es: EmbeddingSet) -> dict[str, float]:
     """MS of the generated set to each reference, in reference order."""
-    return {r.name: _mean_similarity(es.generated, es._norms, r.embedding) for r in es.references}
+    return {
+        r.name: _mean_similarity(es.generated, es._norms, r.embedding, ref_norm)
+        for r, ref_norm in zip(es.references, es._ref_norms)
+    }
 
 
 def _weighted_report(per_style: dict[str, float], weights: Sequence[float]) -> WmsReport:

@@ -909,6 +909,65 @@ def test_output_to_fifo_is_written_in_place(runner, tmp_path):
     assert list(tmp_path.iterdir()) == [fifo]
 
 
+def _output_inputs(tmp_path):
+    """Seeded inputs, in the working directory, for every command of
+    ``OUTPUT_CASES``."""
+    rng = np.random.default_rng(77)
+    _write_unit_styles(tmp_path)
+    _blend_spec(tmp_path, "sli", [0.3, 0.7])
+    write_vectors(tmp_path / "gen.npy", rng.normal(size=(6, 3)))
+    write_vectors(tmp_path / "refs.npy", rng.normal(size=(2, 3)))
+    for name, rows in (("self", 5), ("ref", 4), ("b1", 3), ("b2", 2)):
+        write_vectors(tmp_path / f"{name}.npy", rng.normal(size=(rows, 3)))
+    embedding = [0.0] * 24
+    embedding[5] = 1.0
+    (tmp_path / "in.json").write_text(json.dumps([
+        {"modality": "image", "text": TestFuseCommand.LONG},
+        {"modality": "music", "embedding": embedding},
+        {"modality": "weather", "condition": "fog", "temperature_c": 3.5, "wind_mps": 1.0},
+    ]))
+    (tmp_path / "fix.json").write_text(json.dumps({TestFuseCommand.LONG: "a quiet harbour, \"misty\""}))
+    (tmp_path / "escape.json").write_text(json.dumps([{"modality": "text", "text": "\x1b[31mred\x1b[0m"}]))
+
+
+# name: the arguments of one command whose output may go to --output
+OUTPUT_CASES = {
+    "blend": ["blend", "--spec", "spec.json", "--out", "blend.npy"],
+    "wms-csv": ["wms", "--generated", "gen.npy", "--refs", "refs.npy", "--weights", "0.4,0.6",
+                "--ref-names", 'a"x,b'],
+    "wms-json": ["wms", "--generated", "gen.npy", "--refs", "refs.npy", "--grid", "--format", "json"],
+    "attend-shared": ["attend", "--self", "self.npy", "--ref", "ref.npy", "--auto-classify"],
+    "attend-lambda": ["attend", "--self", "self.npy", "--ref", "b1.npy", "--ref", "b2.npy",
+                      "--lambda-weights", "1,2"],
+    "fuse": ["fuse", "--inputs", "in.json", "--provider", "fix.json"],
+    "fuse-explain": ["fuse", "--inputs", "in.json", "--provider", "fix.json", "--explain"],
+    "fuse-escape-codes": ["fuse", "--inputs", "escape.json"],
+    "sandbox-json": ["sandbox", "--format", "json"],
+    "sandbox-csv": ["sandbox"],
+    "sandbox-schedule": ["sandbox", "--dump-schedule"],
+    "sandbox-schedule-json": ["sandbox", "--dump-schedule", "--format", "json"],
+    "sandbox-grid": ["sandbox", "--guidance-grid"],
+    "catalog-queries-csv": ["catalog", "--which", "queries"],
+    "catalog-queries-json": ["catalog", "--which", "queries", "--format", "json"],
+    "catalog-prompts-csv": ["catalog", "--which", "prompts"],
+    "catalog-prompts-json": ["catalog", "--which", "prompts", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("case", OUTPUT_CASES.keys())
+def test_output_file_holds_the_stdout_bytes(runner, tmp_path, monkeypatch, case):
+    """Every command writes to --output exactly the bytes it prints to
+    stdout without it, and the same stderr in both runs."""
+    _output_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    printed = runner.invoke(main, OUTPUT_CASES[case])
+    written = runner.invoke(main, [*OUTPUT_CASES[case], "--output", "out.txt"])
+    assert printed.exit_code == written.exit_code == 0, printed.output + written.output
+    assert printed.stdout_bytes.endswith(b"\n")
+    assert (written.stdout_bytes, written.stderr) == (b"", printed.stderr)
+    assert (tmp_path / "out.txt").read_bytes() == printed.stdout_bytes
+
+
 class TestCatalogCommand:
     def test_queries_csv(self, runner):
         result = runner.invoke(main, ["catalog", "--which", "queries"])

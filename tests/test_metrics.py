@@ -260,6 +260,21 @@ class TestGeneratedMatrix:
         score_drop_bound(es)
         assert calls == [(2, 3)]
 
+    def test_reference_norms_are_computed_once_per_set(self, monkeypatch):
+        calls = []
+        real = metrics.norm
+
+        def counting(v):
+            calls.append(v)
+            return real(v)
+
+        monkeypatch.setattr(metrics, "norm", counting)
+        refs = tuple(ReferenceStyle(f"r{i}", LatentVector(np.eye(3)[i] + 0.25), 1.0 + i) for i in range(3))
+        es = EmbeddingSet(generated=np.eye(3)[:2] + 0.5, references=refs)
+        report = wms_score(es)
+        assert [id(v) for v in calls] == [id(r.embedding) for r in refs]
+        assert report.per_style_ms == {r.name: mean_similarity(es.generated, r.embedding) for r in refs}
+
 
 def _loop_cosine(g: np.ndarray, r: np.ndarray) -> float:
     return loop_reference.cosine(g, r)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -52,9 +54,37 @@ WEIGHT_GRID = (
 _EXIT_CODES = ((ProviderUnavailable, 4), (ProviderFailure, 5), (NumericDomainError, 3), (BlendKitError, 2))
 
 
+#: The variables through which a caller sets numpy's BLAS thread count.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+class _Command(click.Command):
+    """A subcommand that imports numpy with one BLAS thread before its body
+    runs, unless numpy is loaded already or the caller set a thread count.
+
+    No kernel here gives OpenBLAS's thread pool work (the attention and
+    sandbox kernels are einsum and ufunc loops), yet each idle worker spins
+    after the import: about 0.13 s of CPU per command on 2 vCPUs (numpy
+    2.4, OpenBLAS 0.3.31). The variable is set for the import only, so
+    external providers see the caller's environment. Usage errors and
+    ``--help`` exit before this runs, and import no numpy.
+    """
+
+    def invoke(self, ctx: click.Context):
+        if "numpy" not in sys.modules and not any(var in os.environ for var in _BLAS_THREAD_VARS):
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+            try:
+                import numpy  # noqa: F401
+            finally:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+        return super().invoke(ctx)
+
+
 class _Cli(click.Group):
     """The command group: a BlendKitError from any command prints
     ``error: ...`` to stderr and exits with its ``_EXIT_CODES`` code."""
+
+    command_class = _Command
 
     def invoke(self, ctx: click.Context):
         try:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,31 +49,61 @@ _SUPPORTED_DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
 
 def load_array(path: str | Path) -> np.ndarray:
     """Read an NPY v1.0 file into a fresh float64 C-order array."""
-    return _load_npy(path).astype(np.float64)  # also copies out of the read-only buffer
+    npy = _read_header(path)
+    out = np.empty(npy.shape, dtype=np.float64)
+    _read_payload(npy, out)
+    return out
 
 
 def load_rows(paths: Sequence[str | Path]) -> np.ndarray:
     """The rows of NPY files, in order, as one fresh (n, d) float64 C-order
     array; a 1-D file is one row.
 
-    Each file's data is cast straight into its slice of the result, so no
-    float64 copy of a file is made besides the result.
+    Every file's header is checked before the result is allocated; then
+    each ``<f8`` payload is read straight into its slice of the result and
+    each ``<f4`` payload is cast into it, so no copy of a whole file is
+    held besides the result.
     """
-    parts = [np.atleast_2d(_load_npy(p)) for p in paths]
-    if not parts:
+    files = [_read_header(p) for p in paths]
+    if not files:
         raise InputError("no NPY files to read rows from")
-    d = parts[0].shape[1]
-    for p, part in zip(paths, parts):
-        if part.shape[1] != d:
-            raise DimensionMismatch(f"{p} has d_z={part.shape[1]}, expected {d} (from {paths[0]})")
-    return np.concatenate(parts, dtype=np.float64)
+    d = files[0].shape[-1]
+    for f in files:
+        if f.shape[-1] != d:
+            raise DimensionMismatch(f"{f.path} has d_z={f.shape[-1]}, expected {d} (from {paths[0]})")
+    out = np.empty((sum(math.prod(f.shape[:-1]) for f in files), d), dtype=np.float64)
+    row = 0
+    for f in files:
+        n = math.prod(f.shape[:-1])  # 1 for a 1-D file
+        _read_payload(f, out[row : row + n])
+        row += n
+    return out
 
 
-def _load_npy(path: str | Path) -> np.ndarray:
-    """Validate an NPY v1.0 file; its data as a read-only view of the
-    file's bytes, in the file's dtype and shape."""
+class _Npy(NamedTuple):
+    """An NPY file whose header and size ``_read_header`` has checked."""
+
+    path: str | Path
+    dtype: np.dtype
+    shape: tuple[int, ...]
+    start: int  # the payload's byte offset
+    payload: bytes | None  # read with the header from a pipe or device; None for a regular file
+
+
+def _read_header(path: str | Path) -> _Npy:
+    """Validate the NPY v1.0 header of ``path`` and the file's size.
+
+    A regular file's payload is left on disk for ``_read_payload``; any
+    other file (a pipe, a device) is read whole, as its size is known only
+    then.
+    """
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            regular = stat.S_ISREG(st.st_mode)
+            raw = fh.read(_HEADER_START) if regular else fh.read()
+            if regular and len(raw) == _HEADER_START:
+                raw += fh.read(struct.unpack("<H", raw[8:10])[0])
     except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate in the path
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
@@ -114,20 +144,46 @@ def _load_npy(path: str | Path) -> np.ndarray:
         raise NpyFormatError(
             f"{path}: shape {shape!r} outside the 1-D/2-D, size >= 1 subset", offset=_HEADER_START
         )
+    npy = _Npy(path, _SUPPORTED_DTYPES[descr], shape, header_end, None if regular else raw[header_end:])
+    _check_size(npy, st.st_size if regular else len(raw))
+    return npy
 
-    dtype = _SUPPORTED_DTYPES[descr]
-    count = math.prod(shape)
-    expected = count * dtype.itemsize
-    if len(raw) - header_end < expected:
-        raise TruncatedPayload(
-            f"{path}: payload has {len(raw) - header_end} of {expected} bytes", offset=len(raw)
-        )
-    if len(raw) - header_end > expected:
+
+def _check_size(npy: _Npy, size: int) -> None:
+    """Raise unless a file of ``size`` bytes ends where ``npy``'s payload does."""
+    expected = math.prod(npy.shape) * npy.dtype.itemsize
+    if size - npy.start < expected:
+        raise TruncatedPayload(f"{npy.path}: payload has {size - npy.start} of {expected} bytes", offset=size)
+    if size - npy.start > expected:
         raise NpyFormatError(
-            f"{path}: {len(raw) - header_end - expected} bytes after the {expected}-byte payload",
-            offset=header_end + expected,
+            f"{npy.path}: {size - npy.start - expected} bytes after the {expected}-byte payload",
+            offset=npy.start + expected,
         )
-    return np.frombuffer(raw, dtype=dtype, count=count, offset=header_end).reshape(shape)
+
+
+def _read_payload(npy: _Npy, out: np.ndarray) -> None:
+    """Fill the C-contiguous float64 ``out`` with ``npy``'s payload.
+
+    A regular file is opened again: ``<f8`` bytes are read straight into
+    ``out``, ``<f4`` bytes into a buffer that is cast into it. A file
+    whose size changed since its header was read raises TruncatedPayload
+    or NpyFormatError, as ``_read_header`` would have.
+    """
+    if npy.payload is not None:
+        buf = np.frombuffer(npy.payload, dtype=npy.dtype).reshape(out.shape)
+    else:
+        buf = out if npy.dtype == out.dtype else np.empty(out.shape, dtype=npy.dtype)
+        try:
+            with open(npy.path, "rb") as fh:
+                fh.seek(npy.start)
+                got = fh.readinto(memoryview(buf).cast("B"))
+                size = npy.start + got if got < buf.nbytes else os.fstat(fh.fileno()).st_size
+        except (OSError, ValueError) as exc:
+            raise IoFailure(f"cannot read {npy.path}: {exc}") from exc
+        _check_size(npy, size)
+    if buf is not out:
+        with np.errstate(invalid="ignore"):  # a signalling NaN <f4 casts to a quiet NaN, not a warning
+            out[...] = buf
 
 
 def read_vectors(path: str | Path, rows: bool = False):

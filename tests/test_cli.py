@@ -489,13 +489,13 @@ class TestAttendCommand:
         for name in ("q", "a", "b"):
             write_vectors(tmp_path / f"{name}.npy", np.eye(3))
         reads = Counter()
-        real = formats._load_npy
+        real = formats._read_header
 
         def counting(path):
             reads[Path(path).name] += 1
             return real(path)
 
-        monkeypatch.setattr(formats, "_load_npy", counting)
+        monkeypatch.setattr(formats, "_read_header", counting)
         result = runner.invoke(
             main,
             ["attend", "--self", str(tmp_path / "q.npy"), "--ref", str(tmp_path / "a.npy"),

@@ -4,6 +4,7 @@ import stat
 import struct
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from latentblendkit import (
     BadMagic,
+    BlendKitError,
     DimensionMismatch,
     FeatureMap,
     InputError,
@@ -30,6 +32,7 @@ from latentblendkit import (
     read_vectors,
     write_vectors,
 )
+from latentblendkit import formats
 from latentblendkit.cli import main
 from latentblendkit.formats import load_rows, read_json, write_atomic
 
@@ -158,6 +161,54 @@ class TestLoadRows:
             tracemalloc.stop()
         assert peak < 1.75 * rows.nbytes
 
+    def test_f8_payload_read_straight_into_the_result(self, tmp_path):
+        # the result alone: no buffer of the file's bytes beside it
+        np.save(tmp_path / "a.npy", np.random.default_rng(31).standard_normal((200, 256)))
+        tracemalloc.start()
+        try:
+            rows = load_rows([tmp_path / "a.npy", tmp_path / "a.npy"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * rows.nbytes
+
+    @pytest.mark.parametrize("change, error", [(-8, TruncatedPayload), (8, NpyFormatError)])
+    def test_size_changed_after_the_header_read(self, tmp_path, monkeypatch, change, error):
+        path = tmp_path / "a.npy"
+        write_vectors(path, np.arange(6.0))
+        payload_end = os.path.getsize(path)
+        real = formats._read_header
+
+        def then_resize(p):
+            npy = real(p)
+            os.truncate(p, os.path.getsize(p) + change)
+            return npy
+
+        monkeypatch.setattr(formats, "_read_header", then_resize)
+        with pytest.raises(error) as exc:
+            load_rows([path])
+        assert type(exc.value) is error
+        assert exc.value.offset == (payload_end - 8 if change < 0 else payload_end)
+
+    @pytest.mark.parametrize("load", [load_array, lambda p: load_rows([p])], ids=["load_array", "load_rows"])
+    def test_f4_signalling_nan_reads_without_a_warning(self, tmp_path, load):
+        np.save(tmp_path / "snan.npy", np.frombuffer(struct.pack("<2I", 0x7F800001, 0), dtype="<f4"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = load(tmp_path / "snan.npy")
+        assert np.isnan(got.ravel()[0]) and got.ravel()[1] == 0.0
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_whole(self, tmp_path):
+        write_vectors(tmp_path / "a.npy", np.arange(6.0).reshape(2, 3))
+        r, w = os.pipe()
+        try:
+            os.write(w, (tmp_path / "a.npy").read_bytes())
+            os.close(w)
+            assert load_rows([f"/dev/fd/{r}"]).tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        finally:
+            os.close(r)
+
     def test_width_mismatch_names_the_file(self, tmp_path):
         np.save(tmp_path / "a.npy", np.ones((2, 3)))
         np.save(tmp_path / "b.npy", np.ones((2, 4)))
@@ -265,6 +316,78 @@ class TestReaderErrors:
         result = CliRunner().invoke(main, ["attend", "--self", bad, "--ref", bad])
         assert result.exit_code == 2, result.output
         assert result.stderr.startswith("error: ") and "(byte offset 10)" in result.stderr
+
+
+#: Python literals that a header value can be swapped for.
+_LITERALS = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.sampled_from(["<f4", "<f8", ">f8", "<i8", "|u1", "f8"])
+    | st.text(st.characters(max_codepoint=255), max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _npy_bytes(draw) -> bytes:
+    """A valid NPY v1.0 file of <f4 or <f8, 1-D or 2-D, maybe with one
+    header value swapped for another literal, then maybe mutated by
+    replacing, deleting and inserting bytes."""
+    descr = draw(st.sampled_from(["<f4", "<f8"]))
+    shape = draw(st.tuples(st.integers(1, 6)) | st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    header = {"descr": descr, "fortran_order": False, "shape": shape}
+    size = np.dtype(descr).itemsize * int(np.prod(shape))
+    payload = draw(st.binary(min_size=size, max_size=size))
+    if draw(st.booleans()):
+        header[draw(st.sampled_from(sorted(header)))] = draw(_LITERALS)
+    text = repr(header).encode("latin-1")
+    text += b" " * ((64 - (10 + len(text) + 1) % 64) % 64) + b"\n"
+    raw = bytearray(b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text)) + text + payload)
+    for op in draw(st.lists(st.sampled_from("rdi"), max_size=3)):
+        at = draw(st.integers(0, len(raw)) | st.integers(max(0, len(raw) - size), len(raw)))  # or in the payload
+        data = draw(st.binary(min_size=1, max_size=4))
+        if op == "r":
+            raw[at:at + len(data)] = data
+        elif op == "d":
+            del raw[at:at + len(data)]
+        else:
+            raw[at:at] = data
+    return bytes(raw)
+
+
+class TestReaderFuzz:
+    """Any bytes read as NPY give a float64 array or a BlendKitError, and no warning."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=_npy_bytes())
+    def test_load_array(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzz") / "x.npy"
+        path.write_bytes(raw)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = load_array(path)
+        except BlendKitError:
+            return
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+
+    @settings(max_examples=100, deadline=None)
+    @given(files=st.lists(_npy_bytes(), min_size=1, max_size=3))
+    def test_load_rows(self, tmp_path_factory, files):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        paths = [tmp / f"{i}.npy" for i in range(len(files))]
+        for path, raw in zip(paths, files):
+            path.write_bytes(raw)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = load_rows(paths)
+        except BlendKitError:
+            return
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.ndim == 2
 
 
 class TestWriterErrors:

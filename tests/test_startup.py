@@ -1,14 +1,17 @@
-"""What CLI start-up imports.
+"""What CLI start-up imports, and the BLAS threads it starts.
 
 The package binds its exports on first use, and each CLI command imports
 the modules it runs in its body. So ``lbk --help`` imports no numpy, and a
-command loads only its own modules. Each check runs ``python -X importtime
--m latentblendkit.cli`` (or a short script) in a fresh interpreter, because
-this test process has long since imported everything.
+command loads only its own modules. A command imports numpy with one BLAS
+thread unless its caller set a thread count, and its output does not depend
+on that count. Each check runs ``python -X importtime -m latentblendkit.cli``
+(or a short script) in a fresh interpreter, because this test process has
+long since imported everything.
 """
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -31,9 +34,9 @@ def _env() -> dict:
     return env
 
 
-def _python(*args: str, cwd=None, stdin: bytes | None = None) -> subprocess.CompletedProcess:
+def _python(*args: str, cwd=None, stdin: bytes | None = None, env: dict | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, *args], input=stdin, env=_env(), cwd=cwd, capture_output=True, timeout=120, check=False
+        [sys.executable, *args], input=stdin, env=env or _env(), cwd=cwd, capture_output=True, timeout=120, check=False
     )
 
 
@@ -65,6 +68,13 @@ def test_help_and_version_import_no_numpy_and_keep_their_bytes(argv):
     assert proc.stdout.decode("utf-8") == HELP[argv]
     assert "numpy" not in modules
     assert _package_modules(modules) == {"latentblendkit", "latentblendkit.errors"}
+
+
+@pytest.mark.parametrize("argv", [["blend"], ["wms", "--nope"]], ids=["missing-option", "unknown-option"])
+def test_usage_errors_import_no_numpy(argv):
+    proc, modules = _lbk(argv)
+    assert proc.returncode == 2
+    assert "numpy" not in modules
 
 
 def test_help_golden_covers_every_command():
@@ -155,3 +165,122 @@ def test_attention_export_is_the_function(before):
     )
     proc = _python("-c", code)
     assert proc.stdout.split() == [b"True", b"True"], proc.stderr
+
+
+#: The variables through which a caller sets numpy's BLAS thread count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _caller_env(**blas) -> dict:
+    """The test environment with no BLAS thread variable but those given."""
+    return {k: v for k, v in _env().items() if k not in BLAS_THREAD_VARS} | blas
+
+
+def _has_blas_pool() -> bool:
+    """Whether importing numpy starts an OpenBLAS pool of more than one
+    thread that /proc/self/task can count."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return (
+        sys.platform == "linux"
+        and len(os.sched_getaffinity(0)) >= 2
+        and "openblas" in str(blas.get("name", "")).lower()
+    )
+
+
+needs_blas_pool = pytest.mark.skipif(not _has_blas_pool(), reason="needs Linux, 2+ CPUs and OpenBLAS")
+
+#: Runs ``lbk`` with the arguments after ``-c``, then writes its thread count to stderr at exit.
+COUNT_THREADS = """if True:
+    import atexit, os, sys
+    atexit.register(lambda: sys.stderr.write(f"threads={len(os.listdir('/proc/self/task'))}\\n"))
+    from latentblendkit.cli import main
+    main()
+"""
+
+
+def _threads_at_exit(args: list[str], env: dict, cwd) -> int:
+    proc = _python("-c", COUNT_THREADS, *args, cwd=cwd, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr.decode().rsplit("threads=", 1)[1])
+
+
+def _tiny_blend(tmp_path) -> list[str]:
+    write_vectors(tmp_path / "a.npy", np.array([1.0, 0.0]))
+    write_vectors(tmp_path / "b.npy", np.array([0.0, 1.0]))
+    spec = {"method": "sli", "styles": [{"path": "a.npy", "weight": 1.0}, {"path": "b.npy", "weight": 1.0}]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    return ["blend", "--spec", "spec.json", "--out", "out.npy"]
+
+
+@needs_blas_pool
+@pytest.mark.parametrize("command", ["blend", "dump-schedule"])
+def test_command_ends_with_one_thread(tmp_path, command):
+    args = _tiny_blend(tmp_path) if command == "blend" else ["sandbox", "--dump-schedule"]
+    assert _threads_at_exit(args, _caller_env(), tmp_path) == 1
+
+
+@needs_blas_pool
+def test_the_callers_thread_count_wins(tmp_path):
+    assert _threads_at_exit(_tiny_blend(tmp_path), _caller_env(OPENBLAS_NUM_THREADS="2"), tmp_path) == 2
+
+
+def test_provider_sees_the_callers_environment(tmp_path):
+    provider = tmp_path / "provider.py"
+    provider.write_text(
+        "import json, os, sys\n"
+        "json.load(sys.stdin)\n"
+        "print(json.dumps({'text': f\"blas={os.environ.get('OPENBLAS_NUM_THREADS')}\"}))\n"
+    )
+    long_text = "a castle on a hill above the sea at dusk with many small boats"  # over 10 words: paraphrased
+    (tmp_path / "inputs.json").write_text(json.dumps([{"modality": "image", "text": long_text}]))
+    command = shlex.join([sys.executable, str(provider)])
+    args = ["fuse", "--inputs", "inputs.json", "--provider-kind", "external_command", "--provider", command]
+    for blas, seen in [({}, b"blas=None\n"), ({"OPENBLAS_NUM_THREADS": "3"}, b"blas=3\n")]:
+        proc = _python("-m", "latentblendkit.cli", *args, cwd=tmp_path, env=_caller_env(**blas))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == seen
+
+
+def test_outputs_are_bit_identical_across_blas_thread_counts(tmp_path):
+    # the sandbox config of the wide golden runs the image pool and the mirrored self logits
+    config = json.loads((GOLDEN / "sandbox_wide.json").read_text())["config"]
+    (tmp_path / "sandbox.json").write_text(json.dumps(config))
+    rng = np.random.default_rng(5151)
+    for i in range(5):
+        np.save(tmp_path / f"s{i}.npy", rng.standard_normal(16) * rng.uniform(0.2, 3.0))
+    spec = {"method": "sli", "styles": [{"path": f"s{i}.npy", "weight": float(i + 1)} for i in range(5)]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    np.save(tmp_path / "refs.npy", rng.standard_normal((2, 48)))
+    np.save(tmp_path / "gen.npy", rng.standard_normal((300, 48)))
+    np.save(tmp_path / "self.npy", rng.standard_normal((150, 24)))
+    np.save(tmp_path / "ref.npy", rng.standard_normal((120, 24)))
+    commands = [
+        ["sandbox", "--config", "sandbox.json", "--format", "json"],
+        ["blend", "--spec", "spec.json", "--out", "out.npy"],
+        ["wms", "--generated", "gen.npy", "--refs", "refs.npy", "--grid"],
+        ["attend", "--self", "self.npy", "--ref", "ref.npy"],
+    ]
+    runs = {}
+    for threads in ("1", "2"):
+        env = _caller_env(OPENBLAS_NUM_THREADS=threads)
+        outputs = []
+        for args in commands:
+            proc = _python("-m", "latentblendkit.cli", *args, cwd=tmp_path, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        runs[threads] = [*outputs, (tmp_path / "out.npy").read_bytes()]
+    assert runs["1"] == runs["2"]
+
+
+def test_long_dots_take_the_one_thread_bits(tmp_path):
+    # OpenBLAS splits a dot past 10,000 entries across its threads, which
+    # changes the last bits of the norm a blend of these styles prints
+    rng = np.random.default_rng(7)
+    for i in range(3):
+        np.save(tmp_path / f"s{i}.npy", rng.standard_normal(20000))
+    spec = {"method": "sli", "styles": [{"path": f"s{i}.npy", "weight": float(i + 1)} for i in range(3)]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    args = ["-m", "latentblendkit.cli", "blend", "--spec", "spec.json", "--out", "out.npy"]
+    unset, one = (_python(*args, cwd=tmp_path, env=_caller_env(**blas)) for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}))
+    assert unset.returncode == one.returncode == 0, unset.stderr + one.stderr
+    assert unset.stdout == one.stdout

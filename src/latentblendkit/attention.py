@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import AllZeroWeights, DimensionMismatch, EmptySet, InputError, NumericDomainError
 from .normalization import AdainConfig, _adain_rows
-from .tensorcore import Matrix, _row_matmul, _row_norms, _softmax_rows_array, _weight_sum, _weighted_rows
+from .tensorcore import Matrix, _row_matmul, _row_norms, _softmax_rows_array, _weight_sum, _weighted_rows, _wrap
 
 
 class StyleClass(enum.Enum):
@@ -191,7 +191,7 @@ def _attend(
         out, weights = _attend_blocks(keys, values, blocks, q_hat)
     if not np.isfinite(weights[..., 0]).all():
         raise NumericDomainError("attention logits overflowed float64: a row's largest logit is not finite")
-    return Matrix(out), Matrix(weights)
+    return _wrap(Matrix, out), _wrap(Matrix, weights)
 
 
 def _attend_blocks(

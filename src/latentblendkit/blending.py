@@ -9,7 +9,8 @@ not associative, so the sort is what makes results reproducible.
 A ``WeightedStyleSet`` keeps its styles as one read-only (k, d) float64
 matrix, row i being source index i. The blends work on its rows as plain
 arrays, take every angle from ``tensorcore``'s cosine kernel and build one
-``LatentVector``, the result.
+``LatentVector``, the result, around the array they computed rather than a
+copy of it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import AllZeroWeights, AntipodalVectors, DimensionMismatch, InputError
 from .tensorcore import (
-    DEFAULT_EPS_OMEGA, LINEAR, SLI, LatentVector, _angle, _stack_vectors, _weight_sum, angle_between
+    DEFAULT_EPS_OMEGA, LINEAR, SLI, LatentVector, _angle, _stack_vectors, _weight_sum, _wrap, angle_between
 )
 
 
@@ -99,7 +100,7 @@ def linear_blend(s: WeightedStyleSet) -> BlendResult:
     for w, row in zip(weights, s.vectors):
         out += w * row
     return BlendResult(
-        vector=LatentVector(out),
+        vector=_wrap(LatentVector, out),
         method=LINEAR,
         order_used=tuple(range(len(weights))),
         omega_trace=(),
@@ -130,7 +131,7 @@ def slerp_pair(
     vector, omega = _slerp(z1.data, z2.data, t, eps_omega)
     if t in (0.0, 1.0):  # the endpoint itself, as _slerp returns it
         return (z1 if t == 0.0 else z2), omega
-    return LatentVector(vector), omega
+    return _wrap(LatentVector, vector), omega
 
 
 def _slerp(z1: np.ndarray, z2: np.ndarray, t: float, eps_omega: float) -> tuple[np.ndarray, float]:
@@ -164,7 +165,7 @@ def sli_blend(s: WeightedStyleSet, eps_omega: float = DEFAULT_EPS_OMEGA) -> Blen
     weights = _normalized(s.weights)
     order = tuple(sorted(range(len(weights)), key=lambda i: (-weights[i], i)))
     vector, trace = _sli_fold(s.vectors, weights, order, eps_omega)
-    return BlendResult(vector=LatentVector(vector), method=SLI, order_used=order, omega_trace=trace)
+    return BlendResult(vector=_wrap(LatentVector, vector), method=SLI, order_used=order, omega_trace=trace)
 
 
 def _sli_fold(

@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedOrder,
     UnsupportedVersion,
 )
-from .tensorcore import DEFAULT_EPS_OMEGA, LINEAR, SLI, FeatureMap, LatentVector, Matrix
+from .tensorcore import DEFAULT_EPS_OMEGA, LINEAR, SLI, FeatureMap, LatentVector, Matrix, _frozen_f64, _wrap
 
 _MAGIC = b"\x93NUMPY"
 _HEADER_START = 10  # magic (6) + version (2) + header length (2)
@@ -191,14 +191,18 @@ def read_vectors(path: str | Path, rows: bool = False):
 
     1-D data yields a LatentVector; 2-D data yields a FeatureMap with file
     rows as channels. With ``rows=True`` the result is always a list of
-    LatentVectors (2-D rows become individual vectors).
+    LatentVectors. A 2-D file is then checked once, as a whole, and frozen:
+    each of its rows is a read-only view of that one matrix, not a copy,
+    and ``EmbeddingSet``, ``WeightedStyleSet`` and ``QueryCatalog`` take the
+    matrix itself from the full list of them, in order.
     """
     arr = load_array(path)
     if arr.ndim == 1:
         vec = LatentVector(arr)
         return [vec] if rows else vec
     if rows:
-        return [LatentVector(r) for r in arr]
+        matrix = _frozen_f64(arr, 2, "LatentVector", copy=False)
+        return [_wrap(LatentVector, row, i) for i, row in enumerate(matrix)]
     return FeatureMap(arr)
 
 

@@ -1,10 +1,16 @@
 """Minimal dense array types plus the handful of kernels everything else uses.
 
-The value types are the validated public boundary: each wraps a float64
-defensive copy with the writeable flag cleared, so instances are immutable
-and safe to share across threads. The private ``_``-prefixed kernels take
-and return plain arrays; public functions validate, call a kernel and wrap
-its result.
+The value types are the validated public boundary: each wraps a read-only
+float64 array, so instances are immutable and safe to share across threads.
+A value built by its constructor holds a defensive copy. Two kinds skip that
+copy, through the private ``_wrap``:
+- each row of a 2-D file read with ``formats.read_vectors(rows=True)`` is a
+  read-only view of the one matrix that was checked, as a whole, on load;
+- a vector or matrix the library has just computed (a blend, an attention
+  output) is checked for shape and finiteness and frozen in place.
+
+The private ``_``-prefixed kernels take and return plain arrays; public
+functions validate, call a kernel and wrap its result.
 """
 
 from __future__ import annotations
@@ -37,14 +43,20 @@ _HUGE = float(np.finfo(np.float64).max)
 def _frozen_f64(values, ndim: int, what: str, copy: bool = True) -> np.ndarray:
     """A validated read-only C-order float64 copy of ``values``; with
     ``copy=False``, ``values`` itself if it is one (frozen in place)."""
-    arr = np.array(values, dtype=np.float64, order="C", copy=True if copy else None)
+    return _checked(np.array(values, dtype=np.float64, order="C", copy=True if copy else None), ndim, what)
+
+
+def _checked(arr: np.ndarray, ndim: int, what: str) -> np.ndarray:
+    """``arr`` frozen in place, if it has ``ndim`` dims, none of them 0, and
+    only finite entries; an InvalidShape naming ``what`` if not."""
     if arr.ndim != ndim:
         raise InvalidShape(f"{what} must be {ndim}-D, got shape {arr.shape}")
-    if arr.size == 0 or min(arr.shape) < 1:
+    if arr.size == 0:  # some axis has length 0
         raise InvalidShape(f"{what} must be non-empty, got shape {arr.shape}")
     # min and max propagate NaN and expose +-Inf without the array-sized
-    # mask that isfinite(arr).all() would allocate
-    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+    # mask that isfinite(arr).all() would allocate; math.isfinite takes
+    # their numpy scalars faster than np.isfinite does
+    if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
         raise InvalidShape(f"{what} contains NaN or Inf entries")
     arr.setflags(write=False)
     return arr
@@ -68,9 +80,34 @@ class LatentVector:
     def __post_init__(self):
         object.__setattr__(self, "data", _frozen_f64(self.data, 1, "LatentVector"))
 
+    def __getstate__(self):
+        # the data alone, as before row views (see _wrap): a pickle or copy
+        # owns its data, so a row index would mean nothing there
+        return {"data": self.data}
+
     @property
     def d_z(self) -> int:
         return self.data.shape[0]
+
+
+def _wrap(cls, data: np.ndarray, row: int | None = None):
+    """A ``cls`` (LatentVector, FeatureMap or Matrix) holding the C-order
+    float64 ``data`` itself, not the copy ``__post_init__`` would make.
+
+    Without ``row``, ``data`` is an array the library has just computed: it
+    is checked as ``__post_init__`` checks (a blend of finite vectors can
+    still overflow) and frozen in place. With ``row``, ``data`` is row
+    ``row`` of the ``_checked`` 2-D array ``data.base``, and the index lets
+    ``_stack_vectors`` hand that array back whole. The index is kept beside
+    the dataclass field, so ``fields``, ``repr`` and ``==`` do not see it.
+    """
+    value = object.__new__(cls)
+    if row is None:
+        data = _checked(data, 1 if cls is LatentVector else 2, cls.__name__)
+    else:
+        value.__dict__["_row"] = row
+    value.__dict__["data"] = data
+    return value
 
 
 @dataclass(frozen=True)
@@ -399,15 +436,31 @@ def _cpu_threads(tasks: int) -> int:
 
 
 def _stack_vectors(vectors: Sequence[LatentVector] | np.ndarray, label: str, what: str = "vectors") -> np.ndarray:
-    """A new read-only (k, d) matrix of k >= 1 vectors, one per row, or the
+    """A read-only (k, d) matrix of k >= 1 vectors, one per row, or the
     ``_frozen_f64`` copy of a (k, d) array, which errors name ``what``. The
-    first vector whose d_z differs from vector 0's is named ``label.format(i)``."""
+    first vector whose d_z differs from vector 0's is named ``label.format(i)``.
+
+    The vectors are stacked into a new matrix, unless they are every row of
+    one read-only matrix, in order, as ``formats.read_vectors`` wraps them:
+    that matrix is returned itself.
+    """
     if isinstance(vectors, np.ndarray):
         return _frozen_f64(vectors, 2, what)
-    d = vectors[0].d_z
-    for i, v in enumerate(vectors):
-        if v.d_z != d:
-            raise DimensionMismatch(f"{label.format(i)} has d_z={v.d_z}, expected {d}")
-    matrix = np.stack([v.data for v in vectors])
+    base = vectors[0].data.base
+    if (
+        isinstance(base, np.ndarray)
+        and len(vectors) == base.shape[0]
+        and not base.flags.writeable
+        and all(v.data.base is base and getattr(v, "_row", None) == i for i, v in enumerate(vectors))
+    ):
+        return base
+    try:
+        matrix = np.stack([v.data for v in vectors])
+    except ValueError:
+        d = vectors[0].d_z
+        for i, v in enumerate(vectors):
+            if v.d_z != d:
+                raise DimensionMismatch(f"{label.format(i)} has d_z={v.d_z}, expected {d}") from None
+        raise
     matrix.setflags(write=False)
     return matrix

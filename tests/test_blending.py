@@ -14,6 +14,7 @@ from latentblendkit import (
     LatentVector,
     WeightedStyleSet,
     ZeroVector,
+    blending,
     chord_and_arc,
     linear_blend,
     norm,
@@ -271,7 +272,16 @@ class TestWeightedStyleSet:
             built.append(self)
             real(self)
 
+        real_wrap = blending._wrap
+
+        def counting_wrap(cls, *args, **kwargs):
+            value = real_wrap(cls, *args, **kwargs)
+            built.append(value)
+            return value
+
+        # the result is built by blending._wrap, around the array the fold computed
         monkeypatch.setattr(LatentVector, "__post_init__", counting)
+        monkeypatch.setattr(blending, "_wrap", counting_wrap)
         r = sli_blend(s)
         assert len(r.omega_trace) == 63
         assert built == [r.vector]

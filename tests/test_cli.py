@@ -349,12 +349,21 @@ class TestWmsCommand:
         write_vectors(tmp_path / "gen.npy", rng.standard_normal((n, 8)))
         built = []
         real_post_init = LatentVector.__post_init__
+        real_wrap = formats._wrap
 
         def counting(self):
             built.append(1)
             real_post_init(self)
 
+        def counting_wrap(cls, *args, **kwargs):
+            if cls is LatentVector:
+                built.append(1)
+            return real_wrap(cls, *args, **kwargs)
+
+        # a LatentVector is built by its constructor or, as a row view of a
+        # file, by tensorcore._wrap, which formats calls
         monkeypatch.setattr(LatentVector, "__post_init__", counting)
+        monkeypatch.setattr(formats, "_wrap", counting_wrap)
         result = runner.invoke(
             main,
             ["wms", "--generated", str(tmp_path / "gen.npy"), "--refs", str(tmp_path / "refs.npy"), "--grid"],

@@ -23,8 +23,13 @@ import numpy as np
 
 from .errors import AllZeroWeights, AntipodalVectors, DimensionMismatch, InputError
 from .tensorcore import (
-    DEFAULT_EPS_OMEGA, LINEAR, SLI, LatentVector, _angle, _stack_vectors, _weight_sum, _wrap, angle_between
+    DEFAULT_EPS_OMEGA, LINEAR, SLI, _HUGE, LatentVector, _angle, _stack_vectors, _weight_sum, _wrap, angle_between
 )
+
+#: Below this bound on its entries, ``c1 * z1 + c2 * z2`` cannot overflow:
+#: the margin under the float64 max covers the rounding of the products,
+#: the sum and the norms the bound is taken from.
+_SAFE_SUM = 0.5 * _HUGE
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,7 @@ def slerp_pair(
 
 def _slerp(z1: np.ndarray, z2: np.ndarray, t: float, eps_omega: float) -> tuple[np.ndarray, float]:
     """``slerp_pair`` of two equal-length 1-D arrays, for t in [0, 1]."""
-    omega = _angle(z1, z2)  # raises ZeroVector on zero-norm input
+    omega, n1, n2 = _angle(z1, z2)  # raises ZeroVector on zero-norm input
     if math.pi - omega < eps_omega:
         raise AntipodalVectors(
             f"vectors are antipodal within eps_omega={eps_omega} (omega={omega})"
@@ -146,11 +151,18 @@ def _slerp(z1: np.ndarray, z2: np.ndarray, t: float, eps_omega: float) -> tuple[
     if t == 1.0:
         return z2, omega
     if omega < eps_omega:
-        return (1.0 - t) * z1 + t * z2, omega
-    sin_omega = math.sin(omega)
-    c1 = math.sin((1.0 - t) * omega) / sin_omega
-    c2 = math.sin(t * omega) / sin_omega
-    return c1 * z1 + c2 * z2, omega
+        c1, c2 = 1.0 - t, t
+    else:
+        sin_omega = math.sin(omega)
+        c1 = math.sin((1.0 - t) * omega) / sin_omega
+        c2 = math.sin(t * omega) / sin_omega
+    # |c1| * |z1| + |c2| * |z2| bounds every entry of the result. Only past
+    # it can the sum overflow, and the caller's check then raises on the
+    # inf or NaN it makes; an errstate on every call would cost about 2.5 us.
+    if abs(c1) * n1 + abs(c2) * n2 < _SAFE_SUM:
+        return c1 * z1 + c2 * z2, omega
+    with np.errstate(over="ignore", invalid="ignore"):
+        return c1 * z1 + c2 * z2, omega
 
 
 def sli_blend(s: WeightedStyleSet, eps_omega: float = DEFAULT_EPS_OMEGA) -> BlendResult:

@@ -15,7 +15,8 @@ BLAS thread settings.
 Within a step the generated maps are independent: each attends only to the
 frozen reference and to itself. So one step function runs them as
 C-contiguous (maps, channels, positions) stacks, each map with its own
-blend strength. ``run_guidance_sweep`` stacks the
+blend strength, and no map waits for another map's step: each chunk of
+maps is a chain of steps of its own. ``run_guidance_sweep`` takes the
 maps of every guidance value, which share the seed and so the reference,
 the starting maps and the permutation; ``run_sandbox`` is its
 one-guidance case. A stacked report equals the one-map-at-a-time report
@@ -36,29 +37,36 @@ bit for bit, because each map gets the same arithmetic in the same order:
   from ``tensorcore._MIRROR_MIN_ROWS`` positions of two or more channels
   only their upper 64-row tiles are computed and mirrored, a gate set from
   the measured table there;
-- per-step means are summed in image order in the calling thread.
+- each chunk keeps its stat distances for every step, and once every
+  chain has finished, the calling thread sums the per-step means in image
+  order.
 
 Each step does only arithmetic that reaches the report: the channel stats
 take each map's mean once and hand the centred map to AdaIN, the softmax
 runs in place, and the identity rescale is skipped (exact, see
 ``attention._attend_blocks``).
 
-Below a work gate (channels * positions**2 per map) one call takes as many
-maps as fit in the gate's work, which bounds its memory; the default
-sweep's 18 maps are one call. At or above it each map is its own task on a
-thread pool of one thread per CPU, capped by the number of maps (numpy's
-einsum and ufuncs release the GIL): the per-call overhead a stack saves is
-small next to a big map's einsums, so stacking would only serialise maps
-the pool runs side by side. Nor would one 3-D einsum over a stack help:
-over four stacked (64, 256) maps the logits took 23.5 ms against 16.6 ms
-for four 2-D calls.
+Below a work gate (channels * positions**2 per map) one chunk takes as many
+maps as fit in the gate's work, which bounds its memory, and the calling
+thread runs the chunks' steps in step-major order; the default sweep's 18
+maps are one chunk. At or above it each map is its own chunk, and a thread
+pool of one thread per CPU, capped by the number of maps, runs the chains
+(numpy's einsum and ufuncs release the GIL): each thread takes a chunk
+from one shared queue, runs its next step and queues it again at the
+tail, so the maps advance through their steps without waiting for each
+other, and 7 maps on 2 threads cost 3.5 map-steps of wall time per step
+where a barrier after every step cost 4. The per-call overhead a stack
+saves is small next to a big map's einsums, so stacking would only
+serialise maps the pool runs side by side. Nor would one 3-D einsum over a
+stack help: over four stacked (64, 256) maps the logits took 23.5 ms
+against 16.6 ms for four 2-D calls.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from contextlib import ExitStack
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,26 +92,28 @@ GUIDANCE_GRID = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 #: guidance).
 _STRENGTH_SCALE = 0.05
 
-#: Per-map attention work, channels * positions**2, from which a step's
-#: maps run one per task on a thread pool; below it they run serially with
-#: no pool, stacked as many to a call as fit in this much work. Threaded/
-#: serial wall-time ratios of 50-step runs, one image per call, measured
-#: on 2 vCPUs (median of 7 alternating runs; below 1 the pool wins):
+#: Per-map attention work, channels * positions**2, from which each map is a
+#: chunk of its own and the chunks run on a thread pool; below it they run
+#: in the calling thread, stacked as many to a chunk as fit in this much
+#: work. Threaded/serial wall-time ratios of 50-step runs, one map per
+#: chunk, measured on 2 vCPUs by ``tools/sandbox_gate_table.py`` (median of
+#: 7 alternating runs; below 1 the pool wins):
 #:
 #:     work       shape       x3 images  x4 images  x8 images
-#:     8,192      (8, 32)                2.55
-#:     65,536     (16, 64)               1.90
-#:     131,072    (32, 64)    1.25       1.50       1.38
-#:     221,184    (24, 96)    0.97                  1.04
-#:     262,144    (16, 128)   0.97       0.87       0.76
-#:     524,288    (32, 128)   0.82       0.89       0.72
-#:     2,097,152  (32, 256)   0.60       0.61       0.58
+#:     8,192      (8, 32)     1.70       1.88       1.90
+#:     65,536     (16, 64)    1.13       1.24       1.26
+#:     131,072    (32, 64)    1.34       1.38       1.13
+#:     221,184    (24, 96)    0.97       0.90       0.91
+#:     262,144    (16, 128)   0.85       0.83       0.72
+#:     524,288    (32, 128)   0.73       0.74       0.71
+#:     2,097,152  (32, 256)   0.64       0.55       0.54
 #:
-#: The gate is the smallest measured size that gained at every image count.
-#: As a cap on a serial call's stack it keeps the stacked logits near the
-#: 2 MB L2 cache: past it stacks lose, e.g. 7 stacked (1, 300) maps ran 1.54
-#: times as long as one map per call, while 7 stacked (8, 32) maps ran in
-#: 0.61 of the time.
+#: The gate was the smallest measured size that gained at every image count
+#: while each step waited for every map; without that wait (24, 96) gains
+#: too, by 3-10%. As a cap on a serial chunk's stack it keeps the stacked
+#: logits near the 2 MB L2 cache: past it stacks lose, e.g. 7 stacked
+#: (1, 300) maps ran 1.54 times as long as one map per call, while 7
+#: stacked (8, 32) maps ran in 0.61 of the time.
 _THREAD_MIN_WORK = 262_144
 
 #: Most array elements a SandboxConfig may ask for, checked before anything
@@ -248,8 +258,8 @@ def run_guidance_sweep(
 
     Report i is ``run_sandbox(replace(cfg, guidance_scale=guidances[i]))``
     bit for bit. The runs share the seed, so the reference, the starting
-    maps and the permutation are drawn once, and each step runs every run's
-    maps as one stack, each map with its own blend strength.
+    maps and the permutation are drawn once, and every run's maps go
+    through one step function, each map with its own blend strength.
     """
     runs = [dataclasses.replace(cfg, guidance_scale=g) for g in guidances]
     if not runs:
@@ -291,11 +301,6 @@ def run_guidance_sweep(
         shuffled += s * np.swapaxes(updated, -1, -2)
         return shuffled, _mass(weights, 0, n), _stat_distances(shuffled, *ref_stats)
 
-    def pool_step(*args: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``step`` in a pool thread, which does not inherit the caller's numpy error state."""
-        with np.errstate(all="ignore"):
-            return step(*args)
-
     per_run = len(gens)
     maps = len(runs) * per_run
     initial = _mean(_stat_distances(gens, *ref_stats).tolist())
@@ -312,39 +317,80 @@ def run_guidance_sweep(
     fades = 1.0 - schedule.alpha_cumprod
     scales = np.repeat([_STRENGTH_SCALE * r.guidance_scale for r in runs], per_run)
     strengths = np.split(np.minimum(1.0, scales * fades[:, None]), bounds, axis=1)
-    per_step: list[list[float]] = [[] for _ in runs]
-    # 0 or 1 worker runs the maps serially
-    workers = _cpu_threads(maps) if work >= _THREAD_MIN_WORK else 0
-    with ExitStack() as pool_scope:
+
+    # Each chunk is a chain of steps that needs no other chunk's result:
+    # whoever pops a chunk runs its next step and queues it again at the
+    # tail, so one thread takes the chunks in step-major order and several
+    # stay within a step of each other with no barrier between steps.
+    queue = deque(range(len(xs)))
+    distances: list[list[np.ndarray]] = [[] for _ in xs]  # per chunk, per step
+    masses: list[np.ndarray | None] = [None] * len(xs)  # per chunk, of its latest step
+    # Steps at which a chain's distances went non-finite (-1 for an error):
+    # no chain starts a step past the least of them. list.append is atomic.
+    stops: list[int] = []
+
+    def run_chains() -> None:
         # A config whose numbers overflow float64 (say rescale.sigma = 1e308)
-        # turns maps to NaN. The step means below raise on that, so numpy's
-        # warnings are off: once here, as per call it costs 2% of a small sweep.
-        pool_scope.enter_context(np.errstate(all="ignore"))
-        step_fn, step_map = step, map
-        if workers > 1:
-            # imported here: concurrent.futures pulls in logging, about 12 ms
-            # of every CLI start, and most runs never make a pool
-            from concurrent.futures import ThreadPoolExecutor
+        # turns maps to NaN. The per-step means raise on that once the chains
+        # are done, so numpy's warnings are off, once per thread: a pool
+        # thread does not inherit the caller's error state, and per step it
+        # costs 2% of a small sweep.
+        with np.errstate(all="ignore"):
+            try:
+                while True:
+                    try:
+                        i = queue.popleft()
+                    except IndexError:  # every chain is done or on another thread
+                        return
+                    t = len(distances[i])
+                    if stops and t > min(stops):
+                        continue
+                    xs[i], masses[i], d = step(xs[i], keys[i], values[i], strengths[i][t])
+                    distances[i].append(d)
+                    if not math.isfinite(d.max()):  # max propagates NaN
+                        stops.append(t)
+                    if t + 1 < schedule.steps:
+                        queue.append(i)
+            except BaseException:
+                stops.append(-1)
+                raise
 
-            step_fn, step_map = pool_step, pool_scope.enter_context(ThreadPoolExecutor(max_workers=workers)).map
-        for t in range(schedule.steps):
-            parts = list(step_map(step_fn, xs, keys, values, [chunk[t] for chunk in strengths]))
-            xs = [p[0] for p in parts]
-            distances = np.concatenate([p[2] for p in parts]).tolist()
-            for r, dists in enumerate(per_step):
-                dists.append(_mean(distances[r * per_run : (r + 1) * per_run]))
-                if not math.isfinite(dists[-1]):
-                    raise NumericDomainError(
-                        f"sandbox step {t} of {schedule.steps} has a non-finite stat distance ({dists[-1]})"
-                        f" at guidance_scale {runs[r].guidance_scale}: the config overflows float64"
-                    )
+    # 0 or 1 worker runs the chains in this thread
+    workers = _cpu_threads(maps) if work >= _THREAD_MIN_WORK else 0
+    if workers > 1:
+        # imported here: concurrent.futures pulls in logging, about 12 ms
+        # of every CLI start, and most runs never make a pool
+        from concurrent.futures import ThreadPoolExecutor
 
-    masses = np.concatenate([p[1] for p in parts]).tolist()
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            try:
+                for future in [pool.submit(run_chains) for _ in range(workers)]:
+                    future.result()
+            except BaseException:  # stop the other threads at their next step
+                stops.append(-1)
+                raise
+    else:
+        run_chains()
+
+    # Every chain has run every step up to the least stop, so the first
+    # non-finite mean, in step and then guidance order, lies at or before it.
+    per_step: list[list[float]] = [[] for _ in runs]
+    for t in range(min(stops, default=schedule.steps - 1) + 1):
+        step_distances = np.concatenate([d[t] for d in distances]).tolist()
+        for r, dists in enumerate(per_step):
+            dists.append(_mean(step_distances[r * per_run : (r + 1) * per_run]))
+            if not math.isfinite(dists[-1]):
+                raise NumericDomainError(
+                    f"sandbox step {t} of {schedule.steps} has a non-finite stat distance ({dists[-1]})"
+                    f" at guidance_scale {runs[r].guidance_scale}: the config overflows float64"
+                )
+
+    final_masses = np.concatenate(masses).tolist()
     return tuple(
         SandboxReport(
             initial_stat_distance=initial,
             per_step_stat_distance=tuple(dists),
-            final_ref_mass=sum(masses[r * per_run : (r + 1) * per_run]) / per_run,
+            final_ref_mass=sum(final_masses[r * per_run : (r + 1) * per_run]) / per_run,
             final_stat_distance=dists[-1],
         )
         for r, dists in enumerate(per_step)

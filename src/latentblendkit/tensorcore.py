@@ -71,6 +71,15 @@ def _weight_sum(weights, what: str) -> float:
         raise InputError(f"{what} must have a finite sum, got inf") from None
 
 
+def _frozen_state(value, state: dict) -> None:
+    """The value types' ``__setstate__``: pickle and ``copy`` restore the
+    fields without ``__post_init__``, and numpy unpickles (and deep-copies)
+    an array as writable, so each restored array is frozen here."""
+    for array in state.values():
+        array.setflags(write=False)
+    value.__dict__.update(state)
+
+
 @dataclass(frozen=True)
 class LatentVector:
     """A 1-D latent/embedding vector (style vector, image embedding, ...)."""
@@ -84,6 +93,8 @@ class LatentVector:
         # the data alone, as before row views (see _wrap): a pickle or copy
         # owns its data, so a row index would mean nothing there
         return {"data": self.data}
+
+    __setstate__ = _frozen_state
 
     @property
     def d_z(self) -> int:
@@ -119,6 +130,8 @@ class FeatureMap:
     def __post_init__(self):
         object.__setattr__(self, "data", _frozen_f64(self.data, 2, "FeatureMap"))
 
+    __setstate__ = _frozen_state
+
     @property
     def channels(self) -> int:
         return self.data.shape[0]
@@ -136,6 +149,8 @@ class Matrix:
 
     def __post_init__(self):
         object.__setattr__(self, "data", _frozen_f64(self.data, 2, "Matrix"))
+
+    __setstate__ = _frozen_state
 
     @property
     def rows(self) -> int:
@@ -160,6 +175,8 @@ class ChannelStats:
             raise DimensionMismatch(
                 f"mean/std length mismatch: {self.mean.shape[0]} vs {self.std.shape[0]}"
             )
+
+    __setstate__ = _frozen_state
 
 
 def dot(a: LatentVector, b: LatentVector) -> float:
@@ -326,15 +343,16 @@ def unit(i: int, d: int) -> LatentVector:
 
 def angle_between(a: LatentVector, b: LatentVector) -> float:
     """Angle in [0, pi] between the directions of two nonzero vectors."""
-    return _angle(a.data, b.data)
+    return _angle(a.data, b.data)[0]
 
 
-def _angle(a: np.ndarray, b: np.ndarray) -> float:
-    """Angle in [0, pi] between two nonzero 1-D arrays, through ``_cosines``."""
+def _angle(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+    """(angle in [0, pi], norm of ``a``, norm of ``b``) of two nonzero 1-D
+    arrays, through ``_row_norms`` and ``_cosines``."""
     na, nb = _row_norms(a), _row_norms(b)
     if na == 0.0 or nb == 0.0:
         raise ZeroVector("angle undefined for a zero-norm vector")
-    return math.acos(_cosines(a, na, b, nb))
+    return math.acos(_cosines(a, na, b, nb)), na, nb
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray | float:

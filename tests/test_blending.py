@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from latentblendkit import (
     AntipodalVectors,
     DimensionMismatch,
     InputError,
+    InvalidShape,
     LatentVector,
     WeightedStyleSet,
     ZeroVector,
@@ -163,6 +165,36 @@ class TestSlerpPair:
         assert omega == pytest.approx(math.pi / 2)
         c = math.sin(math.pi / 4) / math.sin(math.pi / 2)
         np.testing.assert_allclose(v.data, [2.0 * c, 3.0 * c], atol=1e-12)
+
+    def test_an_overflowing_slerp_raises_without_a_warning(self):
+        # finite, nearly antipodal inputs: both sine coefficients are about 100
+        a, b = LatentVector([1e307, 0.0]), LatentVector([-1e307, 1e305])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidShape, match=r"^LatentVector contains NaN or Inf entries$"):
+                slerp_pair(a, b, 0.5)
+            with pytest.raises(InvalidShape, match=r"^LatentVector contains NaN or Inf entries$"):
+                sli_blend(WeightedStyleSet.of([a, b], [1.0, 1.0]))
+
+    @pytest.mark.parametrize("t", [0.3, 0.5])
+    @pytest.mark.parametrize("scale", [1.0, 1e307])
+    def test_huge_vectors_keep_their_bits(self, t, scale):
+        # past the bound the sum runs under an errstate, with the same arithmetic
+        rng = np.random.default_rng(17)
+        near, far = rng.uniform(0.5, 1.0, 3), rng.uniform(-1.0, 1.0, 3)
+        for z1, z2, c1, c2 in [
+            (near, near * (1.0 + 1e-12), 1.0 - t, t),  # the straight-line limit
+            (near, far, None, None),
+        ]:
+            z1, z2 = scale * z1, scale * z2
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                v, omega = slerp_pair(LatentVector(z1), LatentVector(z2), t)
+            if c1 is None:
+                assert omega > 1e-7
+                c1 = math.sin((1.0 - t) * omega) / math.sin(omega)
+                c2 = math.sin(t * omega) / math.sin(omega)
+            assert v.data.tobytes() == (c1 * z1 + c2 * z2).tobytes()
 
 
 class TestSliBlend:

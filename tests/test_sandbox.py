@@ -466,3 +466,104 @@ class TestThreadedSteps:
         assert created == [3]
         monkeypatch.undo()
         assert report == run_sandbox(self.WIDE)
+
+
+def _count_chain_steps(monkeypatch, fault=None):
+    """Spy on the sandbox's attention kernel: the returned dict counts the
+    calls of each chain, keyed by the order in which its key block first
+    appeared. ``fault(chain, call, updated)`` may change or raise on a call's
+    output; ``chain`` is that order, ``call`` the chain's call number."""
+    calls: dict[int, int] = {}
+    chains: dict[int, int] = {}
+    lock = threading.Lock()
+    real = sandbox._attend_blocks
+
+    def spy(keys, values, blocks):
+        with lock:
+            chain = chains.setdefault(id(keys), len(chains))
+            call = calls[chain] = calls.get(chain, 0) + 1
+        updated, weights = real(keys, values, blocks)
+        if fault is not None:
+            fault(chain, call, updated)
+        return updated, weights
+
+    monkeypatch.setattr(sandbox, "_attend_blocks", spy)
+    return calls
+
+
+class TestStepChains:
+    """The chunks of maps run as chains of steps with no barrier between steps."""
+
+    WIDE = TestThreadedSteps.WIDE
+
+    @pytest.mark.parametrize("threads", [2, 3, 4])
+    @pytest.mark.parametrize("maps", [3, 5, 7])
+    def test_uneven_chains_match_serial(self, maps, threads, monkeypatch):
+        cfg = replace(self.WIDE, n_images=maps + 1, schedule=DdimScheduleConfig(steps=5))
+        created = TestThreadedSteps._spy_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = run_sandbox(cfg)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(threads)))
+        assert run_sandbox(cfg) == serial
+        assert created == [min(maps, threads)]
+
+    def test_more_chunks_than_threads_match_loop_reference(self, monkeypatch):
+        # 3 guidance values x 3 generated images: 9 chains on 2 threads
+        created = TestThreadedSteps._spy_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = replace(self.WIDE, n_images=4, schedule=DdimScheduleConfig(steps=3))
+        grid = (5.0, 10.0, 30.0)
+        assert run_guidance_sweep(cfg, grid) == tuple(loop_reference(replace(cfg, guidance_scale=g)) for g in grid)
+        assert created == [2]
+
+    def test_late_overflow_in_one_chain_stops_every_chain_at_its_step(self, monkeypatch):
+        # one thread: 6 chains, one map each, two per guidance value; chain 3,
+        # the second map at guidance 10, overflows at step 4 of 6
+        def overflow(chain, call, updated):
+            if chain == 3 and call == 5:
+                updated[...] = np.inf
+
+        calls = _count_chain_steps(monkeypatch, overflow)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        cfg = replace(self.WIDE, n_images=3)
+        with pytest.raises(
+            NumericDomainError,
+            match=r"^sandbox step 4 of 6 has a non-finite stat distance \(nan\) at guidance_scale 10\.0: ",
+        ):
+            run_guidance_sweep(cfg, (5.0, 10.0, 30.0))
+        assert calls == {chain: 5 for chain in range(6)}  # steps 0 to 4, none past it
+
+    def test_late_overflow_in_a_pool_thread(self, monkeypatch):
+        # the first chain to start step 4 overflows there; a chain on the other
+        # thread may finish a step it started before that, but the message is
+        # the one of a step-by-step run
+        first = []
+        lock = threading.Lock()
+
+        def overflow(chain, call, updated):
+            with lock:
+                if call == 5 and not first:
+                    first.append(chain)
+                    updated[...] = np.inf
+
+        calls = _count_chain_steps(monkeypatch, overflow)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDomainError, match=r"^sandbox step 4 of 6 has a non-finite stat distance"):
+                run_sandbox(self.WIDE)
+        assert len(calls) == 8 and calls[first[0]] == 5
+        assert sum(calls.values()) < 8 * 6
+
+    def test_error_in_one_thread_stops_the_others(self, monkeypatch):
+        def boom(chain, call, updated):
+            if call == 2:
+                raise RuntimeError(f"chain {chain} failed")
+
+        calls = _count_chain_steps(monkeypatch, boom)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = replace(self.WIDE, schedule=DdimScheduleConfig(steps=40))
+        with pytest.raises(RuntimeError, match=r"^chain \d failed$"):
+            run_sandbox(cfg)
+        # 8 chains of 40 steps; the first error stops both threads
+        assert sum(calls.values()) < 8 * 20

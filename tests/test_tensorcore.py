@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -24,6 +27,29 @@ from latentblendkit.tensorcore import _row_norms
 
 
 class TestTypes:
+    @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+    def test_copies_stay_read_only(self, how):
+        values = [
+            LatentVector([1.0, 2.0]),
+            FeatureMap(np.ones((2, 3))),
+            Matrix(np.ones((3, 2))),
+            ChannelStats(mean=[0.0, 1.0], std=[1.0, 2.0]),
+        ]
+        duplicate = {
+            "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+            "copy": copy.copy,
+            "deepcopy": copy.deepcopy,
+        }[how]
+        for value in values:
+            twin = duplicate(value)
+            for field in dataclasses.fields(value):
+                original, restored = getattr(value, field.name), getattr(twin, field.name)
+                assert np.array_equal(restored, original) and restored.dtype == np.float64
+                assert not restored.flags.writeable, (type(value).__name__, field.name)
+                with pytest.raises(ValueError):
+                    restored[0] = 5.0
+            assert twin == value if how == "copy" else repr(twin) == repr(value)
+
     def test_latent_vector_is_immutable(self):
         v = LatentVector([1.0, 2.0])
         with pytest.raises(ValueError):

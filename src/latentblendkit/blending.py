@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AllZeroWeights, AntipodalVectors, DimensionMismatch, InputError
 from .tensorcore import (
-    DEFAULT_EPS_OMEGA, LINEAR, SLI, _HUGE, LatentVector, _angle, _stack_vectors, _weight_sum, _wrap, angle_between
+    DEFAULT_EPS_OMEGA, LINEAR, SLI, _HUGE, LatentVector, _Frozen, _angle, _stack_vectors, _weight_sum, _wrap, angle_between
 )
 
 #: Below this bound on its entries, ``c1 * z1 + c2 * z2`` cannot overflow:
@@ -33,7 +33,7 @@ _SAFE_SUM = 0.5 * _HUGE
 
 
 @dataclass(frozen=True)
-class WeightedStyleSet:
+class WeightedStyleSet(_Frozen):
     """Reference styles with non-negative weights, all sharing d_z.
 
     ``vectors`` may be given as a (k, d) array or, as ``of`` does, as a

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -169,6 +170,9 @@ def blend(spec_path: str, out_path: str, output: str | None):
             result = sli_blend(styles, spec.eps_omega)
         else:
             result = linear_blend(styles)
+        blend_norm = norm(result.vector)
+        if blend_norm == math.inf:  # finite entries, but JSON has no inf
+            raise NumericDomainError("the blended vector's norm overflowed float64")
     except NumericDomainError as exc:
         paths = ", ".join(s.path for s in spec.styles)
         raise type(exc)(f"{exc} (spec {spec_path}, styles: {paths})") from exc
@@ -178,7 +182,7 @@ def blend(spec_path: str, out_path: str, output: str | None):
             "method": result.method,
             "order_used": list(result.order_used),
             "omega_trace": list(result.omega_trace),
-            "norm": norm(result.vector),
+            "norm": blend_norm,
             "out": out_path,
         },
         output,
@@ -296,20 +300,20 @@ def attend(self_path, ref_paths, mu, sigma, auto_classify, threshold, lambda_wei
         shared_attention,
     )
     from .formats import load_rows
-    from .tensorcore import Matrix
+    from .tensorcore import Matrix, _wrap
 
-    self_m = Matrix(load_rows([self_path]))
+    self_m = _wrap(Matrix, load_rows([self_path]))
     if lambda_weights is not None:
         w = _parse_float_list(lambda_weights, "--lambda-weights")
         if len(w) != len(ref_paths):
             raise InputError(f"{len(w)} lambda weights for {len(ref_paths)} --ref blocks")
-        refs = [Matrix(load_rows([p])) for p in ref_paths]
+        refs = [_wrap(Matrix, load_rows([p])) for p in ref_paths]
         out = lambda_rescaled_attention(self_m, [StyleBlock(k=m, v=m, weight=wt) for m, wt in zip(refs, w)])
         doc = {"mode": "lambda", "lambdas": list(out.lambdas), "block_mass": list(out.block_mass)}
     elif len(ref_paths) != 1:
         raise InputError("exactly one --ref expected without --lambda-weights")
     else:
-        ref_m = Matrix(load_rows([ref_paths[0]]))
+        ref_m = _wrap(Matrix, load_rows([ref_paths[0]]))
         classification = None
         if auto_classify:
             if mu is not None or sigma is not None:

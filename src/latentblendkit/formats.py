@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -40,7 +41,7 @@ from .errors import (
     UnsupportedOrder,
     UnsupportedVersion,
 )
-from .tensorcore import DEFAULT_EPS_OMEGA, LINEAR, SLI, FeatureMap, LatentVector, Matrix, _frozen_f64, _wrap
+from .tensorcore import DEFAULT_EPS_OMEGA, LINEAR, SLI, FeatureMap, LatentVector, Matrix, _checked, _wrap
 
 _MAGIC = b"\x93NUMPY"
 _HEADER_START = 10  # magic (6) + version (2) + header length (2)
@@ -87,7 +88,7 @@ class _Npy(NamedTuple):
     dtype: np.dtype
     shape: tuple[int, ...]
     start: int  # the payload's byte offset
-    payload: bytes | None  # read with the header from a pipe or device; None for a regular file
+    raw: bytes | None  # a pipe or device's whole bytes, read with the header; None for a regular file
 
 
 def _read_header(path: str | Path) -> _Npy:
@@ -144,7 +145,7 @@ def _read_header(path: str | Path) -> _Npy:
         raise NpyFormatError(
             f"{path}: shape {shape!r} outside the 1-D/2-D, size >= 1 subset", offset=_HEADER_START
         )
-    npy = _Npy(path, _SUPPORTED_DTYPES[descr], shape, header_end, None if regular else raw[header_end:])
+    npy = _Npy(path, _SUPPORTED_DTYPES[descr], shape, header_end, None if regular else raw)
     _check_size(npy, st.st_size if regular else len(raw))
     return npy
 
@@ -164,23 +165,20 @@ def _check_size(npy: _Npy, size: int) -> None:
 def _read_payload(npy: _Npy, out: np.ndarray) -> None:
     """Fill the C-contiguous float64 ``out`` with ``npy``'s payload.
 
-    A regular file is opened again: ``<f8`` bytes are read straight into
-    ``out``, ``<f4`` bytes into a buffer that is cast into it. A file
-    whose size changed since its header was read raises TruncatedPayload
-    or NpyFormatError, as ``_read_header`` would have.
+    A regular file is opened again, a pipe's bytes are read from memory:
+    ``<f8`` bytes straight into ``out``, ``<f4`` bytes into a buffer that
+    is cast into it. A file whose size changed since its header was read
+    raises TruncatedPayload or NpyFormatError, as ``_read_header`` would.
     """
-    if npy.payload is not None:
-        buf = np.frombuffer(npy.payload, dtype=npy.dtype).reshape(out.shape)
-    else:
-        buf = out if npy.dtype == out.dtype else np.empty(out.shape, dtype=npy.dtype)
-        try:
-            with open(npy.path, "rb") as fh:
-                fh.seek(npy.start)
-                got = fh.readinto(memoryview(buf).cast("B"))
-                size = npy.start + got if got < buf.nbytes else os.fstat(fh.fileno()).st_size
-        except (OSError, ValueError) as exc:
-            raise IoFailure(f"cannot read {npy.path}: {exc}") from exc
-        _check_size(npy, size)
+    buf = out if npy.dtype == out.dtype else np.empty(out.shape, dtype=npy.dtype)
+    try:
+        with open(npy.path, "rb") if npy.raw is None else io.BytesIO(npy.raw) as fh:
+            fh.seek(npy.start)
+            got = fh.readinto(memoryview(buf).cast("B"))
+            size = npy.start + got if got < buf.nbytes else fh.seek(0, os.SEEK_END)
+    except (OSError, ValueError) as exc:
+        raise IoFailure(f"cannot read {npy.path}: {exc}") from exc
+    _check_size(npy, size)
     if buf is not out:
         with np.errstate(invalid="ignore"):  # a signalling NaN <f4 casts to a quiet NaN, not a warning
             out[...] = buf
@@ -191,19 +189,17 @@ def read_vectors(path: str | Path, rows: bool = False):
 
     1-D data yields a LatentVector; 2-D data yields a FeatureMap with file
     rows as channels. With ``rows=True`` the result is always a list of
-    LatentVectors. A 2-D file is then checked once, as a whole, and frozen:
-    each of its rows is a read-only view of that one matrix, not a copy,
-    and ``EmbeddingSet``, ``WeightedStyleSet`` and ``QueryCatalog`` take the
+    LatentVectors, one per row (a 1-D file is one row). The file is then
+    read as one matrix, checked once, as a whole, and frozen: each of its
+    rows is a read-only view of that matrix, not a copy, and
+    ``EmbeddingSet``, ``WeightedStyleSet`` and ``QueryCatalog`` take the
     matrix itself from the full list of them, in order.
     """
-    arr = load_array(path)
-    if arr.ndim == 1:
-        vec = LatentVector(arr)
-        return [vec] if rows else vec
     if rows:
-        matrix = _frozen_f64(arr, 2, "LatentVector", copy=False)
+        matrix = _checked(load_rows([path]), 2, "LatentVector")
         return [_wrap(LatentVector, row, i) for i, row in enumerate(matrix)]
-    return FeatureMap(arr)
+    arr = load_array(path)
+    return _wrap(LatentVector if arr.ndim == 1 else FeatureMap, arr)
 
 
 def write_vectors(path: str | Path, data) -> None:

@@ -43,7 +43,7 @@ from .errors import (
     ZeroVector,
 )
 from .formats import _SURROGATE, _parse_json, decode, read_json
-from .tensorcore import LatentVector, _cosines, _cpu_threads, _row_norms, _stack_vectors, norm
+from .tensorcore import LatentVector, _cosines, _cpu_threads, _Frozen, _row_norms, _stack_vectors, norm
 
 MODALITIES = ("image", "audio", "music", "weather", "text")
 
@@ -96,7 +96,7 @@ class _QueryJson:
 
 
 @dataclass(frozen=True)
-class QueryCatalog:
+class QueryCatalog(_Frozen):
     """Ordered mood/atmosphere queries with their text embeddings, which
     are also stacked as the rows of one read-only matrix, whose row norms
     are taken once for every match."""

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, InputError, ZeroVector
-from .tensorcore import LatentVector, _cosines, _frozen_f64, _row_norms, _stack_vectors, _weight_sum, norm
+from .tensorcore import LatentVector, _checked, _cosines, _Frozen, _row_norms, _stack_vectors, _weight_sum, norm
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class ReferenceStyle:
 
 
 @dataclass(frozen=True)
-class EmbeddingSet:
+class EmbeddingSet(_Frozen):
     """Generated-image embeddings plus named, weighted reference embeddings.
 
     ``generated`` may be given as a sequence of LatentVectors or as an
@@ -86,7 +86,7 @@ def _generated_matrix(generated, empty: str) -> np.ndarray:
     array, or an ``_Owned`` array itself; ``empty`` is the EmptySet message
     for n == 0."""
     if isinstance(generated, _Owned):
-        return _frozen_f64(generated.matrix, 2, "generated", copy=False)
+        return _checked(generated.matrix, 2, "generated")
     if not isinstance(generated, np.ndarray):
         generated = tuple(generated)
     if len(generated) == 0:

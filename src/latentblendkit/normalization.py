@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelMismatch, DimensionMismatch, InputError, NumericDomainError
-from .tensorcore import DEFAULT_EPS_STD, FeatureMap, Matrix, _centred_stats, _channel_stats
+from .tensorcore import DEFAULT_EPS_STD, FeatureMap, Matrix, _centred_stats, _channel_stats, _wrap
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def adain_rows(x: Matrix, ref: Matrix, cfg: AdainConfig = AdainConfig()) -> Matr
     """
     if x.cols != ref.cols:
         raise DimensionMismatch(f"feature dims differ: {x.cols} vs {ref.cols}")
-    return Matrix(_adain_rows(x.data, ref.data, cfg.eps_std))
+    return _wrap(Matrix, _adain_rows(x.data, ref.data, cfg.eps_std))
 
 
 def _adain(g: np.ndarray, s_mean: np.ndarray, s_std: np.ndarray, eps_std: float, out: np.ndarray) -> np.ndarray:

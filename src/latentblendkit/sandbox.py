@@ -75,7 +75,7 @@ import numpy as np
 from .attention import IDENTITY_RESCALE, RescaleParams, _attend_blocks, _mass
 from .errors import InputError, NumericDomainError
 from .normalization import _adain
-from .tensorcore import DEFAULT_EPS_STD, _channel_stats, _cpu_threads, _frozen_f64
+from .tensorcore import DEFAULT_EPS_STD, _channel_stats, _cpu_threads, _Frozen, _frozen_f64
 
 SCALED_LINEAR = "scaled_linear"
 LINEAR_SCHEDULE = "linear"
@@ -147,7 +147,7 @@ class DdimScheduleConfig:
 
 
 @dataclass(frozen=True)
-class DdimSchedule:
+class DdimSchedule(_Frozen):
     betas: np.ndarray
     alphas: np.ndarray
     alpha_cumprod: np.ndarray

@@ -4,10 +4,12 @@ The value types are the validated public boundary: each wraps a read-only
 float64 array, so instances are immutable and safe to share across threads.
 A value built by its constructor holds a defensive copy. Two kinds skip that
 copy, through the private ``_wrap``:
-- each row of a 2-D file read with ``formats.read_vectors(rows=True)`` is a
+- each row of a file read with ``formats.read_vectors(rows=True)`` is a
   read-only view of the one matrix that was checked, as a whole, on load;
-- a vector or matrix the library has just computed (a blend, an attention
-  output) is checked for shape and finiteness and frozen in place.
+- a vector or matrix the library has just computed or read (a blend, an
+  attention output, a file) is checked and frozen in place.
+Every value type derives from ``_Frozen``, which keeps its arrays read-only
+through pickle and ``copy``.
 
 The private ``_``-prefixed kernels take and return plain arrays; public
 functions validate, call a kernel and wrap its result.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -40,10 +42,9 @@ _TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
 _HUGE = float(np.finfo(np.float64).max)
 
 
-def _frozen_f64(values, ndim: int, what: str, copy: bool = True) -> np.ndarray:
-    """A validated read-only C-order float64 copy of ``values``; with
-    ``copy=False``, ``values`` itself if it is one (frozen in place)."""
-    return _checked(np.array(values, dtype=np.float64, order="C", copy=True if copy else None), ndim, what)
+def _frozen_f64(values, ndim: int, what: str) -> np.ndarray:
+    """A validated read-only C-order float64 copy of ``values``."""
+    return _checked(np.array(values, dtype=np.float64, order="C"), ndim, what)
 
 
 def _checked(arr: np.ndarray, ndim: int, what: str) -> np.ndarray:
@@ -71,30 +72,30 @@ def _weight_sum(weights, what: str) -> float:
         raise InputError(f"{what} must have a finite sum, got inf") from None
 
 
-def _frozen_state(value, state: dict) -> None:
-    """The value types' ``__setstate__``: pickle and ``copy`` restore the
-    fields without ``__post_init__``, and numpy unpickles (and deep-copies)
-    an array as writable, so each restored array is frozen here."""
-    for array in state.values():
-        array.setflags(write=False)
-    value.__dict__.update(state)
+class _Frozen:
+    """The base of the value types. pickle and ``copy`` keep the dataclass
+    fields alone (a copy owns its data, so a row view's ``_row`` would mean
+    nothing; see ``_wrap``) and restore them without ``__post_init__``, so
+    each array, which numpy restores writable, is frozen here."""
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(state)
 
 
 @dataclass(frozen=True)
-class LatentVector:
+class LatentVector(_Frozen):
     """A 1-D latent/embedding vector (style vector, image embedding, ...)."""
 
     data: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "data", _frozen_f64(self.data, 1, "LatentVector"))
-
-    def __getstate__(self):
-        # the data alone, as before row views (see _wrap): a pickle or copy
-        # owns its data, so a row index would mean nothing there
-        return {"data": self.data}
-
-    __setstate__ = _frozen_state
 
     @property
     def d_z(self) -> int:
@@ -105,12 +106,13 @@ def _wrap(cls, data: np.ndarray, row: int | None = None):
     """A ``cls`` (LatentVector, FeatureMap or Matrix) holding the C-order
     float64 ``data`` itself, not the copy ``__post_init__`` would make.
 
-    Without ``row``, ``data`` is an array the library has just computed: it
-    is checked as ``__post_init__`` checks (a blend of finite vectors can
-    still overflow) and frozen in place. With ``row``, ``data`` is row
-    ``row`` of the ``_checked`` 2-D array ``data.base``, and the index lets
-    ``_stack_vectors`` hand that array back whole. The index is kept beside
-    the dataclass field, so ``fields``, ``repr`` and ``==`` do not see it.
+    Without ``row``, ``data`` is an array the library has just computed or
+    read, which nothing else holds: it is checked as ``__post_init__``
+    checks (a blend of finite vectors can still overflow) and frozen in
+    place. With ``row``, ``data`` is row ``row`` of the ``_checked`` 2-D
+    array ``data.base``, and the index lets ``_stack_vectors`` hand that
+    array back whole. The index is kept beside the dataclass field, so
+    ``fields``, ``repr`` and ``==`` do not see it.
     """
     value = object.__new__(cls)
     if row is None:
@@ -122,15 +124,13 @@ def _wrap(cls, data: np.ndarray, row: int | None = None):
 
 
 @dataclass(frozen=True)
-class FeatureMap:
+class FeatureMap(_Frozen):
     """A (channels x positions) activation map."""
 
     data: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "data", _frozen_f64(self.data, 2, "FeatureMap"))
-
-    __setstate__ = _frozen_state
 
     @property
     def channels(self) -> int:
@@ -142,15 +142,13 @@ class FeatureMap:
 
 
 @dataclass(frozen=True)
-class Matrix:
+class Matrix(_Frozen):
     """A dense (rows x cols) matrix; houses token stacks such as Q, K, V."""
 
     data: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "data", _frozen_f64(self.data, 2, "Matrix"))
-
-    __setstate__ = _frozen_state
 
     @property
     def rows(self) -> int:
@@ -162,7 +160,7 @@ class Matrix:
 
 
 @dataclass(frozen=True)
-class ChannelStats:
+class ChannelStats(_Frozen):
     """Per-channel population mean and (floored) standard deviation."""
 
     mean: np.ndarray
@@ -175,8 +173,6 @@ class ChannelStats:
             raise DimensionMismatch(
                 f"mean/std length mismatch: {self.mean.shape[0]} vs {self.std.shape[0]}"
             )
-
-    __setstate__ = _frozen_state
 
 
 def dot(a: LatentVector, b: LatentVector) -> float:
@@ -236,7 +232,7 @@ def _centred_stats(x: np.ndarray, eps_std: float) -> tuple[np.ndarray, np.ndarra
 
 def softmax_rows(m: Matrix) -> Matrix:
     """Row-wise softmax with max-subtraction for overflow safety."""
-    return Matrix(_softmax_rows_array(m.data.copy()))
+    return _wrap(Matrix, _softmax_rows_array(m.data.copy()))
 
 
 def _softmax_rows_array(logits: np.ndarray) -> np.ndarray:
@@ -338,7 +334,7 @@ def unit(i: int, d: int) -> LatentVector:
         raise InvalidShape(f"basis index {i} outside dimension {d}")
     v = np.zeros(d)
     v[i] = 1.0
-    return LatentVector(v)
+    return _wrap(LatentVector, v)
 
 
 def angle_between(a: LatentVector, b: LatentVector) -> float:
@@ -431,7 +427,8 @@ def _scaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _scaled_norms(rows: np.ndarray) -> np.ndarray:
     """``_row_norms`` of a 2-D ``rows``, each taken on the row scaled by ``_scaled``."""
     scaled, exponents = _scaled(rows)
-    return np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), exponents)
+    with np.errstate(over="ignore"):  # a norm past the float64 max is inf
+        return np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), exponents)
 
 
 def _scaled_cosine_terms(rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -733,6 +733,18 @@ class TestOverflowAndNesting:
             '{"method": "sli", "order_used": [1, 0], "omega_trace": [0.7520400891923356],'
             ' "norm": 2.3818196968407677e+200, "out": "blend.npy"}\n',
         ),
+        # finite entries whose norm is past the float64 max
+        "wms-norm-past-the-max": (
+            ["wms", "--generated", "max.npy", "--refs", "max_refs.npy", "--weights", "1,3"],
+            0,
+            "w_ref1,w_ref2,MS_ref1,MS_ref2,WMS,MS_GAP\n"
+            "1.0,3.0,1.0,0.7071067811865476,0.7803300858899107,0.2928932188134524\n",
+        ),
+        "blend-norm-past-the-max": (
+            ["blend", "--spec", "max_spec.json", "--out", "max_blend.npy"],
+            3,
+            "the blended vector's norm overflowed float64",
+        ),
     }
 
     @staticmethod
@@ -756,6 +768,11 @@ class TestOverflowAndNesting:
         write_vectors(tmp_path / "b.npy", np.array([2e200, 1e200, 1e200]))
         styles = [{"path": "a.npy", "weight": 1.0}, {"path": "b.npy", "weight": 2.0}]
         (tmp_path / "spec.json").write_text(json.dumps({"method": "sli", "styles": styles}))
+        biggest = np.finfo(np.float64).max
+        write_vectors(tmp_path / "max.npy", np.array([biggest, biggest]))
+        write_vectors(tmp_path / "max_refs.npy", np.array([[biggest, biggest], [biggest, 0.0]]))
+        styles = [{"path": "max.npy", "weight": 1.0}, {"path": "max.npy", "weight": 2.0}]
+        (tmp_path / "max_spec.json").write_text(json.dumps({"method": "linear", "styles": styles}))
 
     @pytest.mark.parametrize("case", CASES.keys())
     def test_exit_code_and_no_warning(self, runner, tmp_path, monkeypatch, case):
@@ -771,6 +788,7 @@ class TestOverflowAndNesting:
             assert (result.stdout, result.stderr) == (expected, "")
         else:
             assert result.stderr.startswith("error: ") and expected in result.stderr, result.stderr
+            assert "--out" not in args or not (tmp_path / args[args.index("--out") + 1]).exists()
 
 
 class TestSandboxCommand:

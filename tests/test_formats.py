@@ -200,14 +200,33 @@ class TestLoadRows:
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_is_read_whole(self, tmp_path):
-        write_vectors(tmp_path / "a.npy", np.arange(6.0).reshape(2, 3))
-        r, w = os.pipe()
-        try:
-            os.write(w, (tmp_path / "a.npy").read_bytes())
-            os.close(w)
-            assert load_rows([f"/dev/fd/{r}"]).tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
-        finally:
-            os.close(r)
+        # a pipe's bytes take a regular file's path: the same rows, or the
+        # same error at the same offset
+        write_vectors(tmp_path / "f8.npy", np.arange(6.0).reshape(2, 3))
+        np.save(tmp_path / "f4.npy", np.arange(6.0, dtype="<f4").reshape(2, 3))
+        whole = (tmp_path / "f8.npy").read_bytes()
+        (tmp_path / "long.npy").write_bytes(whole + b"\x00")
+        (tmp_path / "short.npy").write_bytes(whole[:-1])
+
+        def read(path):
+            try:
+                return load_rows([path]).tolist()
+            except (NpyFormatError, TruncatedPayload) as exc:
+                return type(exc), exc.offset
+
+        rows = [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        expected = {"f8": rows, "f4": rows, "long": NpyFormatError, "short": TruncatedPayload}
+        for name, want in expected.items():
+            path = tmp_path / f"{name}.npy"
+            r, w = os.pipe()
+            try:
+                os.write(w, path.read_bytes())
+                os.close(w)
+                got = read(f"/dev/fd/{r}")
+            finally:
+                os.close(r)
+            assert got == read(path), name
+            assert got == rows if want is rows else got[0] is want, name
 
     def test_width_mismatch_names_the_file(self, tmp_path):
         np.save(tmp_path / "a.npy", np.ones((2, 3)))

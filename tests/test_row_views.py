@@ -106,9 +106,10 @@ class TestStack:
         assert wms_score(es) == wms_score(EmbeddingSet(generated=_copies(rows), references=refs))
 
     def test_a_one_row_file_is_its_matrix(self, tmp_path, rng):
-        write_vectors(tmp_path / "one.npy", rng.standard_normal((1, 4)))
-        (row,) = read_vectors(tmp_path / "one.npy", rows=True)
-        assert EmbeddingSet(generated=[row], references=_refs(rng, 4)).generated is row.data.base
+        for shape in [(1, 4), (4,)]:  # a 1-D file is one row too
+            write_vectors(tmp_path / "one.npy", rng.standard_normal(shape))
+            (row,) = read_vectors(tmp_path / "one.npy", rows=True)
+            assert EmbeddingSet(generated=[row], references=_refs(rng, 4)).generated is row.data.base, shape
 
     @pytest.mark.parametrize("case", ["slice", "reversed", "duplicated", "two files", "two files, same length",
                                       "unpickled", "writable base"])

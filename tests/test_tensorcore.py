@@ -2,19 +2,27 @@ import copy
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
 from latentblendkit import (
     ChannelStats,
+    DdimScheduleConfig,
     DimensionMismatch,
+    EmbeddingSet,
     FeatureMap,
     InvalidShape,
     LatentVector,
     Matrix,
+    QueryCatalog,
+    QueryEntry,
+    ReferenceStyle,
+    build_schedule,
     angle_between,
     channel_stats,
+    cosine_similarity,
     dot,
     norm,
     softmax_rows,
@@ -34,6 +42,10 @@ class TestTypes:
             FeatureMap(np.ones((2, 3))),
             Matrix(np.ones((3, 2))),
             ChannelStats(mean=[0.0, 1.0], std=[1.0, 2.0]),
+            build_schedule(DdimScheduleConfig(steps=4)),
+            WeightedStyleSet.of([LatentVector([1.0, 0.0]), LatentVector([0.0, 1.0])], [1.0, 2.0]),
+            EmbeddingSet(generated=np.ones((2, 2)), references=(ReferenceStyle("a", LatentVector([1.0, 0.0]), 1.0),)),
+            QueryCatalog(queries=(QueryEntry("a", LatentVector([1.0, 0.0])),)),
         ]
         duplicate = {
             "pickle": lambda v: pickle.loads(pickle.dumps(v)),
@@ -44,6 +56,8 @@ class TestTypes:
             twin = duplicate(value)
             for field in dataclasses.fields(value):
                 original, restored = getattr(value, field.name), getattr(twin, field.name)
+                if not isinstance(original, np.ndarray):
+                    continue
                 assert np.array_equal(restored, original) and restored.dtype == np.float64
                 assert not restored.flags.writeable, (type(value).__name__, field.name)
                 with pytest.raises(ValueError):
@@ -116,6 +130,14 @@ class TestDotNorm:
         huge = LatentVector([3e200, 4e200])
         assert norm(huge) == pytest.approx(5e200, rel=1e-15)
         assert angle_between(huge, huge) == 0.0
+        # finite entries whose norm is past the float64 max: inf, and no warning
+        biggest = LatentVector([np.finfo(np.float64).max] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm(biggest) == math.inf
+            assert _row_norms(np.array([biggest.data, [3.0, 4.0]])).tolist() == [math.inf, 5.0]
+            assert angle_between(biggest, biggest) == 0.0
+            assert cosine_similarity(biggest, biggest) == 1.0
 
     def test_cauchy_schwarz_and_symmetry(self):
         rng = np.random.default_rng(11)

@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedOrder,
     UnsupportedVersion,
 )
-from .tensorcore import DEFAULT_EPS_OMEGA, LINEAR, SLI, FeatureMap, LatentVector, Matrix, _checked, _wrap
+from .tensorcore import DEFAULT_EPS_OMEGA, LINEAR, SLI, FeatureMap, LatentVector, Matrix, _checked, _rows, _wrap
 
 _MAGIC = b"\x93NUMPY"
 _HEADER_START = 10  # magic (6) + version (2) + header length (2)
@@ -196,8 +196,7 @@ def read_vectors(path: str | Path, rows: bool = False):
     matrix itself from the full list of them, in order.
     """
     if rows:
-        matrix = _checked(load_rows([path]), 2, "LatentVector")
-        return [_wrap(LatentVector, row, i) for i, row in enumerate(matrix)]
+        return _rows(_checked(load_rows([path]), 2, "LatentVector"))
     arr = load_array(path)
     return _wrap(LatentVector if arr.ndim == 1 else FeatureMap, arr)
 

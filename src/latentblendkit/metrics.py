@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, InputError, ZeroVector
-from .tensorcore import LatentVector, _checked, _cosines, _Frozen, _row_norms, _stack_vectors, _weight_sum, norm
+from .tensorcore import LatentVector, _checked, _cosines, _Frozen, _row_norms, _stack_vectors, _sum, _weight_sum, norm
 
 
 @dataclass(frozen=True)
@@ -126,17 +126,10 @@ def mean_similarity(generated: Sequence[LatentVector] | np.ndarray, ref: LatentV
 def _mean_similarity(gen: np.ndarray, norms: np.ndarray, ref: LatentVector, ref_norm: float) -> float:
     """Mean of the ``_cosines`` of the rows of a C-order (n, d) ``gen``,
     whose ``_row_norms`` are ``norms``, to ``ref``, whose norm is ``ref_norm``.
-
-    The mean is a plain left-to-right sum, so it does not depend on any
-    parallel evaluation strategy (the builtin ``sum`` compensates from
-    Python 3.12).
     """
     if ref_norm == 0.0 or not norms.all():
         raise ZeroVector("cosine similarity undefined for zero vectors")
-    total = 0.0
-    for c in _cosines(gen, norms, ref.data, ref_norm).tolist():
-        total += c
-    return total / gen.shape[0]
+    return _sum(_cosines(gen, norms, ref.data, ref_norm).tolist()) / gen.shape[0]
 
 
 def weighted_score(ms_values: Sequence[float], weights: Sequence[float]) -> float:
@@ -147,10 +140,7 @@ def weighted_score(ms_values: Sequence[float], weights: Sequence[float]) -> floa
     """
     if len(ms_values) != len(weights):
         raise DimensionMismatch(f"{len(ms_values)} scores but {len(weights)} weights")
-    total = 0.0
-    for ms, w in zip(ms_values, weights):
-        total += w * ms
-    return total
+    return _sum(w * ms for ms, w in zip(ms_values, weights))
 
 
 def wms_score(es: EmbeddingSet) -> WmsReport:

@@ -9,8 +9,9 @@ between generated and reference channel statistics makes the convergence,
 rescaling, and guidance effects observable without any trained model.
 
 Everything is a pure function of (seed, config): reductions and matrix
-products run in fixed order, so reports are bit-identical across runs and
-BLAS thread settings.
+products run in fixed order, and means sum left to right through
+``tensorcore._sum``, so reports are bit-identical across runs, BLAS thread
+settings and Python versions.
 
 Within a step the generated maps are independent: each attends only to the
 frozen reference and to itself. So one step function runs them as
@@ -75,7 +76,7 @@ import numpy as np
 from .attention import IDENTITY_RESCALE, RescaleParams, _attend_blocks, _mass
 from .errors import InputError, NumericDomainError
 from .normalization import _adain
-from .tensorcore import DEFAULT_EPS_STD, _channel_stats, _cpu_threads, _Frozen, _frozen_f64
+from .tensorcore import DEFAULT_EPS_STD, _channel_stats, _cpu_threads, _Frozen, _frozen_f64, _sum
 
 SCALED_LINEAR = "scaled_linear"
 LINEAR_SCHEDULE = "linear"
@@ -232,13 +233,6 @@ def _stat_distances(x: np.ndarray, ref_mean: np.ndarray, ref_std: np.ndarray) ->
     return np.sqrt(((mean - ref_mean) ** 2).sum(axis=-1) + ((std - ref_std) ** 2).sum(axis=-1))
 
 
-def _mean(values: list[float]) -> float:
-    total = 0.0
-    for v in values:  # left to right, in image order
-        total += v
-    return total / len(values)
-
-
 def run_sandbox(cfg: SandboxConfig) -> SandboxReport:
     """Run the toy generation loop and report statistic convergence.
 
@@ -303,7 +297,7 @@ def run_guidance_sweep(
 
     per_run = len(gens)
     maps = len(runs) * per_run
-    initial = _mean(_stat_distances(gens, *ref_stats).tolist())
+    initial = _sum(_stat_distances(gens, *ref_stats).tolist()) / per_run
     work = c * n * n
     per_call = max(1, _THREAD_MIN_WORK // work)
     bounds = range(per_call, maps, per_call)
@@ -378,7 +372,7 @@ def run_guidance_sweep(
     for t in range(min(stops, default=schedule.steps - 1) + 1):
         step_distances = np.concatenate([d[t] for d in distances]).tolist()
         for r, dists in enumerate(per_step):
-            dists.append(_mean(step_distances[r * per_run : (r + 1) * per_run]))
+            dists.append(_sum(step_distances[r * per_run : (r + 1) * per_run]) / per_run)
             if not math.isfinite(dists[-1]):
                 raise NumericDomainError(
                     f"sandbox step {t} of {schedule.steps} has a non-finite stat distance ({dists[-1]})"
@@ -390,7 +384,7 @@ def run_guidance_sweep(
         SandboxReport(
             initial_stat_distance=initial,
             per_step_stat_distance=tuple(dists),
-            final_ref_mass=sum(final_masses[r * per_run : (r + 1) * per_run]) / per_run,
+            final_ref_mass=_sum(final_masses[r * per_run : (r + 1) * per_run]) / per_run,
             final_stat_distance=dists[-1],
         )
         for r, dists in enumerate(per_step)

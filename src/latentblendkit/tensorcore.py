@@ -3,7 +3,7 @@
 The value types are the validated public boundary: each wraps a read-only
 float64 array, so instances are immutable and safe to share across threads.
 A value built by its constructor holds a defensive copy. Two kinds skip that
-copy, through the private ``_wrap``:
+copy, through the private ``_rows`` and ``_wrap``:
 - each row of a file read with ``formats.read_vectors(rows=True)`` is a
   read-only view of the one matrix that was checked, as a whole, on load;
 - a vector or matrix the library has just computed or read (a blend, an
@@ -72,10 +72,21 @@ def _weight_sum(weights, what: str) -> float:
         raise InputError(f"{what} must have a finite sum, got inf") from None
 
 
+def _sum(values) -> float:
+    """``values`` added by plain float addition, left to right: the one sum
+    of every reported mean and score. Its bits depend on no parallel
+    evaluation strategy, nor on the Python version (the builtin ``sum`` of
+    floats compensates from 3.12)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class _Frozen:
     """The base of the value types. pickle and ``copy`` keep the dataclass
     fields alone (a copy owns its data, so a row view's ``_row`` would mean
-    nothing; see ``_wrap``) and restore them without ``__post_init__``, so
+    nothing; see ``_rows``) and restore them without ``__post_init__``, so
     each array, which numpy restores writable, is frozen here."""
 
     def __getstate__(self):
@@ -102,25 +113,29 @@ class LatentVector(_Frozen):
         return self.data.shape[0]
 
 
-def _wrap(cls, data: np.ndarray, row: int | None = None):
+def _wrap(cls, data: np.ndarray):
     """A ``cls`` (LatentVector, FeatureMap or Matrix) holding the C-order
     float64 ``data`` itself, not the copy ``__post_init__`` would make.
 
-    Without ``row``, ``data`` is an array the library has just computed or
-    read, which nothing else holds: it is checked as ``__post_init__``
-    checks (a blend of finite vectors can still overflow) and frozen in
-    place. With ``row``, ``data`` is row ``row`` of the ``_checked`` 2-D
-    array ``data.base``, and the index lets ``_stack_vectors`` hand that
-    array back whole. The index is kept beside the dataclass field, so
-    ``fields``, ``repr`` and ``==`` do not see it.
+    ``data`` is an array the library has just computed or read, which
+    nothing else holds: it is checked as ``__post_init__`` checks (a blend
+    of finite vectors can still overflow) and frozen in place.
     """
     value = object.__new__(cls)
-    if row is None:
-        data = _checked(data, 1 if cls is LatentVector else 2, cls.__name__)
-    else:
-        value.__dict__["_row"] = row
-    value.__dict__["data"] = data
+    value.__dict__["data"] = _checked(data, 1 if cls is LatentVector else 2, cls.__name__)
     return value
+
+
+def _rows(matrix: np.ndarray) -> list[LatentVector]:
+    """A LatentVector view of each row of the ``_checked`` 2-D ``matrix``. Its
+    index, kept as ``_row`` beside the dataclass field (which ``fields``,
+    ``repr`` and ``==`` see alone), lets ``_stack_vectors`` return the matrix."""
+    vectors = []
+    for i, row in enumerate(matrix):
+        value = object.__new__(LatentVector)
+        value.__dict__.update(data=row, _row=i)
+        vectors.append(value)
+    return vectors
 
 
 @dataclass(frozen=True)

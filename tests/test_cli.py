@@ -349,21 +349,21 @@ class TestWmsCommand:
         write_vectors(tmp_path / "gen.npy", rng.standard_normal((n, 8)))
         built = []
         real_post_init = LatentVector.__post_init__
-        real_wrap = formats._wrap
+        real_rows = formats._rows
 
         def counting(self):
             built.append(1)
             real_post_init(self)
 
-        def counting_wrap(cls, *args, **kwargs):
-            if cls is LatentVector:
-                built.append(1)
-            return real_wrap(cls, *args, **kwargs)
+        def counting_rows(matrix):
+            rows = real_rows(matrix)
+            built.extend(1 for _ in rows)
+            return rows
 
         # a LatentVector is built by its constructor or, as a row view of a
-        # file, by tensorcore._wrap, which formats calls
+        # file, by tensorcore._rows, which formats calls
         monkeypatch.setattr(LatentVector, "__post_init__", counting)
-        monkeypatch.setattr(formats, "_wrap", counting_wrap)
+        monkeypatch.setattr(formats, "_rows", counting_rows)
         result = runner.invoke(
             main,
             ["wms", "--generated", str(tmp_path / "gen.npy"), "--refs", str(tmp_path / "refs.npy"), "--grid"],

@@ -10,6 +10,7 @@ import copy
 import json
 import sys
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -334,10 +335,14 @@ def _replaced(doc, at: tuple, value):
 
 
 def _invoke_ok(runner, argv):
-    result = runner.invoke(main, argv)
+    """Run ``argv``: it exits 0, 2, 3, 4 or 5, with ``error:`` on failure, and warns of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, argv)
     assert result.exit_code in (0, 2, 3, 4, 5), (result.exit_code, result.exception)
     if result.exit_code:
         assert result.stderr.startswith("error:"), result.stderr
+    assert "Warning" not in result.stderr, result.stderr
 
 
 BLEND_SPEC = {
@@ -388,3 +393,22 @@ def test_fuzz_fuse_inputs_and_config(tmp_path_factory, at, value):
     (d / "inputs.json").write_text(json.dumps(docs["inputs"]))
     (d / "config.json").write_text(json.dumps(docs["config"]))
     _invoke_ok(CliRunner(), ["fuse", "--inputs", str(d / "inputs.json"), "--config", str(d / "config.json")])
+
+
+CATALOGS = {
+    "queries": [{"text": "dark and intense", "embedding": [1.0, 0.0]}, {"text": "calm", "embedding": [0.0, 1.0]}],
+    "prompts": ["A snowman in the desert", "A mountain landscape"],
+}
+CATALOG_POINTS = [
+    ("queries", ()), ("queries", (0,)), ("queries", (0, "text")), ("queries", (0, "embedding")),
+    ("queries", (1, "embedding", 0)), ("queries", (1, "extra")), ("prompts", ()), ("prompts", (0,)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(point=st.sampled_from(CATALOG_POINTS), value=json_trees, fmt=st.sampled_from(["csv", "json"]))
+def test_fuzz_catalog_path(tmp_path_factory, point, value, fmt):
+    which, at = point
+    path = tmp_path_factory.getbasetemp() / "fuzz_catalog.json"
+    path.write_text(json.dumps(_replaced(CATALOGS[which], at, value)))
+    _invoke_ok(CliRunner(), ["catalog", "--which", which, "--path", str(path), "--format", fmt])

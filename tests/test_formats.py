@@ -35,6 +35,7 @@ from latentblendkit import (
 from latentblendkit import formats
 from latentblendkit.cli import main
 from latentblendkit.formats import load_rows, read_json, write_atomic
+from test_decode import _invoke_ok
 
 
 class TestRoundTrip:
@@ -407,6 +408,37 @@ class TestReaderFuzz:
         except BlendKitError:
             return
         assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.ndim == 2
+
+
+class TestCliFuzz:
+    """``attend`` and ``wms`` on any bytes read as NPY exit 0, 2, 3, 4 or 5,
+    with ``error:`` on failure, and warn of nothing."""
+
+    @staticmethod
+    def _paths(tmp_path_factory, files):
+        tmp = tmp_path_factory.mktemp("fuzz_cli")
+        for i, raw in enumerate(files):
+            (tmp / f"{i}.npy").write_bytes(raw)
+        return [str(tmp / f"{i}.npy") for i in range(len(files))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(files=st.lists(_npy_bytes(), min_size=2, max_size=3), mode=st.sampled_from(["shared", "auto", "lambda"]))
+    def test_attend(self, tmp_path_factory, files, mode):
+        own, *refs = self._paths(tmp_path_factory, files)
+        if mode == "lambda":
+            flags = ["--lambda-weights", ",".join(["0.5"] * len(refs))]
+        else:
+            refs = refs[:1]
+            flags = ["--auto-classify"] if mode == "auto" else []
+        _invoke_ok(CliRunner(), ["attend", "--self", own, *(a for r in refs for a in ("--ref", r)), *flags])
+
+    @settings(max_examples=60, deadline=None)
+    @given(files=st.lists(_npy_bytes(), min_size=1, max_size=2), grid=st.booleans())
+    def test_wms(self, tmp_path_factory, files, grid):
+        paths = self._paths(tmp_path_factory, files)
+        gen, refs = paths[0], paths[-1]  # one file may serve as both, whose dimensions then agree
+        flags = ["--grid"] if grid else ["--weights", "0.5,0.5"]
+        _invoke_ok(CliRunner(), ["wms", "--generated", gen, "--refs", refs, *flags])
 
 
 class TestWriterErrors:

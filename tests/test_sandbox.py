@@ -1,3 +1,4 @@
+import builtins
 import concurrent.futures
 import json
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +32,8 @@ from latentblendkit import (
     run_guidance_sweep,
     run_sandbox,
 )
-from latentblendkit import sandbox, tensorcore
+from latentblendkit import metrics, sandbox, tensorcore
+from latentblendkit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -265,7 +268,42 @@ def loop_reference(cfg: SandboxConfig) -> SandboxReport:
             masses.append(float(w[:, :n].sum(axis=1).mean()))
         gens = new_gens
         per_step.append(mean([distance(g) for g in gens]))
-    return SandboxReport(initial, tuple(per_step), sum(masses) / len(masses), per_step[-1])
+    return SandboxReport(initial, tuple(per_step), mean(masses), per_step[-1])
+
+
+def compensated_sum(values, start=0):
+    """The builtin ``sum`` of floats as Python 3.12 and later compute it:
+    Neumaier's compensated summation. Other values are added by the running
+    interpreter's ``sum``."""
+    values = list(values)
+    if not all(isinstance(v, float) for v in values):
+        return builtins.sum(values, start)
+    total, c = float(start), 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+class TestLeftToRightSums:
+    """Every reported mean sums left to right through ``tensorcore._sum``,
+    so no report depends on how the builtin ``sum`` adds floats."""
+
+    def test_reports_do_not_depend_on_the_builtin_sum(self, monkeypatch, tmp_path):
+        assert (compensated_sum([0.1] * 10), tensorcore._sum([0.1] * 10)) == (1.0, 0.9999999999999999)
+        # at seed 0 a compensated sum moved the last bit of final_ref_mass
+        # at guidance 25
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 0}))
+        argv = ["sandbox", "--config", str(cfg), "--guidance-grid", "--format", "json"]
+        reports = run_guidance_sweep(SandboxConfig(seed=0))
+        printed = CliRunner().invoke(main, argv)
+        assert printed.exit_code == 0, printed.output
+        for module in (sandbox, metrics):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+        assert run_guidance_sweep(SandboxConfig(seed=0)) == reports
+        assert CliRunner().invoke(main, argv).output == printed.output
 
 
 small_configs = st.builds(

@@ -193,7 +193,10 @@ def read_vectors(path: str | Path, rows: bool = False):
     read as one matrix, checked once, as a whole, and frozen: each of its
     rows is a read-only view of that matrix, not a copy, and
     ``EmbeddingSet``, ``WeightedStyleSet`` and ``QueryCatalog`` take the
-    matrix itself from the full list of them, in order.
+    matrix itself from the full list of them, in order. The views and the
+    ``EmbeddingSet``s over all of them share the matrix's row norms and MS
+    values, so the matrix must not be made writable and changed: sets built
+    afterwards, even once it is read-only again, would get the old values.
     """
     if rows:
         return _rows(_checked(load_rows([path]), 2, "LatentVector"))

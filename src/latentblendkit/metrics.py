@@ -8,6 +8,13 @@ checkable core of the multi-style score-drop argument.
 
 Embeddings arrive from files; no vision model is run here, so the scores
 are exact arithmetic on the supplied vectors.
+
+The MS values do not depend on the weights, so a weight grid needs each
+only once. Sets built from every row ``read_vectors(path, rows=True)``
+gave for one file, in order, share that matrix's ``_Record``: its row norms
+are taken once, and the MS values of the last references it was scored
+against are kept for the next set over the same references. Any other
+generated input is scored afresh. Either way the bits are the same.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, InputError, ZeroVector
-from .tensorcore import LatentVector, _checked, _cosines, _Frozen, _row_norms, _stack_vectors, _sum, _weight_sum, norm
+from .tensorcore import (
+    LatentVector, _checked, _cosines, _Frozen, _Record, _row_norms, _stack_vectors, _sum, _weight_sum, norm
+)
 
 
 @dataclass(frozen=True)
@@ -36,7 +45,11 @@ class EmbeddingSet(_Frozen):
     ``generated`` may be given as a sequence of LatentVectors or as an
     (n, d) array; it is stored as one read-only (n, d) float64 matrix,
     with its row norms and the norm of each reference computed once for
-    every reference's score.
+    every reference's score. Given every row of one file, in order, as
+    ``read_vectors(path, rows=True)`` returns them, the set keeps that
+    matrix and its ``_Record`` (as ``_rec``, outside the fields, so pickle
+    and ``copy`` drop it): the norms come from the record, and ``wms_score``
+    reuses the MS values another set over the same references left there.
     """
 
     generated: np.ndarray
@@ -45,11 +58,11 @@ class EmbeddingSet(_Frozen):
     _ref_norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        generated = _generated_matrix(self.generated, "no generated embeddings")
+        generated, record = _generated_matrix(self.generated, "no generated embeddings")
         references = tuple(self.references)
         if not references:
             raise EmptySet("no reference styles")
-        norms = _row_norms(generated)
+        norms = _row_norms(generated) if record is None else record.norms()
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             raise InputError(f"generated[{zero[0]}] is a zero vector")
@@ -72,6 +85,8 @@ class EmbeddingSet(_Frozen):
         object.__setattr__(self, "references", references)
         object.__setattr__(self, "_norms", norms)
         object.__setattr__(self, "_ref_norms", ref_norms)
+        if record is not None:
+            object.__setattr__(self, "_rec", record)
 
 
 class _Owned(NamedTuple):
@@ -81,17 +96,20 @@ class _Owned(NamedTuple):
     matrix: np.ndarray
 
 
-def _generated_matrix(generated, empty: str) -> np.ndarray:
-    """A read-only float64 (n, d) copy of LatentVectors or of an (n, d)
-    array, or an ``_Owned`` array itself; ``empty`` is the EmptySet message
-    for n == 0."""
+def _generated_matrix(generated, empty: str) -> tuple[np.ndarray, _Record | None]:
+    """(a read-only float64 (n, d) copy of LatentVectors or of an (n, d)
+    array, or an ``_Owned`` array itself; None), or the matrix and
+    ``_Record`` of every row of one file, which ``_stack_vectors`` returns
+    itself; ``empty`` is the EmptySet message for n == 0."""
     if isinstance(generated, _Owned):
-        return _checked(generated.matrix, 2, "generated")
+        return _checked(generated.matrix, 2, "generated"), None
     if not isinstance(generated, np.ndarray):
         generated = tuple(generated)
     if len(generated) == 0:
         raise EmptySet(empty)
-    return _stack_vectors(generated, "generated[{}]", "generated")
+    matrix = _stack_vectors(generated, "generated[{}]", "generated")
+    record = getattr(generated[0], "_rec", None)
+    return matrix, record if record is not None and matrix is record.matrix else None
 
 
 @dataclass(frozen=True)
@@ -119,8 +137,11 @@ def cosine_similarity(a: LatentVector, b: LatentVector) -> float:
 def mean_similarity(generated: Sequence[LatentVector] | np.ndarray, ref: LatentVector) -> float:
     """Mean cosine similarity of a generated set (LatentVectors or an (n, d)
     array) to one reference."""
-    gen = _generated_matrix(generated, "mean similarity over an empty generated set")
-    return _mean_similarity(gen, _row_norms(gen), ref, norm(ref))
+    gen, record = _generated_matrix(generated, "mean similarity over an empty generated set")
+    if record is None:
+        return _mean_similarity(gen, _row_norms(gen), ref, norm(ref))
+    ms = record.scores.get(ref.data.tobytes())
+    return _mean_similarity(gen, record.norms(), ref, norm(ref)) if ms is None else ms
 
 
 def _mean_similarity(gen: np.ndarray, norms: np.ndarray, ref: LatentVector, ref_norm: float) -> float:
@@ -153,11 +174,24 @@ def wms_score(es: EmbeddingSet) -> WmsReport:
 
 
 def _style_means(es: EmbeddingSet) -> dict[str, float]:
-    """MS of the generated set to each reference, in reference order."""
-    return {
-        r.name: _mean_similarity(es.generated, es._norms, r.embedding, ref_norm)
-        for r, ref_norm in zip(es.references, es._ref_norms)
-    }
+    """MS of the generated set to each reference, in reference order.
+
+    A set with a ``_Record`` takes them from the record when its references
+    are the ones scored last, and leaves its own there otherwise: the dict
+    is replaced whole, never grown, and never changed once stored, so
+    threads sharing the record read whole dicts.
+    """
+    keys = [r.embedding.data.tobytes() for r in es.references]
+    record = getattr(es, "_rec", None)
+    scores = {} if record is None else record.scores
+    if scores.keys() != set(keys):
+        scores = {
+            key: _mean_similarity(es.generated, es._norms, r.embedding, ref_norm)
+            for key, r, ref_norm in zip(keys, es.references, es._ref_norms)
+        }
+        if record is not None:
+            record.scores = scores
+    return {r.name: scores[key] for r, key in zip(es.references, keys)}
 
 
 def _weighted_report(per_style: dict[str, float], weights: Sequence[float]) -> WmsReport:

@@ -101,20 +101,23 @@ _STRENGTH_SCALE = 0.05
 #: 7 alternating runs; below 1 the pool wins):
 #:
 #:     work       shape       x3 images  x4 images  x8 images
-#:     8,192      (8, 32)     1.70       1.88       1.90
-#:     65,536     (16, 64)    1.13       1.24       1.26
-#:     131,072    (32, 64)    1.34       1.38       1.13
-#:     221,184    (24, 96)    0.97       0.90       0.91
-#:     262,144    (16, 128)   0.85       0.83       0.72
-#:     524,288    (32, 128)   0.73       0.74       0.71
-#:     2,097,152  (32, 256)   0.64       0.55       0.54
+#:     8,192      (8, 32)     1.98       2.13       1.95
+#:     65,536     (16, 64)    1.34       0.95       1.09
+#:     131,072    (32, 64)    1.18       0.90       1.24
+#:     221,184    (24, 96)    0.85       0.96       0.82
+#:     262,144    (16, 128)   0.68       0.80       0.74
+#:     524,288    (32, 128)   0.72       0.71       0.72
+#:     2,097,152  (32, 256)   0.58       0.57       0.53
 #:
-#: The gate was the smallest measured size that gained at every image count
-#: while each step waited for every map; without that wait (24, 96) gains
-#: too, by 3-10%. As a cap on a serial chunk's stack it keeps the stacked
-#: logits near the 2 MB L2 cache: past it stacks lose, e.g. 7 stacked
-#: (1, 300) maps ran 1.54 times as long as one map per call, while 7
-#: stacked (8, 32) maps ran in 0.61 of the time.
+#: The gate was set as the smallest measured size that gained at every image
+#: count while each step waited for every map. Without that wait (24, 96)
+#: gains too, here and in the run before (0.97, 0.90 and 0.91), but cells
+#: move by up to 0.3 between runs, no benchmark workload has a shape in
+#: [221,184, 262,144), and the gate also caps a serial chunk's stack, whose
+#: cost at the shapes it would change has not been measured. As that cap it
+#: keeps the stacked logits near the 2 MB L2 cache: past it stacks lose,
+#: e.g. 7 stacked (1, 300) maps ran 1.54 times as long as one map per call,
+#: while 7 stacked (8, 32) maps ran in 0.61 of the time.
 _THREAD_MIN_WORK = 262_144
 
 #: Most array elements a SandboxConfig may ask for, checked before anything

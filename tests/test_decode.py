@@ -412,3 +412,40 @@ def test_fuzz_catalog_path(tmp_path_factory, point, value, fmt):
     path = tmp_path_factory.getbasetemp() / "fuzz_catalog.json"
     path.write_text(json.dumps(_replaced(CATALOGS[which], at, value)))
     _invoke_ok(CliRunner(), ["catalog", "--which", which, "--path", str(path), "--format", fmt])
+
+
+SANDBOX_CONFIG = {
+    "guidance_scale": 10.0, "seed": 7, "n_images": 3, "feature_shape": [4, 16],
+    "schedule": {"beta_start": 0.00085, "beta_end": 0.012, "beta_schedule": "scaled_linear", "steps": 5},
+    "rescale": {"mu": 0.0, "sigma": 1.0},
+}
+SANDBOX_POINTS = [
+    (), ("guidance_scale",), ("seed",), ("n_images",), ("feature_shape",), ("feature_shape", 0),
+    ("feature_shape", 1), ("schedule",), ("schedule", "steps"), ("schedule", "beta_schedule"),
+    ("schedule", "beta_end"), ("schedule", "clip_sample"), ("rescale",), ("rescale", "sigma"), ("extra",),
+]
+
+
+def _small(doc):
+    """``doc`` with an int ``n_images``, ``schedule.steps`` or ``feature_shape``
+    entry above (4, 5, (4, 16)) lowered to it: a config may ask for up to
+    ``sandbox.MAX_ELEMENTS`` elements of work, which no fuzz example should."""
+    if not isinstance(doc, dict):
+        return doc
+    small = lambda v, cap: min(v, cap) if type(v) is int else v  # noqa: E731
+    if "n_images" in doc:
+        doc["n_images"] = small(doc["n_images"], 4)
+    if isinstance(doc.get("schedule"), dict) and "steps" in doc["schedule"]:
+        doc["schedule"]["steps"] = small(doc["schedule"]["steps"], 5)
+    if isinstance(doc.get("feature_shape"), list) and len(doc["feature_shape"]) == 2:
+        doc["feature_shape"] = [small(v, cap) for v, cap in zip(doc["feature_shape"], (4, 16))]
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(at=st.sampled_from(SANDBOX_POINTS), value=json_trees | st.integers() | st.floats(),
+       flags=st.sampled_from([[], ["--guidance-grid"], ["--dump-schedule"], ["--format", "json"]]))
+def test_fuzz_sandbox_config(tmp_path_factory, at, value, flags):
+    path = tmp_path_factory.getbasetemp() / "fuzz_sandbox.json"
+    path.write_text(json.dumps(_small(_replaced(SANDBOX_CONFIG, at, value))))
+    _invoke_ok(CliRunner(), ["sandbox", "--config", str(path), *flags])

@@ -3,23 +3,30 @@
 ``read_vectors(path, rows=True)`` checks a 2-D file once and wraps each of
 its rows as a read-only view. ``EmbeddingSet``, ``WeightedStyleSet`` and
 ``QueryCatalog`` take that matrix itself from every row of it, in order;
-anything else is stacked into a copy. Either way the results are the same
-bits.
+anything else is stacked into a copy. The views share one record of the
+matrix, which keeps its row norms and the MS values of the last references
+it was scored against for every set over it. Either way the results are the
+same bits.
 """
 
 import copy
 import dataclasses
+import gc
 import os
 import pickle
 import re
 import subprocess
 import sys
+import weakref
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import latentblendkit
+from latentblendkit import metrics, tensorcore
 from latentblendkit import (
     DimensionMismatch,
     EmbeddingSet,
@@ -31,6 +38,7 @@ from latentblendkit import (
     ReferenceStyle,
     WeightedStyleSet,
     linear_blend,
+    mean_similarity,
     read_vectors,
     shared_attention,
     slerp_pair,
@@ -77,8 +85,8 @@ class TestRead:
         assert [f.name for f in dataclasses.fields(row)] == ["data"]
         assert repr(row) == repr(own)
         assert pickle.dumps(row) == pickle.dumps(own)
-        assert not hasattr(pickle.loads(pickle.dumps(row)), "_row")
-        assert not hasattr(copy.copy(row), "_row")
+        assert not hasattr(pickle.loads(pickle.dumps(row)), "_rec")
+        assert not hasattr(copy.copy(row), "_rec")
 
     def test_user_vectors_are_still_copied(self, rows):
         arr = np.ones(3)
@@ -145,6 +153,121 @@ class TestStack:
                    LatentVector(np.ones(2))]
         with pytest.raises(DimensionMismatch, match=rf"^{re.escape(label)} has d_z=4, expected 3$"):
             make(vectors)
+
+
+#: The weight rows of the paper's weighted-DINO grid
+GRID = [(1.0, 0.0), (0.8, 0.2), (0.6, 0.4), (0.5, 0.5), (0.4, 0.6), (0.2, 0.8), (0.0, 1.0)]
+
+
+def _grid_sets(generated, refs):
+    return [EmbeddingSet(generated=generated, references=(ReferenceStyle("a", refs[0].embedding, w1),
+                                                          ReferenceStyle("b", refs[1].embedding, w2)))
+            for w1, w2 in GRID]
+
+
+class TestRecord:
+    """Sets over every row of one file share its row norms and MS values."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Each ``_row_norms`` of a 2-D array and each 2-D ``_cosines``, as
+        (kind, the array) in call order."""
+        seen = []
+
+        def spy(kind, f):
+            def wrapped(x, *args):
+                if x.ndim == 2:
+                    seen.append((kind, x))
+                return f(x, *args)
+            return wrapped
+
+        monkeypatch.setattr(tensorcore, "_row_norms", spy("norms", tensorcore._row_norms))
+        monkeypatch.setattr(metrics, "_row_norms", spy("norms", metrics._row_norms))
+        monkeypatch.setattr(metrics, "_cosines", spy("cosines", metrics._cosines))
+        return seen
+
+    def test_a_grid_takes_the_norms_once_and_each_ms_once(self, rows, rng, calls):
+        refs = _refs(rng, 5)
+        matrix = rows[0].data.base
+        reports = [wms_score(es) for es in _grid_sets(tuple(rows), refs)]
+        assert [(kind, x is matrix) for kind, x in calls] == [("norms", True), ("cosines", True), ("cosines", True)]
+        del calls[:]
+        assert reports == [wms_score(es) for es in _grid_sets(_copies(rows), refs)]
+        assert Counter(kind for kind, _ in calls) == {"norms": len(GRID), "cosines": 2 * len(GRID)}
+
+    def test_other_references_replace_the_scores(self, rows, rng, calls):
+        refs, other = _refs(rng, 5), _refs(rng, 5)
+        first = wms_score(_grid_sets(tuple(rows), refs)[0])
+        assert wms_score(_grid_sets(tuple(rows), other)[0]) == wms_score(_grid_sets(_copies(rows), other)[0])
+        record = rows[0]._rec
+        assert set(record.scores) == {r.embedding.data.tobytes() for r in other}
+        assert wms_score(_grid_sets(tuple(rows), refs)[1]).per_style_ms == first.per_style_ms
+        assert Counter(kind for kind, _ in calls)["cosines"] == 2 + 2 + 2 + 2
+
+    def test_mean_similarity_reads_the_record(self, rows, rng, calls):
+        refs = _refs(rng, 5)
+        want = mean_similarity(_copies(rows), refs[1].embedding)
+        del calls[:]
+        assert mean_similarity(rows, refs[1].embedding) == want
+        wms_score(_grid_sets(tuple(rows), refs)[0])
+        del calls[:]
+        assert mean_similarity(rows, refs[1].embedding) == want
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["ndarray", "owned", "slice", "reversed", "copies", "copied views",
+                                      "writable again"])
+    def test_any_other_input_is_scored_afresh(self, rows, rng, calls, case):
+        refs = _refs(rng, 5)
+        if case == "writable again":
+            rows[0].data.base.setflags(write=True)
+        chosen = {"slice": rows[1:], "reversed": rows[::-1]}.get(case, rows)
+        make = {
+            "ndarray": lambda: np.stack([r.data for r in chosen]),
+            "owned": lambda: metrics._Owned(np.stack([r.data for r in chosen])),
+            "copies": lambda: _copies(chosen),
+            "copied views": lambda: [copy.copy(r) for r in chosen],
+        }.get(case, lambda: chosen)
+        want = [wms_score(es) for es in _grid_sets(_copies(chosen), refs)]
+        del calls[:]
+        assert [wms_score(es) for es in _grid_sets(make(), refs)] == want
+        assert Counter(kind for kind, _ in calls) == {"norms": len(GRID), "cosines": 2 * len(GRID)}
+
+    @pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_copies_carry_no_record(self, rows, rng, clone):
+        refs = _refs(rng, 5)
+        es = _grid_sets(tuple(rows), refs)[1]
+        assert es._rec is rows[0]._rec
+        row, es2 = clone(rows[2]), clone(es)
+        assert not hasattr(row, "_rec") and not hasattr(es2, "_rec")
+        assert np.array_equal(row.data, rows[2].data) and repr(row) == repr(rows[2])
+        assert np.array_equal(es2.generated, es.generated) and repr(es2.references) == repr(es.references)
+        assert wms_score(es2) == wms_score(es)
+
+    def test_threads_give_the_serial_bits(self, rows, rng):
+        ref_sets = [_refs(rng, 5) for _ in range(3)]
+
+        def grid(refs):
+            return [wms_score(es) for es in _grid_sets(tuple(rows), refs)]
+
+        serial = [grid(refs) for refs in ref_sets]
+        with ThreadPoolExecutor(4) as pool:
+            for _ in range(5):
+                assert list(pool.map(grid, ref_sets * 4)) == serial * 4
+
+    def test_deleting_the_views_and_sets_frees_the_matrix(self, tmp_path, rng):
+        write_vectors(tmp_path / "gen.npy", rng.standard_normal((6, 5)))
+        rows = read_vectors(tmp_path / "gen.npy", rows=True)
+        sets = _grid_sets(tuple(rows), _refs(rng, 5))
+        for es in sets:
+            wms_score(es)
+        matrix = weakref.ref(rows[0].data.base)
+        gc.disable()
+        try:
+            del rows, sets, es
+            assert matrix() is None
+        finally:
+            gc.enable()
 
 
 class TestComputedResults:

@@ -2,7 +2,10 @@
 specs, and the prompt catalog.
 
 Only the NPY v1.0 subset is supported: little-endian f4/f8, C order, 1-D or
-2-D. The reader reports the byte offset of whatever it rejects; the writer
+2-D. The reader reports the byte offset of whatever it rejects. It reads the
+header dict that numpy and the writer emit with one regular expression and
+parses any other with ``ast.literal_eval``, to the same result; a pipe or
+device it reads only up to the declared payload and one byte more. The writer
 emits <f8 v1.0 with the header padded to a 64-byte multiple and goes
 through a uniquely named temp file, so neither a failed write nor two
 concurrent writers leave a plausible-looking partial output behind.
@@ -31,6 +34,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    BlendKitError,
     DimensionMismatch,
     InputError,
     InvalidShape,
@@ -88,26 +92,60 @@ class _Npy(NamedTuple):
     dtype: np.dtype
     shape: tuple[int, ...]
     start: int  # the payload's byte offset
-    raw: bytes | None  # a pipe or device's whole bytes, read with the header; None for a regular file
+    raw: bytes | None  # a pipe or device's bytes, up to the payload's end; None for a regular file
+
+
+#: The header dict that numpy and ``_build_header`` write for a supported
+#: array, padded with spaces to its newline, with sizes of at most 18
+#: digits and no leading zero: ``_read_header`` reads it without
+#: ``ast.literal_eval``, whose ~20 us a file it would spend to the same
+#: result. (The bound keeps ``int`` clear of ``sys.int_max_str_digits``.)
+_CANONICAL_HEADER = re.compile(
+    rb"\{'descr': '(<f[48])', 'fortran_order': False, 'shape': \(([1-9][0-9]{0,17}),(?: ([1-9][0-9]{0,17}))?\), \} *\n"
+)
+#: The most bytes one read of a pipe or device asks for, so that no buffer
+#: is sized by the payload a header declares, which may be petabytes.
+_CHUNK = 1 << 24
 
 
 def _read_header(path: str | Path) -> _Npy:
     """Validate the NPY v1.0 header of ``path`` and the file's size.
 
-    A regular file's payload is left on disk for ``_read_payload``; any
-    other file (a pipe, a device) is read whole, as its size is known only
-    then.
+    A regular file's payload is left on disk for ``_read_payload``. Any
+    other file (a pipe, a device) is read after its header only up to the
+    declared payload and one byte more, as its size is known only then, so
+    a source that never ends is rejected as one that is too long.
     """
     try:
         with open(path, "rb") as fh:
             st = os.fstat(fh.fileno())
-            regular = stat.S_ISREG(st.st_mode)
-            raw = fh.read(_HEADER_START) if regular else fh.read()
-            if regular and len(raw) == _HEADER_START:
+            raw = fh.read(_HEADER_START)
+            if len(raw) == _HEADER_START and raw[:6] == _MAGIC:
                 raw += fh.read(struct.unpack("<H", raw[8:10])[0])
+            dtype, shape, start = _parse_header(path, raw)
+            if stat.S_ISREG(st.st_mode):
+                npy = _Npy(path, dtype, shape, start, None)
+                size = st.st_size
+            else:
+                chunks = [raw]
+                left = math.prod(shape) * dtype.itemsize + 1
+                while left > 0 and (chunk := fh.read(min(left, _CHUNK))):
+                    chunks.append(chunk)
+                    left -= len(chunk)
+                npy = _Npy(path, dtype, shape, start, b"".join(chunks))
+                size = len(npy.raw)
+    except BlendKitError:  # the header's own errors: an InputError is a ValueError
+        raise
     except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate in the path
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    _check_size(npy, size)
+    return npy
 
+
+def _parse_header(path: str | Path, raw: bytes) -> tuple[np.dtype, tuple[int, ...], int]:
+    """The dtype, shape and payload offset that the preamble ``raw`` (the
+    fixed header and as much of the header dict as the file holds)
+    declares, or the NpyFormatError at the first byte outside the subset."""
     if raw[:6] != _MAGIC:
         raise BadMagic(f"{path}: not an NPY file", offset=0)
     if len(raw) < _HEADER_START:
@@ -118,6 +156,11 @@ def _read_header(path: str | Path) -> _Npy:
     header_end = _HEADER_START + header_len
     if len(raw) < header_end:
         raise TruncatedPayload(f"{path}: file ends inside the header dict", offset=len(raw))
+
+    match = _CANONICAL_HEADER.fullmatch(raw, _HEADER_START, header_end)
+    if match is not None:
+        descr, *sizes = match.groups()
+        return _SUPPORTED_DTYPES[descr.decode()], tuple(int(s) for s in sizes if s is not None), header_end
 
     try:
         header = ast.literal_eval(raw[_HEADER_START:header_end].decode("latin-1"))
@@ -145,19 +188,20 @@ def _read_header(path: str | Path) -> _Npy:
         raise NpyFormatError(
             f"{path}: shape {shape!r} outside the 1-D/2-D, size >= 1 subset", offset=_HEADER_START
         )
-    npy = _Npy(path, _SUPPORTED_DTYPES[descr], shape, header_end, None if regular else raw)
-    _check_size(npy, st.st_size if regular else len(raw))
-    return npy
+    return _SUPPORTED_DTYPES[descr], shape, header_end
 
 
 def _check_size(npy: _Npy, size: int) -> None:
-    """Raise unless a file of ``size`` bytes ends where ``npy``'s payload does."""
+    """Raise unless a file of ``size`` bytes ends where ``npy``'s payload
+    does. A pipe or device is read one byte past its payload at most, so
+    how many bytes follow it is not known."""
     expected = math.prod(npy.shape) * npy.dtype.itemsize
     if size - npy.start < expected:
         raise TruncatedPayload(f"{npy.path}: payload has {size - npy.start} of {expected} bytes", offset=size)
     if size - npy.start > expected:
+        extra = "bytes" if npy.raw is not None else f"{size - npy.start - expected} bytes"
         raise NpyFormatError(
-            f"{npy.path}: {size - npy.start - expected} bytes after the {expected}-byte payload",
+            f"{npy.path}: {extra} after the {expected}-byte payload",
             offset=npy.start + expected,
         )
 

@@ -56,10 +56,12 @@ def _checked(arr: np.ndarray, ndim: int, what: str) -> np.ndarray:
         raise InvalidShape(f"{what} must be {ndim}-D, got shape {arr.shape}")
     if arr.size == 0:  # some axis has length 0
         raise InvalidShape(f"{what} must be non-empty, got shape {arr.shape}")
-    # min and max propagate NaN and expose +-Inf without the array-sized
-    # mask that isfinite(arr).all() would allocate; math.isfinite takes
-    # their numpy scalars faster than np.isfinite does
-    if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+    # One BLAS pass decides almost every array: a finite sum of squares
+    # shows every entry finite, and vdot tests no floating-point flags, so
+    # nothing warns. A NaN or +-Inf entry makes the sum NaN or Inf, but so
+    # do finite entries whose squares overflow (1e200); only then do min
+    # and max, which propagate NaN and expose +-Inf, make two more passes.
+    if not math.isfinite(np.vdot(arr, arr)) and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
         raise InvalidShape(f"{what} contains NaN or Inf entries")
     arr.setflags(write=False)
     return arr

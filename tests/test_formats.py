@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import stat
 import struct
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -229,11 +231,134 @@ class TestLoadRows:
             assert got == read(path), name
             assert got == rows if want is rows else got[0] is want, name
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux's /dev/zero")
+    def test_dev_zero_is_not_npy(self):
+        # read whole, /dev/zero would never end: its first ten bytes decide
+        with pytest.raises(BadMagic) as exc:
+            load_rows(["/dev/zero"])
+        assert exc.value.offset == 0
+        result = CliRunner().invoke(main, ["attend", "--self", "/dev/zero", "--ref", "/dev/zero"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: ") and "(byte offset 0)" in result.stderr
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_endless_pipe_rejected_at_payload_end(self, tmp_path):
+        # a writer that never stops is read one byte past the payload, and
+        # rejected where a regular file with trailing bytes is
+        write_vectors(tmp_path / "f8.npy", np.arange(6.0).reshape(2, 3))
+        whole = (tmp_path / "f8.npy").read_bytes()
+        r, w = os.pipe()
+
+        def endless():
+            try:
+                os.write(w, whole)
+                while True:
+                    os.write(w, bytes(4096))
+            except BrokenPipeError:  # the reader closed its end
+                pass
+            finally:
+                os.close(w)
+
+        writer = threading.Thread(target=endless)
+        writer.start()
+        try:
+            with pytest.raises(NpyFormatError) as exc:
+                load_rows([f"/dev/fd/{r}"])
+        finally:
+            os.close(r)
+            writer.join()
+        assert type(exc.value) is NpyFormatError
+        assert exc.value.offset == len(whole)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_declaring_a_huge_payload_is_truncated(self, tmp_path):
+        # read in bounded chunks, a pipe is never given a buffer of the
+        # 8 PB its header declares
+        header = "{'descr': '<f8', 'fortran_order': False, 'shape': (1000000000000000,), }"
+        path = TestReaderErrors._with_header(tmp_path / "huge.npy", header)
+        with pytest.raises(TruncatedPayload) as on_disk:
+            load_rows([path])
+        r, w = os.pipe()
+        try:
+            os.write(w, path.read_bytes())
+            os.close(w)
+            with pytest.raises(TruncatedPayload) as piped:
+                load_rows([f"/dev/fd/{r}"])
+        finally:
+            os.close(r)
+        assert piped.value.offset == on_disk.value.offset == os.path.getsize(path)
+
     def test_width_mismatch_names_the_file(self, tmp_path):
         np.save(tmp_path / "a.npy", np.ones((2, 3)))
         np.save(tmp_path / "b.npy", np.ones((2, 4)))
         with pytest.raises(DimensionMismatch, match=r"b\.npy has d_z=4, expected 3"):
             load_rows([tmp_path / "a.npy", tmp_path / "b.npy"])
+
+
+#: Writers of the canonical header: numpy itself, at either dtype, and ours.
+_WRITERS = {
+    "np.save<f8": np.save,
+    "np.save<f4": lambda path, data: np.save(path, data.astype("<f4")),
+    "write_vectors": write_vectors,
+}
+
+
+class TestHeaderFastPath:
+    """The headers numpy and ``write_vectors`` write are read by one regex,
+    to the same arrays as ``np.load`` reads."""
+
+    @pytest.mark.parametrize("write", _WRITERS.values(), ids=_WRITERS.keys())
+    @pytest.mark.parametrize("shape", [(3,), (1234,), (2, 5), (1, 1), (10, 768), (123, 4)], ids=str)
+    def test_canonical_header_matches(self, tmp_path, write, shape):
+        path = tmp_path / "x.npy"
+        write(path, np.random.default_rng(37).standard_normal(shape))
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<H", raw[8:10])
+        match = formats._CANONICAL_HEADER.fullmatch(raw, 10, 10 + header_len)
+        assert match is not None
+        assert tuple(int(s) for s in match.groups()[1:] if s is not None) == shape
+        expected = np.load(path).astype(np.float64)
+        assert load_array(path).tobytes() == expected.tobytes()
+        assert load_rows([path]).tobytes() == expected.tobytes()
+        assert _outcome(load_array, path) == _reference_outcome(load_array, path)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "(04,)", "(4)", "(4, )", "(2,2)", "(0,)", "(1_0,)", "(2, 3, 4)", "()",
+            "(1" + "0" * 18 + ",)", "(" + "1" * 4400 + ",)",
+        ],
+        ids=["04", "no_comma", "4_space", "2,2", "0", "1_0", "3-D", "0-D", "19_digits", "4400_digits"],
+    )
+    def test_other_shapes_take_the_parser(self, tmp_path, shape):
+        # any shape text the regex does not take is read as before; past
+        # 4300 digits int() fails, as the parser does, with an error at 10
+        header = f"{{'descr': '<f8', 'fortran_order': False, 'shape': {shape}, }}"
+        path = TestReaderErrors._with_header(tmp_path / "h.npy", header)
+        raw = path.read_bytes()
+        assert formats._CANONICAL_HEADER.fullmatch(raw, 10, len(raw) - 32) is None
+        assert _outcome(load_array, path) == _reference_outcome(load_array, path)
+
+
+def _outcome(load, path):
+    """What ``load`` makes of ``path``: the array's shape and bytes, or the
+    error's type and offset."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = load(path)
+    except BlendKitError as exc:
+        return type(exc), getattr(exc, "offset", None)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    return got.shape, got.tobytes()
+
+
+def _reference_outcome(load, path):
+    """``_outcome`` with a header regex that matches nothing, so every
+    header is read by ``ast.literal_eval`` and checked key by key."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_CANONICAL_HEADER", re.compile(rb"(?!)"))
+        return _outcome(load, path)
 
 
 class TestReaderErrors:
@@ -354,8 +479,9 @@ _LITERALS = st.recursive(
 @st.composite
 def _npy_bytes(draw) -> bytes:
     """A valid NPY v1.0 file of <f4 or <f8, 1-D or 2-D, maybe with one
-    header value swapped for another literal, then maybe mutated by
-    replacing, deleting and inserting bytes."""
+    header value swapped for another literal, its header dict written as
+    ``repr`` or as numpy writes it, then maybe mutated by replacing,
+    deleting and inserting bytes."""
     descr = draw(st.sampled_from(["<f4", "<f8"]))
     shape = draw(st.tuples(st.integers(1, 6)) | st.tuples(st.integers(1, 4), st.integers(1, 4)))
     header = {"descr": descr, "fortran_order": False, "shape": shape}
@@ -363,7 +489,10 @@ def _npy_bytes(draw) -> bytes:
     payload = draw(st.binary(min_size=size, max_size=size))
     if draw(st.booleans()):
         header[draw(st.sampled_from(sorted(header)))] = draw(_LITERALS)
-    text = repr(header).encode("latin-1")
+    if draw(st.booleans()):  # numpy's own form, which the fast path reads
+        text = ("{" + "".join(f"{k!r}: {v!r}, " for k, v in header.items()) + "}").encode("latin-1")
+    else:
+        text = repr(header).encode("latin-1")
     text += b" " * ((64 - (10 + len(text) + 1) % 64) % 64) + b"\n"
     raw = bytearray(b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text)) + text + payload)
     for op in draw(st.lists(st.sampled_from("rdi"), max_size=3)):
@@ -379,20 +508,16 @@ def _npy_bytes(draw) -> bytes:
 
 
 class TestReaderFuzz:
-    """Any bytes read as NPY give a float64 array or a BlendKitError, and no warning."""
+    """Any bytes read as NPY give a float64 array or a BlendKitError, no
+    warning, and the same array or the same error at the same offset as
+    when every header is read by ``ast.literal_eval``."""
 
     @settings(max_examples=150, deadline=None)
     @given(raw=_npy_bytes())
     def test_load_array(self, tmp_path_factory, raw):
         path = tmp_path_factory.mktemp("fuzz") / "x.npy"
         path.write_bytes(raw)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = load_array(path)
-        except BlendKitError:
-            return
-        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert _outcome(load_array, path) == _reference_outcome(load_array, path)
 
     @settings(max_examples=100, deadline=None)
     @given(files=st.lists(_npy_bytes(), min_size=1, max_size=3))
@@ -401,13 +526,9 @@ class TestReaderFuzz:
         paths = [tmp / f"{i}.npy" for i in range(len(files))]
         for path, raw in zip(paths, files):
             path.write_bytes(raw)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = load_rows(paths)
-        except BlendKitError:
-            return
-        assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.ndim == 2
+        got = _outcome(load_rows, paths)
+        assert got == _reference_outcome(load_rows, paths)
+        assert isinstance(got[0], type) or len(got[0]) == 2
 
 
 class TestCliFuzz:

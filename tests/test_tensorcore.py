@@ -29,6 +29,7 @@ from latentblendkit import (
     sli_blend,
     unit,
     WeightedStyleSet,
+    read_vectors,
 )
 from latentblendkit import tensorcore
 from latentblendkit.tensorcore import _row_norms
@@ -93,6 +94,55 @@ class TestTypes:
     def test_channel_stats_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ChannelStats(mean=[0.0, 1.0], std=[1.0])
+
+
+def _from_file(values, tmp_path):
+    np.save(tmp_path / "v.npy", np.array(values))
+    (vector,) = read_vectors(tmp_path / "v.npy", rows=True)
+    return vector
+
+
+#: The three ways a vector's entries are checked: a library-made array
+#: wrapped in place, the public constructor, and a file read as rows.
+_BUILDERS = {
+    "wrap": lambda values, tmp_path: tensorcore._wrap(LatentVector, np.array(values)),
+    "constructor": lambda values, tmp_path: LatentVector(values),
+    "read_vectors": _from_file,
+}
+
+
+class TestFiniteCheck:
+    """``_checked`` sums the squares in one pass and asks min and max only
+    when that sum is not finite: the same entries pass and fail as with
+    min and max alone, and nothing warns either way."""
+
+    @pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS.keys())
+    @pytest.mark.parametrize("at", [0, 3, 6], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, tmp_path, build, at, bad):
+        values = [1.0, -2.0, 0.5, 3.0, 0.0, 1e-300, 4.0]
+        values[at] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidShape, match=r"^LatentVector contains NaN or Inf entries$"):
+                build(values, tmp_path)
+
+    @pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS.keys())
+    @pytest.mark.parametrize(
+        "values", [[1e200] * 4, [1.7e308, 1.7e308], [-1.7e308, 1.0]], ids=["1e200", "near_max", "near_min"]
+    )
+    def test_finite_entries_whose_squares_overflow_accepted(self, tmp_path, build, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vector = build(values, tmp_path)
+        assert vector.data.tolist() == values
+        assert not vector.data.flags.writeable
+
+    def test_matrix_message_names_the_type(self):
+        data = np.ones((3, 4))
+        data[2, 3] = np.nan
+        with pytest.raises(InvalidShape, match=r"^Matrix contains NaN or Inf entries$"):
+            tensorcore._wrap(Matrix, data)
 
 
 class TestDotNorm:

@@ -28,7 +28,9 @@ import numpy as np
 
 from .errors import AllZeroWeights, DimensionMismatch, EmptySet, InputError, NumericDomainError
 from .normalization import AdainConfig, _adain_rows
-from .tensorcore import Matrix, _row_matmul, _row_norms, _softmax_rows_array, _weight_sum, _weighted_rows, _wrap
+from .tensorcore import (
+    Matrix, _row_matmul, _row_norms, _softmax_rows_array, _weight_sum, _weighted_channels, _weighted_rows, _wrap,
+)
 
 
 class StyleClass(enum.Enum):
@@ -195,7 +197,8 @@ def _attend(
 
 
 def _attend_blocks(
-    keys: np.ndarray, values: np.ndarray, blocks: Sequence[tuple[int, float, float]], q_hat: np.ndarray | None = None
+    keys: np.ndarray, values: np.ndarray, blocks: Sequence[tuple[int, float, float]], q_hat: np.ndarray | None = None,
+    channels_first: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(updated, weights) of already-normalized queries over key and value
     blocks, with an affine transform of some blocks' logits before the one
@@ -215,6 +218,10 @@ def _attend_blocks(
     depend on the other keys in the call, so joining blocks into one call
     changes no bit. When the queries are the self keys, the self logits are
     symmetric, and ``_row_matmul`` may compute half of them.
+
+    ``updated`` has a row per query, or with ``channels_first`` (values of
+    two or more dims) a column per query, in the same bits: see
+    ``_weighted_channels``.
     """
     lead = sum(tokens for tokens, _, _ in blocks)
     if q_hat is None:
@@ -231,13 +238,16 @@ def _attend_blocks(
             block += shift
         start += tokens
     weights = _softmax_rows_array(logits)
-    return _weighted_rows(weights, values), weights
+    return (_weighted_channels if channels_first else _weighted_rows)(weights, values), weights
 
 
 def _mass(weights: np.ndarray, start: int, stop: int) -> np.ndarray:
     """The attention mass on keys ``start:stop``, averaged over query rows:
-    one entry per matrix of a stack, a scalar for one matrix."""
-    return weights[..., start:stop].sum(axis=-1).mean(axis=-1)
+    one entry per matrix of a stack, a scalar for one matrix.
+
+    The ufunc calls of ``.sum(axis=-1).mean(axis=-1)``, whose mean is
+    add.reduce and a true division by the count, without the wrappers."""
+    return np.add.reduce(np.add.reduce(weights[..., start:stop], axis=-1), axis=-1) / weights.shape[-2]
 
 
 def lambda_rescaled_attention(

@@ -26,18 +26,33 @@ bit for bit, because each map gets the same arithmetic in the same order:
 - every reduction (channel stats, softmax, reference mass, stat distance)
   runs over the last axis of a C-contiguous array, which numpy sums row by
   row exactly as it sums one row alone;
-- the layouts are pinned: the shuffle is ``np.take(x, perm, axis=-1)``,
-  which is C-contiguous, so the stats need no copy (``x[..., perm]`` on a
-  stack is not); each chunk of maps keeps C-contiguous [reference || self]
-  key and value blocks, whose reference halves are written once per run
-  and whose self halves each step overwrites, AdaIN's output straight into
-  the keys (with a column-major value block, 4 of 96 trial configs, all
-  with one channel, changed);
-- the two einsums run as one 2-D call per map (``tensorcore._per_matrix``);
-  the queries are the self keys, so the self logits are symmetric, and
-  from ``tensorcore._MIRROR_MIN_ROWS`` positions of two or more channels
-  only their upper 64-row tiles are computed and mirrored, a gate set from
-  the measured table there;
+- the layouts are pinned: the shuffle is ``x.take(perm, axis=-1)``, which
+  is C-contiguous, so the stats need no copy (``x[..., perm]`` on a stack
+  is not); each chunk of maps keeps C-contiguous [reference || self] key
+  and value blocks of (tokens, channels) rows, whose reference halves are
+  written once per run and whose self halves each step overwrites: AdaIN's
+  output goes straight into the keys and the shuffled maps, transposed,
+  into the values (with a column-major value block, 4 of 96 trial
+  configs, all with one channel, changed);
+- the two einsums run as one 2-D call per map (``tensorcore._per_matrix``),
+  each entry summed over the keys left to right. The queries are the self
+  keys, so the self logits are symmetric, and from
+  ``tensorcore._MIRROR_MIN_ROWS`` positions of two or more channels only
+  their upper 64-row tiles are computed and mirrored, a gate set from the
+  measured table there. A serial chunk of maps with two or more channels
+  takes the weighted sum channels first (``tensorcore._weighted_channels``):
+  each map's output comes out as a (channels, positions) map, in the same
+  bits, and for the 18 maps of a default sweep the kernel took 0.66 of the
+  time of the row layout (``tools/layer_bench.py``, median of 7 runs). One
+  channel keeps the row layout, since einsum sums a one-channel product
+  channels first in another order, and so do maps at or above the thread
+  gate, where channels first showed no gain: under the pool, 8 images of
+  (64, 256) ran in 0.99 of the row layout's time (4 of 8 alternating runs
+  faster, 2 vCPUs);
+- the blend scales the attention output by each map's strength in place
+  and adds it to the shuffled map scaled by one minus it, the arithmetic
+  of ``(1 - s) * x + s * updated``; channels first it reads the output in
+  the maps' own layout, in rows through a transposed view;
 - each chunk keeps its stat distances for every step, and once every
   chain has finished, the calling thread sums the per-step means in image
   order.
@@ -233,7 +248,14 @@ def _stat_distances(x: np.ndarray, ref_mean: np.ndarray, ref_std: np.ndarray) ->
     """L2 distance between the (mean, std) stat vectors of each map of a
     C-contiguous (maps, channels, positions) stack and the reference."""
     mean, std = _channel_stats(x, DEFAULT_EPS_STD)
-    return np.sqrt(((mean - ref_mean) ** 2).sum(axis=-1) + ((std - ref_std) ** 2).sum(axis=-1))
+    # sqrt(((mean - ref_mean) ** 2).sum(-1) + ((std - ref_std) ** 2).sum(-1)),
+    # the same ufuncs in place on the stats, which nothing else holds
+    for stat, ref_stat in ((mean, ref_mean), (std, ref_std)):
+        stat -= ref_stat
+        np.square(stat, out=stat)
+    distances = np.add.reduce(mean, axis=-1)
+    distances += np.add.reduce(std, axis=-1)
+    return np.sqrt(distances, out=distances)
 
 
 def run_sandbox(cfg: SandboxConfig) -> SandboxReport:
@@ -289,13 +311,16 @@ def run_guidance_sweep(
         The generated tokens act as Q, K and V at once, so one AdaIN, written
         into the self half of ``keys``, gives both the queries and the keys.
         """
-        shuffled = np.take(x, perm, axis=-1)
-        _adain(shuffled, *ref_stats, DEFAULT_EPS_STD, out=np.swapaxes(keys[:, n:, :], -1, -2))
-        values[:, n:, :] = np.swapaxes(shuffled, -1, -2)
-        updated, weights = _attend_blocks(keys, values, ((n, cfg.rescale.sigma, cfg.rescale.mu),))
+        shuffled = x.take(perm, axis=-1)
+        _adain(shuffled, *ref_stats, DEFAULT_EPS_STD, out=keys[:, n:, :].swapaxes(-1, -2))
+        values[:, n:, :] = shuffled.swapaxes(-1, -2)
+        updated, weights = _attend_blocks(keys, values, rescaled, None, channels_first)
+        if not channels_first:
+            updated = updated.swapaxes(-1, -2)
         s = strengths[:, None, None]
+        updated *= s
         shuffled *= 1.0 - s
-        shuffled += s * np.swapaxes(updated, -1, -2)
+        shuffled += updated
         return shuffled, _mass(weights, 0, n), _stat_distances(shuffled, *ref_stats)
 
     per_run = len(gens)
@@ -303,6 +328,11 @@ def run_guidance_sweep(
     initial = _sum(_stat_distances(gens, *ref_stats).tolist()) / per_run
     work = c * n * n
     per_call = max(1, _THREAD_MIN_WORK // work)
+    # Serial chunks take the weighted sum in the maps' own layout; not one
+    # channel (see _weighted_channels), nor the pool's maps at or above the
+    # gate, where it showed no gain (see the module docstring).
+    channels_first = c > 1 and work < _THREAD_MIN_WORK
+    rescaled = ((n, cfg.rescale.sigma, cfg.rescale.mu),)  # the reference key block's transform
     bounds = range(per_call, maps, per_call)
     # run-major: run r owns maps r*per_run onward. The chunks are views, so
     # the first step frees the starting maps.

@@ -294,9 +294,10 @@ def _softmax_rows_array(logits: np.ndarray) -> np.ndarray:
     out all NaN, and every other row finite: so one entry per row shows
     whether its max was finite.
     """
-    logits -= logits.max(axis=-1, keepdims=True)
+    # the ufunc reductions that ndarray.max and .sum call, without those wrappers
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
     return logits
 
 
@@ -342,7 +343,7 @@ def _row_matmul(a: np.ndarray, b_t: np.ndarray, tail: int | None = None) -> np.n
     rows, dims = a.shape[-2:]
     cols = b_t.shape[-2]
     if tail is None or rows < _MIRROR_MIN_ROWS or dims < 2:
-        return _per_matrix("id,jd->ij", a, b_t, cols)
+        return _per_matrix("id,jd->ij", a, b_t, (rows, cols))
     out = np.empty((*a.shape[:-1], cols))
     for a2, b2, out2 in zip(a.reshape(-1, rows, dims), b_t.reshape(-1, cols, dims), out.reshape(-1, rows, cols)):
         np.einsum("id,jd->ij", a2, b2[:tail], out=out2[:, :tail])
@@ -355,13 +356,33 @@ def _row_matmul(a: np.ndarray, b_t: np.ndarray, tail: int | None = None) -> np.n
 
 
 def _weighted_rows(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """weights @ values with the same fixed-order guarantee as _row_matmul."""
-    return _per_matrix("ij,jv->iv", weights, values, values.shape[-1])
+    """weights @ values with the same fixed-order guarantee as _row_matmul:
+    each entry sums its terms over the keys left to right, each term one
+    multiply and one add. Rows of the result are query rows; the sandbox
+    takes this layout for one-channel maps and at or above its thread gate.
+    """
+    return _per_matrix("ij,jv->iv", weights, values, (weights.shape[-2], values.shape[-1]))
 
 
-def _per_matrix(subscripts: str, a: np.ndarray, b: np.ndarray, cols: int) -> np.ndarray:
+def _weighted_channels(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``_weighted_rows`` with its last two axes swapped, bit for bit: a
+    (value dims x query rows) matrix per matrix, the sandbox maps' own
+    (channels x positions) layout, for values of two or more dims.
+
+    einsum runs the same loop over a C-contiguous copy of the transposed
+    weights: for each key, a multiply and an add into every output entry,
+    keys left to right, but with the query rows as the inner axis, which is
+    longer than the value dims. With one value dim einsum takes its dot loop
+    instead, which sums in another order.
+    """
+    w_t = np.ascontiguousarray(weights.swapaxes(-1, -2))
+    return _per_matrix("ji,jv->vi", w_t, values, (values.shape[-1], weights.shape[-2]))
+
+
+def _per_matrix(subscripts: str, a: np.ndarray, b: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """A 2-D einsum of ``a`` and ``b``, or of each pair of their matrices
-    when both are 3-D stacks, written into one new (maps, rows, cols) array.
+    when both are 3-D stacks, written into one new (maps, *shape) array;
+    ``shape`` is that of one matrix's result.
 
     Only each matrix need be C-contiguous, not the stack: the sandbox's
     queries are the self halves of its [reference || self] key blocks.
@@ -369,11 +390,11 @@ def _per_matrix(subscripts: str, a: np.ndarray, b: np.ndarray, cols: int) -> np.
     generic iteration loop rather than its specialised 2-D one. For the 18
     maps of a default sandbox sweep, 32 tokens of 8 dims against 64 keys,
     it took 0.66 ms against 0.58 ms for 18 2-D calls on the logits and
-    0.65 ms against 0.30 ms on the weighted sum (2 vCPUs, numpy 2.4).
+    0.65 ms against 0.30 ms on the weighted sum in rows (2 vCPUs, numpy 2.4).
     """
     if a.ndim == 2:
         return np.einsum(subscripts, a, b)
-    out = np.empty((*a.shape[:-1], cols))
+    out = np.empty((a.shape[0], *shape))
     for i in range(a.shape[0]):
         np.einsum(subscripts, a[i], b[i], out=out[i])
     return out

@@ -363,6 +363,57 @@ class TestGuidanceSweep:
         grid = (5.0, 10.0, 30.0)
         assert run_guidance_sweep(cfg, grid) == tuple(loop_reference(replace(cfg, guidance_scale=g)) for g in grid)
 
+    @staticmethod
+    def _spy_layouts(monkeypatch) -> list:
+        """(maps, channels_first) of each attention call the sandbox makes."""
+        layouts = []
+        real = sandbox._attend_blocks
+
+        def spy(keys, values, blocks, q_hat=None, channels_first=False):
+            layouts.append((len(keys), channels_first))
+            return real(keys, values, blocks, q_hat, channels_first)
+
+        monkeypatch.setattr(sandbox, "_attend_blocks", spy)
+        return layouts
+
+    def test_two_channels_first_chunks_match_loop_reference(self, monkeypatch):
+        # 6 guidance values x 6 generated (8, 32) maps: 36 maps, in serial
+        # chunks of 32 and 4, each taking the weighted sum channels first
+        layouts = self._spy_layouts(monkeypatch)
+        cfg = SandboxConfig(n_images=7, schedule=DdimScheduleConfig(steps=4))
+        reports = run_guidance_sweep(cfg)
+        assert layouts == [(32, True), (4, True)] * 4
+        assert reports == tuple(loop_reference(replace(cfg, guidance_scale=g)) for g in GUIDANCE_GRID)
+
+    @pytest.mark.parametrize(
+        "shape, channels_first",
+        # (2, 361) is just below the thread gate, (16, 128) at it
+        [((8, 32), True), ((2, 361), True), ((1, 14), False), ((16, 128), False)],
+    )
+    def test_weighted_sum_layout(self, shape, channels_first, monkeypatch):
+        layouts = self._spy_layouts(monkeypatch)
+        run_sandbox(SandboxConfig(n_images=2, feature_shape=shape, schedule=DdimScheduleConfig(steps=1)))
+        assert layouts == [(1, channels_first)]
+
+    def test_one_channel_keeps_the_row_layout(self, monkeypatch):
+        # with one value dim einsum's channels-first call takes its dot loop,
+        # which sums in another order: forced on this config, it moves the
+        # last step's distance by an ulp
+        cfg = SandboxConfig(seed=182, guidance_scale=30.0, n_images=2, feature_shape=(1, 14),
+                            schedule=DdimScheduleConfig(steps=3), rescale=RescaleParams(mu=-1.0, sigma=2.0))
+        want = loop_reference(cfg)
+        assert run_sandbox(cfg) == want
+        real = sandbox._attend_blocks
+
+        def forced(keys, values, blocks, q_hat=None, channels_first=False):
+            updated, weights = real(keys, values, blocks, q_hat, True)
+            return (updated if channels_first else updated.swapaxes(-1, -2)), weights
+
+        monkeypatch.setattr(sandbox, "_attend_blocks", forced)
+        got = run_sandbox(cfg).per_step_stat_distance
+        assert got[:2] == want.per_step_stat_distance[:2]
+        assert (got[2], want.final_stat_distance) == (3.1562120892349763, 3.156212089234976)
+
     def test_gate_configs_straddle_the_mirrored_self_block(self, monkeypatch):
         # one map, one step: the logits and the weighted sum are one einsum
         # each, unless the self logits come in 64-row tiles
@@ -516,11 +567,11 @@ def _count_chain_steps(monkeypatch, fault=None):
     lock = threading.Lock()
     real = sandbox._attend_blocks
 
-    def spy(keys, values, blocks):
+    def spy(keys, values, blocks, q_hat=None, channels_first=False):
         with lock:
             chain = chains.setdefault(id(keys), len(chains))
             call = calls[chain] = calls.get(chain, 0) + 1
-        updated, weights = real(keys, values, blocks)
+        updated, weights = real(keys, values, blocks, q_hat, channels_first)
         if fault is not None:
             fault(chain, call, updated)
         return updated, weights

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentblendkit import (
     ChannelStats,
@@ -305,3 +307,25 @@ class TestMirroredRowMatmul:
     def test_below_the_gate_is_one_full_einsum(self):
         keys = np.random.default_rng(0).normal(size=(254, 8))
         assert np.array_equal(tensorcore._row_matmul(keys[127:], keys, 127), np.einsum("id,jd->ij", keys[127:], keys))
+
+
+class TestWeightedSumLayouts:
+    """``_weighted_channels`` is ``_weighted_rows`` in the maps' own layout, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        maps=st.sampled_from([None, 1, 2, 5]),  # one matrix, or a stack of them
+        c=st.integers(2, 16),
+        n=st.integers(1, 70),
+        keys=st.integers(1, 140),
+        scale=st.floats(0.1, 30.0),
+    )
+    def test_channels_first_is_the_rows_transposed(self, seed, maps, c, n, keys, scale):
+        rng = np.random.default_rng(seed)
+        lead = () if maps is None else (maps,)
+        weights = tensorcore._softmax_rows_array(rng.normal(scale=scale, size=(*lead, n, keys)))
+        values = rng.normal(scale=3.0, size=(*lead, keys, c))
+        out = tensorcore._weighted_channels(weights, values)
+        assert out.shape == (*lead, c, n) and out.flags.c_contiguous
+        assert out.swapaxes(-1, -2).tobytes() == tensorcore._weighted_rows(weights, values).tobytes()

@@ -1,0 +1,137 @@
+"""Time the sandbox's layers one at a time: per-call microseconds, each the
+min over repeats of a ``timeit`` mean.
+
+    python3 tools/layer_bench.py [--repeat 7] [--src DIR]
+    python3 tools/layer_bench.py --trees A B [--rounds 7] [--repeat 7]
+
+The layers are the attention kernels of one sandbox step, on the step's own
+operands (seed 0): the logits ``_row_matmul``, the row softmax
+``_softmax_rows_array``, and the weighted sum in rows (``_weighted_rows``)
+and in channels-first layout (``_weighted_channels``), each for the 18 maps
+of a default guidance sweep at (8, 32) and for one (64, 256) map; and one
+whole sandbox step of 3 and of 18 (8, 32) maps and of one (64, 256) map,
+timed as the difference between ``run_guidance_sweep`` runs of
+``STEPS + 1`` steps and 1 step, over ``STEPS``. A layer that the tree's
+package lacks is left out.
+
+With one tree the package is imported from ``--src`` (default: this
+repository's ``src/``) and one JSON object, layer to microseconds, is
+printed. With ``--trees A B`` each round runs one subprocess per tree on
+``A/src`` and ``B/src``, A first in even rounds and B first in odd ones, and
+prints for each layer both trees' median microseconds, the median of the
+per-round B/A ratios and the rounds B was faster in.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import timeit
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: sandbox steps each whole-step timing adds to a 1-step run
+STEPS = 5
+
+#: (label, channels, positions, maps, calls per timing) of each kernel
+#: timing: a stack of maps' [reference || self] key and value blocks, as one
+#: sandbox step has
+KERNEL_SHAPES = (("8x32x18", 8, 32, 18, 30), ("64x256x1", 64, 256, 1, 2))
+#: (label, channels, positions, n_images, guidance values) of each step
+#: timing: (n_images - 1) * guidance values maps
+STEP_SHAPES = (("8x32x3", 8, 32, 4, 1), ("8x32x18", 8, 32, 4, 6), ("64x256x1", 64, 256, 2, 1))
+
+
+def _kernel_calls(tensorcore, c: int, n: int, maps: int) -> dict:
+    """A callable for each kernel layer at one step's shapes."""
+    rng = np.random.default_rng(0)
+    keys = rng.standard_normal((maps, 2 * n, c))
+    values = rng.standard_normal((maps, 2 * n, c))
+    queries = keys[:, n:, :]
+    logits = tensorcore._row_matmul(queries, keys, n)
+    weights = tensorcore._softmax_rows_array(logits.copy())
+    calls = {
+        "logits": lambda: tensorcore._row_matmul(queries, keys, n),
+        # in place: after the first call it normalises rows that are already
+        # probabilities, at the same cost
+        "softmax": lambda: tensorcore._softmax_rows_array(logits),
+        "weighted_rows": lambda: tensorcore._weighted_rows(weights, values),
+    }
+    if hasattr(tensorcore, "_weighted_channels"):
+        calls["weighted_channels"] = lambda: tensorcore._weighted_channels(weights, values)
+    return calls
+
+
+def measure(repeat: int) -> dict[str, float]:
+    """Per-call microseconds of every layer the imported package has."""
+    from latentblendkit import DdimScheduleConfig, SandboxConfig, run_guidance_sweep, tensorcore
+
+    out = {}
+    for label, c, n, maps, number in KERNEL_SHAPES:
+        for name, call in _kernel_calls(tensorcore, c, n, maps).items():
+            out[f"{name}/{label}"] = min(timeit.repeat(call, repeat=repeat, number=number)) / number * 1e6
+    for label, c, n, images, runs in STEP_SHAPES:
+        grid = (10.0, 5.0, 15.0, 20.0, 25.0, 30.0)[:runs]
+        times = []
+        for steps in (1, STEPS + 1):
+            cfg = SandboxConfig(n_images=images, feature_shape=(c, n), schedule=DdimScheduleConfig(steps=steps))
+            times.append(min(timeit.repeat(lambda: run_guidance_sweep(cfg, grid), repeat=repeat, number=1)))
+        out[f"step/{label}"] = (times[1] - times[0]) / STEPS * 1e6
+    return out
+
+
+def compare(a_rounds: list[dict[str, float]], b_rounds: list[dict[str, float]]) -> dict[str, dict]:
+    """Each layer both trees timed in every round: the median microseconds of
+    each tree, the median per-round B/A ratio and the rounds B took less."""
+    layers = [name for name in a_rounds[0] if all(name in r for r in a_rounds + b_rounds)]
+    table = {}
+    for name in layers:
+        a = [r[name] for r in a_rounds]
+        b = [r[name] for r in b_rounds]
+        table[name] = {
+            "a_us": round(statistics.median(a), 2),
+            "b_us": round(statistics.median(b), 2),
+            "ratio": round(statistics.median(y / x for x, y in zip(a, b)), 4),
+            "b_wins": sum(y < x for x, y in zip(a, b)),
+            "rounds": len(a),
+        }
+    return table
+
+
+def _one_tree(tree: Path, repeat: int) -> dict[str, float]:
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--repeat", str(repeat), "--src", str(tree / "src")],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=7, help="timeit repeats per layer, min taken (default 7)")
+    parser.add_argument("--src", type=Path, default=REPO / "src", help="directory to import latentblendkit from")
+    parser.add_argument("--trees", type=Path, nargs=2, metavar=("A", "B"), help="compare two repository trees")
+    parser.add_argument("--rounds", type=int, default=7, help="alternating rounds with --trees (default 7)")
+    args = parser.parse_args(argv)
+    if args.repeat < 1 or args.rounds < 1:
+        parser.error("--repeat and --rounds must be at least 1")
+    if args.trees is None:
+        sys.path.insert(0, str(args.src))
+        print(json.dumps({name: round(us, 2) for name, us in measure(args.repeat).items()}))
+        return 0
+    rounds: tuple[list, list] = ([], [])
+    for i in range(args.rounds):
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            rounds[side].append(_one_tree(args.trees[side], args.repeat))
+    print(json.dumps(compare(*rounds), indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -220,7 +220,8 @@ def _load_generated(path: str) -> np.ndarray:
 def wms(generated_paths, refs_path, ref_names, weights, grid, fmt, output):
     """Per-style mean similarities and the weighted multi-style score."""
     from .formats import read_vectors
-    from .metrics import EmbeddingSet, ReferenceStyle, _Owned, _style_means, _weighted_report
+    from .metrics import EmbeddingSet, ReferenceStyle, wms_score
+    from .tensorcore import _checked, _Record
 
     refs = read_vectors(refs_path, rows=True)
     if ref_names:
@@ -231,16 +232,16 @@ def wms(generated_paths, refs_path, ref_names, weights, grid, fmt, output):
         names = [f"ref{i + 1}" for i in range(len(refs))]
 
     if grid:
+        if weights is not None:
+            raise InputError("--grid conflicts with --weights")
         if len(refs) != 2:
             raise InputError(f"--grid needs exactly 2 references, got {len(refs)}")
         if len(generated_paths) not in (1, len(WEIGHT_GRID)):
             raise InputError(
                 f"--grid takes 1 or {len(WEIGHT_GRID)} --generated paths, got {len(generated_paths)}"
             )
-        configs = [
-            (list(pair), generated_paths[0] if len(generated_paths) == 1 else generated_paths[i])
-            for i, pair in enumerate(WEIGHT_GRID)
-        ]
+        paths = generated_paths * len(WEIGHT_GRID) if len(generated_paths) == 1 else generated_paths
+        configs = [(list(pair), path) for pair, path in zip(WEIGHT_GRID, paths)]
     else:
         if weights is None:
             raise InputError("--weights is required without --grid")
@@ -251,27 +252,20 @@ def wms(generated_paths, refs_path, ref_names, weights, grid, fmt, output):
             raise InputError(f"{len(w)} weights for {len(refs)} references")
         configs = [(w, generated_paths[0])]
 
-    # MS does not depend on the weights, so each distinct --generated set
-    # is loaded, validated and scored once. Its EmbeddingSet checks the
-    # first row's weights; the remaining grid rows are built in. The set
-    # freezes the loaded matrix in place: nothing else holds it.
-    style_means: dict[str, dict[str, float]] = {}
-    rows = []
-    for w, gen_path in configs:
-        if gen_path not in style_means:
-            style_means[gen_path] = _style_means(
-                EmbeddingSet(
-                    generated=_Owned(_load_generated(gen_path)),
-                    references=tuple(
-                        ReferenceStyle(name=nm, embedding=emb, weight=wt)
-                        for nm, emb, wt in zip(names, refs, w)
-                    ),
-                )
-            )
-        report = _weighted_report(style_means[gen_path], w)
-        row = {f"w_{nm}": wt for nm, wt in zip(names, w)}
-        row.update((f"MS_{nm}", ms) for nm, ms in report.per_style_ms.items())
-        rows.append({**row, "WMS": report.wms, "MS_GAP": report.ms_gap})
+    # Each distinct --generated path is loaded and checked once, into one
+    # record that the sets of its rows share: they take its row norms and
+    # each MS once. Its matrix is freed before the next path is read.
+    rows = [None] * len(configs)
+    for gen_path in dict.fromkeys(path for _, path in configs):
+        record = _Record(_checked(_load_generated(gen_path), 2, "generated"))
+        for i, (w, path) in enumerate(configs):
+            if path == gen_path:
+                references = tuple(ReferenceStyle(nm, emb, wt) for nm, emb, wt in zip(names, refs, w))
+                report = wms_score(EmbeddingSet(generated=record, references=references))
+                row = {f"w_{nm}": wt for nm, wt in zip(names, w)}
+                row.update((f"MS_{nm}", ms) for nm, ms in report.per_style_ms.items())
+                rows[i] = {**row, "WMS": report.wms, "MS_GAP": report.ms_gap}
+        del record
     _emit(rows, output, fmt)
 
 
@@ -304,6 +298,8 @@ def attend(self_path, ref_paths, mu, sigma, auto_classify, threshold, lambda_wei
 
     self_m = _wrap(Matrix, load_rows([self_path]))
     if lambda_weights is not None:
+        if auto_classify or mu is not None or sigma is not None:
+            raise InputError("--lambda-weights conflicts with --auto-classify/--mu/--sigma")
         w = _parse_float_list(lambda_weights, "--lambda-weights")
         if len(w) != len(ref_paths):
             raise InputError(f"{len(w)} lambda weights for {len(ref_paths)} --ref blocks")
@@ -430,6 +426,8 @@ def sandbox(config_path, seed, guidance, dump_schedule, guidance_grid, fmt, outp
     from .formats import decode, read_json
     from .sandbox import GUIDANCE_GRID, SandboxConfig, build_schedule, run_guidance_sweep, run_sandbox
 
+    if guidance_grid and (guidance is not None or dump_schedule):
+        raise InputError("--guidance-grid conflicts with --guidance/--dump-schedule")
     raw = {} if config_path is None else read_json(config_path, "sandbox config", expect=dict)
     overrides = {"seed": seed, "guidance_scale": guidance}
     raw.update((key, value) for key, value in overrides.items() if value is not None)

@@ -10,11 +10,12 @@ Embeddings arrive from files; no vision model is run here, so the scores
 are exact arithmetic on the supplied vectors.
 
 The MS values do not depend on the weights, so a weight grid needs each
-only once. Sets built from every row ``read_vectors(path, rows=True)``
-gave for one file, in order, share that matrix's ``_Record``: its row norms
-are taken once, and the MS values of the last references it was scored
-against are kept for the next set over the same references. Any other
-generated input is scored afresh. Either way the bits are the same.
+only once. Every ``EmbeddingSet`` keeps the ``tensorcore._Record`` of its
+matrix: the row norms are taken once per matrix, and the MS values of the
+last references it was scored against are kept for the next set over the
+same record. Sets built from every row ``read_vectors(path, rows=True)``
+gave for one file, in order, share that file's record; ``lbk wms`` builds
+one record per ``--generated`` path and one set per weight row over it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, InputError, ZeroVector
 from .tensorcore import (
-    LatentVector, _checked, _cosines, _Frozen, _Record, _row_norms, _stack_vectors, _sum, _weight_sum, norm
+    LatentVector, _cosines, _Frozen, _Record, _row_norms, _stack_vectors, _sum, _weight_sum, norm
 )
 
 
@@ -44,29 +45,30 @@ class EmbeddingSet(_Frozen):
 
     ``generated`` may be given as a sequence of LatentVectors or as an
     (n, d) array; it is stored as one read-only (n, d) float64 matrix,
-    with its row norms and the norm of each reference computed once for
-    every reference's score. Given every row of one file, in order, as
-    ``read_vectors(path, rows=True)`` returns them, the set keeps that
-    matrix and its ``_Record`` (as ``_rec``, outside the fields, so pickle
-    and ``copy`` drop it): the norms come from the record, and ``wms_score``
-    reuses the MS values another set over the same references left there.
+    with the norm of each reference computed once for every reference's
+    score. The set keeps the ``_Record`` of that matrix as ``_rec``, which
+    holds its row norms and the MS values ``wms_score`` last took over it.
+    Given every row of one file, in order, as ``read_vectors(path,
+    rows=True)`` returns them, the set keeps that file's matrix and record,
+    so sets over the same rows share them; any other input gets a new
+    matrix and record. A pickled or copied set carries a record over its
+    own matrix.
     """
 
     generated: np.ndarray
     references: tuple[ReferenceStyle, ...]
-    _norms: np.ndarray = field(init=False, repr=False, compare=False)
+    _rec: _Record = field(init=False, repr=False, compare=False)
     _ref_norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        generated, record = _generated_matrix(self.generated, "no generated embeddings")
+        record = _generated_matrix(self.generated, "no generated embeddings")
         references = tuple(self.references)
         if not references:
             raise EmptySet("no reference styles")
-        norms = _row_norms(generated) if record is None else record.norms()
-        zero = np.flatnonzero(norms == 0.0)
+        zero = np.flatnonzero(record.norms() == 0.0)
         if zero.size:
             raise InputError(f"generated[{zero[0]}] is a zero vector")
-        d = generated.shape[1]
+        d = record.matrix.shape[1]
         names = set()
         ref_norms = tuple(norm(r.embedding) for r in references)
         for r, ref_norm in zip(references, ref_norms):
@@ -81,35 +83,28 @@ class EmbeddingSet(_Frozen):
             names.add(r.name)
         if _weight_sum((r.weight for r in references), "reference weights") == 0.0:
             raise InputError("all reference weights are zero")
-        object.__setattr__(self, "generated", generated)
+        object.__setattr__(self, "generated", record.matrix)
         object.__setattr__(self, "references", references)
-        object.__setattr__(self, "_norms", norms)
+        object.__setattr__(self, "_rec", record)
         object.__setattr__(self, "_ref_norms", ref_norms)
-        if record is not None:
-            object.__setattr__(self, "_rec", record)
 
 
-class _Owned(NamedTuple):
-    """An (n, d) float64 C-order array that nothing else holds: as
-    ``EmbeddingSet.generated`` it is frozen in place rather than copied."""
-
-    matrix: np.ndarray
-
-
-def _generated_matrix(generated, empty: str) -> tuple[np.ndarray, _Record | None]:
-    """(a read-only float64 (n, d) copy of LatentVectors or of an (n, d)
-    array, or an ``_Owned`` array itself; None), or the matrix and
-    ``_Record`` of every row of one file, which ``_stack_vectors`` returns
-    itself; ``empty`` is the EmptySet message for n == 0."""
-    if isinstance(generated, _Owned):
-        return _checked(generated.matrix, 2, "generated"), None
+def _generated_matrix(generated, empty: str) -> _Record:
+    """The ``_Record`` of a generated set: the record itself, given one (it
+    is over a ``_checked`` matrix that nothing else changes); the record of
+    every row of one file, in order, whose matrix ``_stack_vectors`` returns
+    itself; otherwise a new record over a read-only float64 (n, d) copy of
+    the LatentVectors or (n, d) array. ``empty`` is the EmptySet message
+    for n == 0."""
+    if isinstance(generated, _Record):
+        return generated
     if not isinstance(generated, np.ndarray):
         generated = tuple(generated)
     if len(generated) == 0:
         raise EmptySet(empty)
     matrix = _stack_vectors(generated, "generated[{}]", "generated")
     record = getattr(generated[0], "_rec", None)
-    return matrix, record if record is not None and matrix is record.matrix else None
+    return record if record is not None and matrix is record.matrix else _Record(matrix)
 
 
 @dataclass(frozen=True)
@@ -137,11 +132,9 @@ def cosine_similarity(a: LatentVector, b: LatentVector) -> float:
 def mean_similarity(generated: Sequence[LatentVector] | np.ndarray, ref: LatentVector) -> float:
     """Mean cosine similarity of a generated set (LatentVectors or an (n, d)
     array) to one reference."""
-    gen, record = _generated_matrix(generated, "mean similarity over an empty generated set")
-    if record is None:
-        return _mean_similarity(gen, _row_norms(gen), ref, norm(ref))
+    record = _generated_matrix(generated, "mean similarity over an empty generated set")
     ms = record.scores.get(ref.data.tobytes())
-    return _mean_similarity(gen, record.norms(), ref, norm(ref)) if ms is None else ms
+    return _mean_similarity(record.matrix, record.norms(), ref, norm(ref)) if ms is None else ms
 
 
 def _mean_similarity(gen: np.ndarray, norms: np.ndarray, ref: LatentVector, ref_norm: float) -> float:
@@ -170,42 +163,33 @@ def wms_score(es: EmbeddingSet) -> WmsReport:
     Reference weights are normalized to sum 1 before weighting, so the
     score is a convex combination of the per-style means.
     """
-    return _weighted_report(_style_means(es), [r.weight for r in es.references])
-
-
-def _style_means(es: EmbeddingSet) -> dict[str, float]:
-    """MS of the generated set to each reference, in reference order.
-
-    A set with a ``_Record`` takes them from the record when its references
-    are the ones scored last, and leaves its own there otherwise: the dict
-    is replaced whole, never grown, and never changed once stored, so
-    threads sharing the record read whole dicts.
-    """
-    keys = [r.embedding.data.tobytes() for r in es.references]
-    record = getattr(es, "_rec", None)
-    scores = {} if record is None else record.scores
-    if scores.keys() != set(keys):
-        scores = {
-            key: _mean_similarity(es.generated, es._norms, r.embedding, ref_norm)
-            for key, r, ref_norm in zip(keys, es.references, es._ref_norms)
-        }
-        if record is not None:
-            record.scores = scores
-    return {r.name: scores[key] for r, key in zip(es.references, keys)}
-
-
-def _weighted_report(per_style: dict[str, float], weights: Sequence[float]) -> WmsReport:
-    """The report of per-style MS values (in reference order) under ``weights``.
-
-    The MS values do not depend on the weights, so one ``_style_means``
-    serves every weight row of a grid. ``weights`` must be valid reference
-    weights (finite, >= 0, not all zero), as an ``EmbeddingSet`` checks.
-    """
+    per_style = _style_means(es)
+    weights = [r.weight for r in es.references]
     total_w = _weight_sum(weights, "reference weights")
     values = list(per_style.values())
     wms = weighted_score(values, [w / total_w for w in weights])
     ms_gap = max(values) - min(values)  # equals the max pairwise |MS_i - MS_j|
     return WmsReport(per_style_ms=per_style, wms=wms, ms_gap=ms_gap)
+
+
+def _style_means(es: EmbeddingSet) -> dict[str, float]:
+    """MS of the generated set to each reference, in reference order.
+
+    They are taken from the set's ``_Record`` when its references are the
+    ones scored last, and left there otherwise: the dict is replaced whole,
+    never grown, and never changed once stored, so threads sharing the
+    record read whole dicts.
+    """
+    keys = [r.embedding.data.tobytes() for r in es.references]
+    record = es._rec
+    scores = record.scores
+    if scores.keys() != set(keys):
+        scores = {
+            key: _mean_similarity(record.matrix, record.norms(), r.embedding, ref_norm)
+            for key, r, ref_norm in zip(keys, es.references, es._ref_norms)
+        }
+        record.scores = scores
+    return {r.name: scores[key] for r, key in zip(es.references, keys)}
 
 
 def score_drop_bound(es: EmbeddingSet) -> ScoreDropBound:

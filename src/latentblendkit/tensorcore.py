@@ -89,10 +89,10 @@ def _sum(values) -> float:
 
 class _Frozen:
     """The base of the value types. pickle and ``copy`` keep the dataclass
-    fields alone (a copy owns its data, so the ``_Record`` of a row view or
-    of a set over every row would mean nothing; see ``_rows``) and restore
-    them without ``__post_init__``, so each array, which numpy restores
-    writable, is frozen here."""
+    fields alone (a row view's ``_rec`` is dropped, so a copied row is a
+    vector of its own; see ``_rows``) and restore them without
+    ``__post_init__``, so each array, which numpy restores writable, is
+    frozen here."""
 
     def __getstate__(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -132,13 +132,17 @@ def _wrap(cls, data: np.ndarray):
 
 
 class _Record:
-    """What is derived from one ``_checked`` matrix, shared by the row views
-    ``_rows`` makes of it and by the sets built from every one of them: the
-    matrix, its rows as those views hold them, its read-only ``_row_norms``
-    from the first ``norms()`` on, and ``scores``, the MS values of the
-    references ``metrics`` last scored it against, keyed by each reference
-    vector's bytes. It refers to no view or set, so deleting them frees it
-    and the matrix at once, with no cycle for the garbage collector.
+    """What is derived from one ``_checked`` matrix: the matrix, its
+    read-only ``_row_norms`` from the first ``norms()`` on, ``scores``, the
+    MS values of the references ``metrics`` last scored it against, keyed by
+    each reference vector's bytes, and ``rows``, the row views' arrays when
+    ``_rows`` made them (empty otherwise). Every ``EmbeddingSet`` keeps one,
+    and the row views of one matrix and the sets over all of them share it.
+    It refers to no view or set, so deleting them frees it and the matrix
+    at once, with no cycle for the garbage collector. It pickles as its
+    matrix alone: an unpickled or deep-copied set gets a new record over its
+    own matrix (a shallow copy shares both), and the pickle holds the matrix
+    once.
 
     The matrix must stay as it was checked: a caller that makes it writable
     again and changes it gets stale norms and scores from sets built before.
@@ -148,9 +152,12 @@ class _Record:
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
-        self.rows = tuple(matrix)
+        self.rows: tuple[np.ndarray, ...] = ()
         self._norms = None
         self.scores: dict[bytes, float] = {}
+
+    def __reduce__(self):
+        return _Record, (self.matrix,)
 
     def norms(self) -> np.ndarray:
         if self._norms is None:
@@ -166,6 +173,7 @@ def _rows(matrix: np.ndarray) -> list[LatentVector]:
     field (which ``fields``, ``repr`` and ``==`` see alone), so that
     ``_stack_vectors`` returns the matrix itself."""
     record = _Record(matrix)
+    record.rows = tuple(matrix)
     vectors = []
     for row in record.rows:
         value = object.__new__(LatentVector)

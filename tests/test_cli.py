@@ -254,19 +254,19 @@ class TestWmsCommand:
         gens = [tmp_path / f"gen{i}.npy" for i in range(n_files)]
         for g in gens:
             write_vectors(g, rng.standard_normal((9, 6)))
-        built = []
+        loaded = []
         scored = []
-        real_set, real_ms = metrics.EmbeddingSet, metrics._mean_similarity
+        real_load, real_ms = cli._load_generated, metrics._mean_similarity
 
-        def counting_set(*args, **kwargs):
-            built.append(1)
-            return real_set(*args, **kwargs)
+        def counting_load(*args, **kwargs):
+            loaded.append(1)
+            return real_load(*args, **kwargs)
 
         def counting_ms(*args, **kwargs):
             scored.append(1)
             return real_ms(*args, **kwargs)
 
-        monkeypatch.setattr(metrics, "EmbeddingSet", counting_set)
+        monkeypatch.setattr(cli, "_load_generated", counting_load)
         monkeypatch.setattr(metrics, "_mean_similarity", counting_ms)
         paths = [str(gens[i % n_files]) for i in range(len(cli.WEIGHT_GRID))]
         args = ["wms", "--refs", str(tmp_path / "refs.npy"), "--grid", "--format", "json"]
@@ -274,7 +274,7 @@ class TestWmsCommand:
             args += ["--generated", p]
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
-        assert (len(built), len(scored)) == (n_files, 2 * n_files)
+        assert (len(loaded), len(scored)) == (n_files, 2 * n_files)
         monkeypatch.undo()
 
         refs = read_vectors(tmp_path / "refs.npy", rows=True)
@@ -417,24 +417,24 @@ class TestWmsCommand:
         # the set freezes the matrix the CLI loaded rather than copying it
         self._fixture(tmp_path, (0.36150, 0.42156))
         loaded, scored = [], []
-        real_load, real_means = cli._load_generated, metrics._style_means
+        real_load, real_score = cli._load_generated, metrics.wms_score
 
         def load(path):
             loaded.append(real_load(path))
             return loaded[-1]
 
-        def means(es):
+        def score(es):
             scored.append(es)
-            return real_means(es)
+            return real_score(es)
 
         monkeypatch.setattr(cli, "_load_generated", load)
-        monkeypatch.setattr(metrics, "_style_means", means)
+        monkeypatch.setattr(metrics, "wms_score", score)
         result = runner.invoke(
             main, ["wms", "--generated", str(tmp_path / "gen.npy"), "--refs", str(tmp_path / "refs.npy"), "--grid"]
         )
         assert result.exit_code == 0, result.output
-        assert len(loaded) == len(scored) == 1
-        assert np.shares_memory(scored[0].generated, loaded[0])
+        assert len(loaded) == 1 and len(scored) == len(cli.WEIGHT_GRID)
+        assert all(es.generated is loaded[0] and es._rec is scored[0]._rec for es in scored)
         assert not loaded[0].flags.writeable
 
     def test_golden_bytes(self, runner, tmp_path):
@@ -909,6 +909,29 @@ def test_output_into_missing_directory_exit_2(runner, tmp_path, args):
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: cannot write ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["wms", "--generated", "m.npy", "--refs", "m.npy", "--grid", "--weights", "5,7"],
+         "--grid conflicts with --weights"),
+        (["attend", "--self", "m.npy", "--ref", "m.npy", "--lambda-weights", "1", "--mu", "3", "--sigma", "9"],
+         "--lambda-weights conflicts with --auto-classify/--mu/--sigma"),
+        (["attend", "--self", "m.npy", "--ref", "m.npy", "--lambda-weights", "1", "--auto-classify"],
+         "--lambda-weights conflicts with --auto-classify/--mu/--sigma"),
+        (["sandbox", "--guidance", "99", "--guidance-grid"], "--guidance-grid conflicts with --guidance/--dump-schedule"),
+        (["sandbox", "--dump-schedule", "--guidance-grid"], "--guidance-grid conflicts with --guidance/--dump-schedule"),
+    ],
+    ids=["wms-grid-weights", "attend-lambda-mu-sigma", "attend-lambda-auto", "sandbox-grid-guidance",
+         "sandbox-grid-dump"],
+)
+def test_options_the_mode_ignores_exit_2(runner, tmp_path, monkeypatch, args, message):
+    write_vectors(tmp_path / "m.npy", np.eye(2))
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert (result.stdout, result.stderr) == ("", f"error: {message}\n")
 
 
 def test_output_through_symlink_keeps_the_link(runner, tmp_path):

@@ -1,4 +1,4 @@
-"""tools/layer_bench.py, which times the sandbox's layers one at a time, run
+"""tools/layer_bench.py, which times the library's layers one at a time, run
 at one repetition."""
 
 import importlib.util
@@ -24,9 +24,10 @@ def test_prints_every_layer_at_one_repetition():
     kernels = [f"{k}/{shape}" for shape in ("8x32x18", "64x256x1")
                for k in ("logits", "softmax", "weighted_rows", "weighted_channels")]
     steps = ["step/8x32x3", "step/8x32x18", "step/64x256x1"]
-    assert sorted(layers) == sorted(kernels + steps)
+    reads = ["load_rows/10000x768", "wms/grid7/10000x768"]
+    assert sorted(layers) == sorted(kernels + steps + reads)
     # a step is the difference of two runs' times, which one noisy repetition may invert
-    assert all(layers[name] > 0 for name in kernels)
+    assert all(layers[name] > 0 for name in kernels + reads)
 
 
 def test_compare_keeps_the_layers_of_both_trees():

@@ -22,7 +22,8 @@ from latentblendkit import (
     weighted_score,
     wms_score,
 )
-from latentblendkit import metrics
+from latentblendkit import metrics, tensorcore
+from latentblendkit.tensorcore import _checked, _Record
 
 import loop_reference
 
@@ -230,9 +231,10 @@ class TestGeneratedMatrix:
             mean_similarity(np.array([[1.0, 0.0], [0.0, 0.0]]), unit(0, 2))
 
     def test_owned_matrix_is_frozen_in_place(self):
+        # a record over a matrix the caller checked, as lbk wms builds one
         owned = np.eye(3)[:2] + 0.5
-        es = EmbeddingSet(generated=metrics._Owned(owned), references=self._refs())
-        assert np.shares_memory(es.generated, owned)
+        es = EmbeddingSet(generated=_Record(_checked(owned, 2, "generated")), references=self._refs())
+        assert es.generated is owned and es._rec.matrix is owned
         assert not owned.flags.writeable
         caller = np.eye(3)[:2] + 0.5
         es = EmbeddingSet(generated=caller, references=self._refs())
@@ -240,21 +242,28 @@ class TestGeneratedMatrix:
         assert caller.flags.writeable
 
     def test_owned_matrix_is_validated(self):
-        with pytest.raises(InvalidShape, match="NaN or Inf"):
-            EmbeddingSet(generated=metrics._Owned(np.array([[1.0, np.nan, 0.0]])), references=self._refs())
+        with pytest.raises(InvalidShape, match="^generated contains NaN or Inf entries$"):
+            _Record(_checked(np.array([[1.0, np.nan, 0.0]]), 2, "generated"))
         with pytest.raises(InputError, match=r"generated\[1\] is a zero vector"):
-            EmbeddingSet(generated=metrics._Owned(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])),
+            EmbeddingSet(generated=_Record(_checked(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 2, "generated")),
                          references=self._refs())
+
+    def test_an_array_gets_a_record_over_its_own_matrix(self):
+        es = EmbeddingSet(generated=np.eye(3)[:2] + 0.5, references=self._refs())
+        assert es._rec.matrix is es.generated
+        assert es._rec.rows == ()  # only read_vectors(rows=True) makes row views
+        assert wms_score(es) == wms_score(EmbeddingSet(generated=es._rec, references=self._refs()))
 
     def test_row_norms_are_computed_once_per_set(self, monkeypatch):
         calls = []
-        real = metrics._row_norms
+        real = tensorcore._row_norms
 
         def counting(gen):
-            calls.append(gen.shape)
+            if gen.ndim == 2:  # a reference's norm is a 1-D call
+                calls.append(gen.shape)
             return real(gen)
 
-        monkeypatch.setattr(metrics, "_row_norms", counting)
+        monkeypatch.setattr(tensorcore, "_row_norms", counting)
         es = EmbeddingSet(generated=np.eye(3)[:2] + 0.5, references=self._refs())
         wms_score(es)
         score_drop_bound(es)

@@ -223,32 +223,53 @@ class TestRecord:
         chosen = {"slice": rows[1:], "reversed": rows[::-1]}.get(case, rows)
         make = {
             "ndarray": lambda: np.stack([r.data for r in chosen]),
-            "owned": lambda: metrics._Owned(np.stack([r.data for r in chosen])),
+            # a new record over a checked matrix, as lbk wms builds one per --generated path
+            "owned": lambda: tensorcore._Record(tensorcore._checked(np.stack([r.data for r in chosen]), 2, "g")),
             "copies": lambda: _copies(chosen),
             "copied views": lambda: [copy.copy(r) for r in chosen],
         }.get(case, lambda: chosen)
-        want = [wms_score(es) for es in _grid_sets(_copies(chosen), refs)]
+        want_sets = _grid_sets(_copies(chosen), refs)
+        want = [wms_score(es) for es in want_sets]
         del calls[:]
-        assert [wms_score(es) for es in _grid_sets(make(), refs)] == want
+        # one make() per set: the sets given one record share it, as the sets of one file's rows do
+        assert [wms_score(EmbeddingSet(generated=make(), references=es.references)) for es in want_sets] == want
         assert Counter(kind for kind, _ in calls) == {"norms": len(GRID), "cosines": 2 * len(GRID)}
 
     @pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
                              ids=["pickle", "copy", "deepcopy"])
-    def test_copies_carry_no_record(self, rows, rng, clone):
+    def test_a_copys_record_is_over_its_own_matrix(self, rows, rng, clone):
         refs = _refs(rng, 5)
         es = _grid_sets(tuple(rows), refs)[1]
         assert es._rec is rows[0]._rec
         row, es2 = clone(rows[2]), clone(es)
-        assert not hasattr(row, "_rec") and not hasattr(es2, "_rec")
+        assert not hasattr(row, "_rec")
+        assert es2._rec.matrix is es2.generated and not es2.generated.flags.writeable
+        assert (es2._rec is es._rec) == (clone is copy.copy)  # a shallow copy shares the matrix and record
         assert np.array_equal(row.data, rows[2].data) and repr(row) == repr(rows[2])
         assert np.array_equal(es2.generated, es.generated) and repr(es2.references) == repr(es.references)
         assert wms_score(es2) == wms_score(es)
 
-    def test_threads_give_the_serial_bits(self, rows, rng):
+    def test_a_pickled_set_holds_its_matrix_once(self, tmp_path, rng):
+        write_vectors(tmp_path / "big.npy", rng.standard_normal((10_000, 768)))
+        rows = read_vectors(tmp_path / "big.npy", rows=True)
+        es = EmbeddingSet(generated=tuple(rows), references=_refs(rng, 768))
+        wms_score(es)
+        data = pickle.dumps(es)
+        assert len(data) < 2 * es.generated.nbytes
+        es2 = pickle.loads(data)
+        assert es2._rec.matrix is es2.generated and es2._rec.rows == ()
+        assert wms_score(es2) == wms_score(es)
+
+    @pytest.mark.parametrize("source", ["row views", "record"])
+    def test_threads_give_the_serial_bits(self, rows, rng, source):
         ref_sets = [_refs(rng, 5) for _ in range(3)]
+        if source == "row views":
+            generated = tuple(rows)
+        else:  # as lbk wms builds it
+            generated = tensorcore._Record(tensorcore._checked(np.stack([r.data for r in rows]), 2, "generated"))
 
         def grid(refs):
-            return [wms_score(es) for es in _grid_sets(tuple(rows), refs)]
+            return [wms_score(es) for es in _grid_sets(generated, refs)]
 
         serial = [grid(refs) for refs in ref_sets]
         with ThreadPoolExecutor(4) as pool:

@@ -1,4 +1,4 @@
-"""Time the sandbox's layers one at a time: per-call microseconds, each the
+"""Time the library's layers one at a time: per-call microseconds, each the
 min over repeats of a ``timeit`` mean.
 
     python3 tools/layer_bench.py [--repeat 7] [--src DIR]
@@ -12,7 +12,11 @@ of a default guidance sweep at (8, 32) and for one (64, 256) map; and one
 whole sandbox step of 3 and of 18 (8, 32) maps and of one (64, 256) map,
 timed as the difference between ``run_guidance_sweep`` runs of
 ``STEPS + 1`` steps and 1 step, over ``STEPS``. A layer that the tree's
-package lacks is left out.
+package lacks is left out. Two more layers read one seeded 10,000 x 768
+``<f8`` NPY file through public calls only, so every tree runs them: one
+``formats.load_rows`` of it, and the weighted-DINO grid over it, which is
+``read_vectors(rows=True)`` and then one ``EmbeddingSet`` and ``wms_score``
+per row of the 7-row ``wms --grid`` weight grid.
 
 With one tree the package is imported from ``--src`` (default: this
 repository's ``src/``) and one JSON object, layer to microseconds, is
@@ -29,6 +33,7 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -46,6 +51,8 @@ KERNEL_SHAPES = (("8x32x18", 8, 32, 18, 30), ("64x256x1", 64, 256, 1, 2))
 #: (label, channels, positions, n_images, guidance values) of each step
 #: timing: (n_images - 1) * guidance values maps
 STEP_SHAPES = (("8x32x3", 8, 32, 4, 1), ("8x32x18", 8, 32, 4, 6), ("64x256x1", 64, 256, 2, 1))
+#: (rows, dims) of the file the load and grid layers read
+FILE_SHAPE = (10_000, 768)
 
 
 def _kernel_calls(tensorcore, c: int, n: int, maps: int) -> dict:
@@ -68,6 +75,29 @@ def _kernel_calls(tensorcore, c: int, n: int, maps: int) -> dict:
     return calls
 
 
+def _file_calls(path: Path) -> dict:
+    """A callable for each layer that reads the file at ``path``, through
+    public calls only."""
+    import latentblendkit as lbk
+    from latentblendkit.cli import WEIGHT_GRID
+    from latentblendkit.formats import load_rows
+
+    rng = np.random.default_rng(0)
+    lbk.write_vectors(path, rng.standard_normal(FILE_SHAPE))
+    refs = [lbk.LatentVector(rng.standard_normal(FILE_SHAPE[1])) for _ in range(2)]
+
+    def grid():
+        generated = tuple(lbk.read_vectors(path, rows=True))
+        return [
+            lbk.wms_score(lbk.EmbeddingSet(generated=generated, references=(
+                lbk.ReferenceStyle("ref1", refs[0], w1), lbk.ReferenceStyle("ref2", refs[1], w2))))
+            for w1, w2 in WEIGHT_GRID
+        ]
+
+    label = "x".join(map(str, FILE_SHAPE))
+    return {f"load_rows/{label}": lambda: load_rows([path]), f"wms/grid{len(WEIGHT_GRID)}/{label}": grid}
+
+
 def measure(repeat: int) -> dict[str, float]:
     """Per-call microseconds of every layer the imported package has."""
     from latentblendkit import DdimScheduleConfig, SandboxConfig, run_guidance_sweep, tensorcore
@@ -83,6 +113,9 @@ def measure(repeat: int) -> dict[str, float]:
             cfg = SandboxConfig(n_images=images, feature_shape=(c, n), schedule=DdimScheduleConfig(steps=steps))
             times.append(min(timeit.repeat(lambda: run_guidance_sweep(cfg, grid), repeat=repeat, number=1)))
         out[f"step/{label}"] = (times[1] - times[0]) / STEPS * 1e6
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, call in _file_calls(Path(tmp) / "rows.npy").items():
+            out[name] = min(timeit.repeat(call, repeat=repeat, number=1)) * 1e6
     return out
 
 

@@ -223,6 +223,8 @@ def wms(generated_paths, refs_path, ref_names, weights, grid, fmt, output):
     from .metrics import EmbeddingSet, ReferenceStyle, wms_score
     from .tensorcore import _checked, _Record
 
+    if grid and weights is not None:
+        raise InputError("--grid conflicts with --weights")
     refs = read_vectors(refs_path, rows=True)
     if ref_names:
         names = [n.strip() for n in ref_names.split(",")]
@@ -232,8 +234,6 @@ def wms(generated_paths, refs_path, ref_names, weights, grid, fmt, output):
         names = [f"ref{i + 1}" for i in range(len(refs))]
 
     if grid:
-        if weights is not None:
-            raise InputError("--grid conflicts with --weights")
         if len(refs) != 2:
             raise InputError(f"--grid needs exactly 2 references, got {len(refs)}")
         if len(generated_paths) not in (1, len(WEIGHT_GRID)):
@@ -296,10 +296,12 @@ def attend(self_path, ref_paths, mu, sigma, auto_classify, threshold, lambda_wei
     from .formats import load_rows
     from .tensorcore import Matrix, _wrap
 
+    if lambda_weights is not None and (auto_classify or mu is not None or sigma is not None):
+        raise InputError("--lambda-weights conflicts with --auto-classify/--mu/--sigma")
+    if auto_classify and (mu is not None or sigma is not None):
+        raise InputError("--auto-classify conflicts with explicit --mu/--sigma")
     self_m = _wrap(Matrix, load_rows([self_path]))
     if lambda_weights is not None:
-        if auto_classify or mu is not None or sigma is not None:
-            raise InputError("--lambda-weights conflicts with --auto-classify/--mu/--sigma")
         w = _parse_float_list(lambda_weights, "--lambda-weights")
         if len(w) != len(ref_paths):
             raise InputError(f"{len(w)} lambda weights for {len(ref_paths)} --ref blocks")
@@ -312,8 +314,6 @@ def attend(self_path, ref_paths, mu, sigma, auto_classify, threshold, lambda_wei
         ref_m = _wrap(Matrix, load_rows([ref_paths[0]]))
         classification = None
         if auto_classify:
-            if mu is not None or sigma is not None:
-                raise InputError("--auto-classify conflicts with explicit --mu/--sigma")
             cfg = StyleClassifierConfig(threshold_t=threshold)
             style = classify_style(ref_m, cfg)
             params = rescale_params_for(style, cfg)

@@ -61,7 +61,7 @@ class EmbeddingSet(_Frozen):
     _ref_norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        record = _generated_matrix(self.generated, "no generated embeddings")
+        record = _generated_record(self.generated, "no generated embeddings")
         references = tuple(self.references)
         if not references:
             raise EmptySet("no reference styles")
@@ -89,7 +89,7 @@ class EmbeddingSet(_Frozen):
         object.__setattr__(self, "_ref_norms", ref_norms)
 
 
-def _generated_matrix(generated, empty: str) -> _Record:
+def _generated_record(generated, empty: str) -> _Record:
     """The ``_Record`` of a generated set: the record itself, given one (it
     is over a ``_checked`` matrix that nothing else changes); the record of
     every row of one file, in order, whose matrix ``_stack_vectors`` returns
@@ -132,7 +132,7 @@ def cosine_similarity(a: LatentVector, b: LatentVector) -> float:
 def mean_similarity(generated: Sequence[LatentVector] | np.ndarray, ref: LatentVector) -> float:
     """Mean cosine similarity of a generated set (LatentVectors or an (n, d)
     array) to one reference."""
-    record = _generated_matrix(generated, "mean similarity over an empty generated set")
+    record = _generated_record(generated, "mean similarity over an empty generated set")
     ms = record.scores.get(ref.data.tobytes())
     return _mean_similarity(record.matrix, record.norms(), ref, norm(ref)) if ms is None else ms
 

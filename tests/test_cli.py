@@ -914,20 +914,22 @@ def test_output_into_missing_directory_exit_2(runner, tmp_path, args):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["wms", "--generated", "m.npy", "--refs", "m.npy", "--grid", "--weights", "5,7"],
+        (["wms", "--generated", "no.npy", "--refs", "no.npy", "--grid", "--weights", "5,7"],
          "--grid conflicts with --weights"),
-        (["attend", "--self", "m.npy", "--ref", "m.npy", "--lambda-weights", "1", "--mu", "3", "--sigma", "9"],
+        (["attend", "--self", "no.npy", "--ref", "no.npy", "--lambda-weights", "1", "--mu", "3", "--sigma", "9"],
          "--lambda-weights conflicts with --auto-classify/--mu/--sigma"),
-        (["attend", "--self", "m.npy", "--ref", "m.npy", "--lambda-weights", "1", "--auto-classify"],
+        (["attend", "--self", "no.npy", "--ref", "no.npy", "--lambda-weights", "1", "--auto-classify"],
          "--lambda-weights conflicts with --auto-classify/--mu/--sigma"),
+        (["attend", "--self", "no.npy", "--ref", "no.npy", "--auto-classify", "--mu", "3"],
+         "--auto-classify conflicts with explicit --mu/--sigma"),
         (["sandbox", "--guidance", "99", "--guidance-grid"], "--guidance-grid conflicts with --guidance/--dump-schedule"),
         (["sandbox", "--dump-schedule", "--guidance-grid"], "--guidance-grid conflicts with --guidance/--dump-schedule"),
     ],
-    ids=["wms-grid-weights", "attend-lambda-mu-sigma", "attend-lambda-auto", "sandbox-grid-guidance",
+    ids=["wms-grid-weights", "attend-lambda-mu-sigma", "attend-lambda-auto", "attend-auto-mu", "sandbox-grid-guidance",
          "sandbox-grid-dump"],
 )
 def test_options_the_mode_ignores_exit_2(runner, tmp_path, monkeypatch, args, message):
-    write_vectors(tmp_path / "m.npy", np.eye(2))
+    # checked before any input is read, so the missing files do not hide the conflict
     monkeypatch.chdir(tmp_path)
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output

@@ -231,8 +231,11 @@ class TestRecord:
         want_sets = _grid_sets(_copies(chosen), refs)
         want = [wms_score(es) for es in want_sets]
         del calls[:]
-        # one make() per set: the sets given one record share it, as the sets of one file's rows do
-        assert [wms_score(EmbeddingSet(generated=make(), references=es.references)) for es in want_sets] == want
+        if case == "owned":  # one record per set: the sets given one record share it, as one file's rows do
+            sets = [EmbeddingSet(generated=make(), references=es.references) for es in want_sets]
+        else:  # one input for every set, so a cache keyed on the caller's object would show here
+            sets = _grid_sets(make(), refs)
+        assert [wms_score(es) for es in sets] == want
         assert Counter(kind for kind, _ in calls) == {"norms": len(GRID), "cosines": 2 * len(GRID)}
 
     @pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],

@@ -300,6 +300,10 @@ def attend(self_path, ref_paths, mu, sigma, auto_classify, threshold, lambda_wei
         raise InputError("--lambda-weights conflicts with --auto-classify/--mu/--sigma")
     if auto_classify and (mu is not None or sigma is not None):
         raise InputError("--auto-classify conflicts with explicit --mu/--sigma")
+    # --threshold keeps its shown default, so whether it was given is asked of click
+    threshold_source = click.get_current_context().get_parameter_source("threshold")
+    if not auto_classify and threshold_source is not click.core.ParameterSource.DEFAULT:
+        raise InputError("--threshold is read only with --auto-classify")
     self_m = _wrap(Matrix, load_rows([self_path]))
     if lambda_weights is not None:
         w = _parse_float_list(lambda_weights, "--lambda-weights")
@@ -428,20 +432,16 @@ def sandbox(config_path, seed, guidance, dump_schedule, guidance_grid, fmt, outp
 
     if guidance_grid and (guidance is not None or dump_schedule):
         raise InputError("--guidance-grid conflicts with --guidance/--dump-schedule")
+    if dump_schedule and (seed is not None or guidance is not None):
+        raise InputError("--dump-schedule conflicts with --seed/--guidance")
     raw = {} if config_path is None else read_json(config_path, "sandbox config", expect=dict)
     overrides = {"seed": seed, "guidance_scale": guidance}
     raw.update((key, value) for key, value in overrides.items() if value is not None)
     cfg = decode(SandboxConfig, raw, "sandbox config" if config_path is None else f"sandbox config {config_path}")
     if dump_schedule:
         schedule = build_schedule(cfg.schedule)
-        doc = [
-            {
-                "step": t,
-                "beta": float(schedule.betas[t]),
-                "alpha_cumprod": float(schedule.alpha_cumprod[t]),
-            }
-            for t in range(schedule.steps)
-        ]
+        columns = zip(schedule.betas.tolist(), schedule.alpha_cumprod.tolist())
+        doc = [{"step": t, "beta": beta, "alpha_cumprod": a} for t, (beta, a) in enumerate(columns)]
     elif guidance_grid:
         doc = [
             {

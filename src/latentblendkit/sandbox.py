@@ -11,7 +11,10 @@ rescaling, and guidance effects observable without any trained model.
 Everything is a pure function of (seed, config): reductions and matrix
 products run in fixed order, and means sum left to right through
 ``tensorcore._sum``, so reports are bit-identical across runs, BLAS thread
-settings and Python versions.
+settings and Python versions. They also follow numpy's SIMD dispatch of
+``np.exp`` in the softmax, so they are not yet identical across CPUs: with
+``NPY_DISABLE_CPU_FEATURES=AVX512_SPR,AVX512_ICL,X86_V4`` the default
+guidance sweep's final distance at guidance 20 moves by an ulp.
 
 Within a step the generated maps are independent: each attends only to the
 frozen reference and to itself. So one step function runs them as
@@ -39,16 +42,13 @@ bit for bit, because each map gets the same arithmetic in the same order:
   keys, so the self logits are symmetric, and from
   ``tensorcore._MIRROR_MIN_ROWS`` positions of two or more channels only
   their upper 64-row tiles are computed and mirrored, a gate set from the
-  measured table there. A serial chunk of maps with two or more channels
-  takes the weighted sum channels first (``tensorcore._weighted_channels``):
-  each map's output comes out as a (channels, positions) map, in the same
-  bits, and for the 18 maps of a default sweep the kernel took 0.66 of the
-  time of the row layout (``tools/layer_bench.py``, median of 7 runs). One
-  channel keeps the row layout, since einsum sums a one-channel product
-  channels first in another order, and so do maps at or above the thread
-  gate, where channels first showed no gain: under the pool, 8 images of
-  (64, 256) ran in 0.99 of the row layout's time (4 of 8 alternating runs
-  faster, 2 vCPUs);
+  measured table there. Maps with two or more channels take the weighted
+  sum channels first (``tensorcore._weighted_channels``): each map's
+  output comes out as a (channels, positions) map, in the same bits, and
+  for the 18 maps of a default sweep the kernel took 0.66 of the time of
+  the row layout (``tools/layer_bench.py``, median of 7 runs). One channel
+  keeps the row layout, since einsum sums a one-channel product channels
+  first in another order;
 - the blend scales the attention output by each map's strength in place
   and adds it to the shuffled map scaled by one minus it, the arithmetic
   of ``(1 - s) * x + s * updated``; channels first it reads the output in
@@ -112,8 +112,9 @@ _STRENGTH_SCALE = 0.05
 #: chunk of its own and the chunks run on a thread pool; below it they run
 #: in the calling thread, stacked as many to a chunk as fit in this much
 #: work. Threaded/serial wall-time ratios of 50-step runs, one map per
-#: chunk, measured on 2 vCPUs by ``tools/sandbox_gate_table.py`` (median of
-#: 7 alternating runs; below 1 the pool wins):
+#: chunk, measured on 2 vCPUs by the table that
+#: ``tools/layer_bench.py --gate-table`` prints, when the pool's maps still
+#: took the row layout (median of 7 alternating runs; below 1 the pool wins):
 #:
 #:     work       shape       x3 images  x4 images  x8 images
 #:     8,192      (8, 32)     1.98       2.13       1.95
@@ -328,10 +329,9 @@ def run_guidance_sweep(
     initial = _sum(_stat_distances(gens, *ref_stats).tolist()) / per_run
     work = c * n * n
     per_call = max(1, _THREAD_MIN_WORK // work)
-    # Serial chunks take the weighted sum in the maps' own layout; not one
-    # channel (see _weighted_channels), nor the pool's maps at or above the
-    # gate, where it showed no gain (see the module docstring).
-    channels_first = c > 1 and work < _THREAD_MIN_WORK
+    # The weighted sum comes out in the maps' own layout, save for one
+    # channel (see _weighted_channels).
+    channels_first = c > 1
     rescaled = ((n, cfg.rescale.sigma, cfg.rescale.mu),)  # the reference key block's transform
     bounds = range(per_call, maps, per_call)
     # run-major: run r owns maps r*per_run onward. The chunks are views, so

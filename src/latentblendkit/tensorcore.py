@@ -367,7 +367,7 @@ def _weighted_rows(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """weights @ values with the same fixed-order guarantee as _row_matmul:
     each entry sums its terms over the keys left to right, each term one
     multiply and one add. Rows of the result are query rows; the sandbox
-    takes this layout for one-channel maps and at or above its thread gate.
+    takes this layout for one-channel maps.
     """
     return _per_matrix("ij,jv->iv", weights, values, (weights.shape[-2], values.shape[-1]))
 

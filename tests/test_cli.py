@@ -924,9 +924,15 @@ def test_output_into_missing_directory_exit_2(runner, tmp_path, args):
          "--auto-classify conflicts with explicit --mu/--sigma"),
         (["sandbox", "--guidance", "99", "--guidance-grid"], "--guidance-grid conflicts with --guidance/--dump-schedule"),
         (["sandbox", "--dump-schedule", "--guidance-grid"], "--guidance-grid conflicts with --guidance/--dump-schedule"),
+        (["sandbox", "--dump-schedule", "--guidance", "99", "--seed", "3"], "--dump-schedule conflicts with --seed/--guidance"),
+        (["sandbox", "--dump-schedule", "--seed", "3"], "--dump-schedule conflicts with --seed/--guidance"),
+        (["attend", "--self", "no.npy", "--ref", "no.npy", "--threshold", "0.9", "--mu", "0"],
+         "--threshold is read only with --auto-classify"),
+        (["attend", "--self", "no.npy", "--ref", "no.npy", "--threshold", "0.5"], "--threshold is read only with --auto-classify"),
     ],
     ids=["wms-grid-weights", "attend-lambda-mu-sigma", "attend-lambda-auto", "attend-auto-mu", "sandbox-grid-guidance",
-         "sandbox-grid-dump"],
+         "sandbox-grid-dump", "sandbox-dump-guidance-seed", "sandbox-dump-seed", "attend-threshold-mu",
+         "attend-threshold-default-value"],
 )
 def test_options_the_mode_ignores_exit_2(runner, tmp_path, monkeypatch, args, message):
     # checked before any input is read, so the missing files do not hide the conflict

@@ -39,4 +39,4 @@ def test_compare_keeps_the_layers_of_both_trees():
 
 def test_rejects_a_repeat_count_below_one():
     proc = subprocess.run([sys.executable, str(TOOL), "--repeat", "0"], capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2 and "--repeat and --rounds must be at least 1" in proc.stderr
+    assert proc.returncode == 2 and "--repeat, --rounds and --steps must be at least 1" in proc.stderr

@@ -356,6 +356,8 @@ class TestGuidanceSweep:
             # at the pool gate: one map per task on four threads, mirrored
             SandboxConfig(n_images=3, feature_shape=(16, 128), schedule=DdimScheduleConfig(steps=3),
                           rescale=RescaleParams(mu=0.69, sigma=0.8)),
+            # the benchmark's shape, on the pool
+            SandboxConfig(n_images=3, feature_shape=(64, 256), schedule=DdimScheduleConfig(steps=2)),
         ],
     )
     def test_sweep_equals_loop_reference(self, cfg, monkeypatch):
@@ -387,8 +389,9 @@ class TestGuidanceSweep:
 
     @pytest.mark.parametrize(
         "shape, channels_first",
-        # (2, 361) is just below the thread gate, (16, 128) at it
-        [((8, 32), True), ((2, 361), True), ((1, 14), False), ((16, 128), False)],
+        # the channel count alone decides: (2, 361) is just below the thread
+        # gate, (16, 128) at it and (64, 256) above it
+        [((8, 32), True), ((2, 361), True), ((1, 14), False), ((16, 128), True), ((64, 256), True)],
     )
     def test_weighted_sum_layout(self, shape, channels_first, monkeypatch):
         layouts = self._spy_layouts(monkeypatch)

@@ -1,15 +1,15 @@
-"""tools/sandbox_gate_table.py, which prints the threaded/serial table
+"""tools/layer_bench.py --gate-table, which prints the threaded/serial table
 behind ``sandbox._THREAD_MIN_WORK``, run at one step per cell."""
 
 import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "sandbox_gate_table.py"
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "layer_bench.py"
 
 
 def test_prints_one_ratio_per_shape_and_image_count():
-    out = subprocess.run([sys.executable, str(TOOL), "--runs", "1", "--steps", "1"],
+    out = subprocess.run([sys.executable, str(TOOL), "--gate-table", "--rounds", "1", "--steps", "1"],
                          capture_output=True, text=True, timeout=120, check=True).stdout
     lines = out.splitlines()
     assert "the gate is 262,144" in lines[0]
@@ -22,5 +22,6 @@ def test_prints_one_ratio_per_shape_and_image_count():
 
 
 def test_rejects_a_run_count_below_one():
-    proc = subprocess.run([sys.executable, str(TOOL), "--runs", "0"], capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2 and "--runs and --steps must be at least 1" in proc.stderr
+    proc = subprocess.run([sys.executable, str(TOOL), "--gate-table", "--rounds", "0"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "--repeat, --rounds and --steps must be at least 1" in proc.stderr

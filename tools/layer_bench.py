@@ -3,6 +3,7 @@ min over repeats of a ``timeit`` mean.
 
     python3 tools/layer_bench.py [--repeat 7] [--src DIR]
     python3 tools/layer_bench.py --trees A B [--rounds 7] [--repeat 7]
+    python3 tools/layer_bench.py --gate-table [--rounds 7] [--steps 50] [--src DIR]
 
 The layers are the attention kernels of one sandbox step, on the step's own
 operands (seed 0): the logits ``_row_matmul``, the row softmax
@@ -24,6 +25,15 @@ printed. With ``--trees A B`` each round runs one subprocess per tree on
 ``A/src`` and ``B/src``, A first in even rounds and B first in odd ones, and
 prints for each layer both trees' median microseconds, the median of the
 per-round B/A ratios and the rounds B was faster in.
+
+``--gate-table`` prints the table behind ``sandbox._THREAD_MIN_WORK``:
+threaded/serial wall-time ratios of ``run_sandbox`` runs of ``--steps``
+steps, by (channels, positions) shape and ``n_images`` (the frozen
+reference included). Each cell times both ways ``--rounds`` times,
+alternating which goes first, and prints the median threaded time over the
+median serial time (below 1 the pool wins). Both ways run every map as its
+own chunk: the gate is set to 1 work unit, and the serial way allows one
+thread.
 """
 
 from __future__ import annotations
@@ -53,6 +63,10 @@ KERNEL_SHAPES = (("8x32x18", 8, 32, 18, 30), ("64x256x1", 64, 256, 1, 2))
 STEP_SHAPES = (("8x32x3", 8, 32, 4, 1), ("8x32x18", 8, 32, 4, 6), ("64x256x1", 64, 256, 2, 1))
 #: (rows, dims) of the file the load and grid layers read
 FILE_SHAPE = (10_000, 768)
+#: (channels, positions) of the gate table's rows, from the smallest per-map
+#: work to the largest, and its image counts
+GATE_SHAPES = ((8, 32), (16, 64), (32, 64), (24, 96), (16, 128), (32, 128), (32, 256))
+GATE_IMAGES = (3, 4, 8)
 
 
 def _kernel_calls(tensorcore, c: int, n: int, maps: int) -> dict:
@@ -119,6 +133,35 @@ def measure(repeat: int) -> dict[str, float]:
     return out
 
 
+def gate_table(rounds: int, steps: int) -> None:
+    """Print the threaded/serial table of the imported package's sandbox,
+    one row per shape as it is measured. It sets the sandbox's gate and
+    thread count in place and leaves them set, so it runs in a process of
+    its own, as ``--gate-table`` does."""
+    from latentblendkit import DdimScheduleConfig, SandboxConfig, run_sandbox, sandbox, tensorcore
+
+    def seconds(cfg: SandboxConfig, threads: int) -> float:
+        sandbox._cpu_threads = lambda tasks: min(threads, tasks)
+        return timeit.timeit(lambda: run_sandbox(cfg), number=1)
+
+    threads = tensorcore._cpu_threads(max(GATE_IMAGES))
+    gate, sandbox._THREAD_MIN_WORK = sandbox._THREAD_MIN_WORK, 1
+    print(f"threaded ({threads} threads) / serial wall time, median of {rounds} alternating runs"
+          f" of {steps} steps; the gate is {gate:,}")
+    print(f"    {'work':<10} {'shape':<11} " + "".join(f"x{k} images  " for k in GATE_IMAGES).rstrip())
+    for c, n in GATE_SHAPES:
+        ratios = []
+        for images in GATE_IMAGES:
+            cfg = SandboxConfig(n_images=images, feature_shape=(c, n), schedule=DdimScheduleConfig(steps=steps))
+            timings = {threads: [], 1: []}
+            for i in range(rounds):
+                for way in (threads, 1) if i % 2 == 0 else (1, threads):
+                    timings[way].append(seconds(cfg, way))
+            ratios.append(statistics.median(timings[threads]) / statistics.median(timings[1]))
+        cells = "".join(f"{r:<11.2f}" for r in ratios).rstrip()
+        print(f"    {c * n * n:<10,} {str((c, n)):<11} {cells}", flush=True)
+
+
 def compare(a_rounds: list[dict[str, float]], b_rounds: list[dict[str, float]]) -> dict[str, dict]:
     """Each layer both trees timed in every round: the median microseconds of
     each tree, the median per-round B/A ratio and the rounds B took less."""
@@ -149,14 +192,21 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=7, help="timeit repeats per layer, min taken (default 7)")
     parser.add_argument("--src", type=Path, default=REPO / "src", help="directory to import latentblendkit from")
-    parser.add_argument("--trees", type=Path, nargs=2, metavar=("A", "B"), help="compare two repository trees")
-    parser.add_argument("--rounds", type=int, default=7, help="alternating rounds with --trees (default 7)")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--trees", type=Path, nargs=2, metavar=("A", "B"), help="compare two repository trees")
+    mode.add_argument("--gate-table", action="store_true", help="print the sandbox's threaded/serial gate table")
+    parser.add_argument("--rounds", type=int, default=7,
+                        help="alternating rounds with --trees, runs per cell with --gate-table (default 7)")
+    parser.add_argument("--steps", type=int, default=50, help="sandbox steps per --gate-table run (default 50)")
     args = parser.parse_args(argv)
-    if args.repeat < 1 or args.rounds < 1:
-        parser.error("--repeat and --rounds must be at least 1")
+    if args.repeat < 1 or args.rounds < 1 or args.steps < 1:
+        parser.error("--repeat, --rounds and --steps must be at least 1")
     if args.trees is None:
         sys.path.insert(0, str(args.src))
-        print(json.dumps({name: round(us, 2) for name, us in measure(args.repeat).items()}))
+        if args.gate_table:
+            gate_table(args.rounds, args.steps)
+        else:
+            print(json.dumps({name: round(us, 2) for name, us in measure(args.repeat).items()}))
         return 0
     rounds: tuple[list, list] = ([], [])
     for i in range(args.rounds):

@@ -219,9 +219,8 @@ def _attend_blocks(
     changes no bit. When the queries are the self keys, the self logits are
     symmetric, and ``_row_matmul`` may compute half of them.
 
-    ``updated`` has a row per query, or with ``channels_first`` (values of
-    two or more dims) a column per query, in the same bits: see
-    ``_weighted_channels``.
+    ``updated`` has a row per query, or with ``channels_first`` a column
+    per query, in the same bits: see ``_weighted_channels``.
     """
     lead = sum(tokens for tokens, _, _ in blocks)
     if q_hat is None:

@@ -399,6 +399,9 @@ def fuse(inputs_path, config_path, provider, provider_kind, catalog_path, explai
     from .formats import decode, read_json
     from .fusion import FusionConfig, ProviderBinding, QueryCatalog, default_query_catalog, fuse_with_trace
 
+    kind_source = click.get_current_context().get_parameter_source("provider_kind")
+    if not provider and kind_source is not click.core.ParameterSource.DEFAULT:
+        raise InputError("--provider-kind is read only with --provider or LBK_PROVIDER")
     raw = read_json(inputs_path, "fusion inputs", expect=list)
     cfg = FusionConfig()
     if config_path is not None:

@@ -43,7 +43,7 @@ from .errors import (
     ZeroVector,
 )
 from .formats import _SURROGATE, _parse_json, decode, read_json
-from .tensorcore import LatentVector, _cosines, _cpu_threads, _Frozen, _row_norms, _stack_vectors, norm
+from .tensorcore import LatentVector, _cosines, _Frozen, _map_threads, _row_norms, _stack_vectors, norm
 
 MODALITIES = ("image", "audio", "music", "weather", "text")
 
@@ -280,12 +280,12 @@ def _paraphrase(
     The provider is checked once, up front: a missing one, a fixture map
     that cannot be read and a command that cannot be parsed or found all
     name the first description's modality. A fixture map is then looked up
-    one description at a time. External commands run on a pool of
-    ``_cpu_threads`` threads (one per CPU, at most one per description),
-    and with no pool when that is one thread. The first failure in input
-    order is raised, and the calls not yet started are cancelled. By then
-    later calls may have finished, and up to workers - 1 may still be
-    running; their output is discarded.
+    one description at a time. External commands run through
+    ``tensorcore._map_threads``, the package's one pool policy: one thread
+    per CPU, at most one per description, and no pool when that is one.
+    The first failure in input order is raised, and the calls not yet
+    started are cancelled. By then later calls may have finished, and up to
+    workers - 1 may still be running; their output is discarded.
     """
     if not ds:
         return []
@@ -296,17 +296,7 @@ def _paraphrase(
         fixture = _load_fixture(paraphraser.locator, modality)
         return [_fixture_lookup(fixture, d.text, paraphraser.locator, d.modality) for d in ds]
     call = partial(_paraphrase_command, _provider_argv(paraphraser.locator, modality), params)
-    workers = _cpu_threads(len(ds))
-    if workers < 2:
-        return [call(d) for d in ds]
-    # imported here, as in sandbox: concurrent.futures would add about
-    # 12 ms to every CLI start, and only a fusion that makes a pool needs it
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # map yields in input order, raises the first failure in that order
-        # and then cancels the calls not yet started
-        return list(pool.map(call, ds))
+    return _map_threads(call, ds)
 
 
 def _load_fixture(locator: str, modality: str) -> dict:

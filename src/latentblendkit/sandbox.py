@@ -42,17 +42,15 @@ bit for bit, because each map gets the same arithmetic in the same order:
   keys, so the self logits are symmetric, and from
   ``tensorcore._MIRROR_MIN_ROWS`` positions of two or more channels only
   their upper 64-row tiles are computed and mirrored, a gate set from the
-  measured table there. Maps with two or more channels take the weighted
-  sum channels first (``tensorcore._weighted_channels``): each map's
-  output comes out as a (channels, positions) map, in the same bits, and
-  for the 18 maps of a default sweep the kernel took 0.66 of the time of
-  the row layout (``tools/layer_bench.py``, median of 7 runs). One channel
-  keeps the row layout, since einsum sums a one-channel product channels
-  first in another order;
+  measured table there. The weighted sum comes out channels first
+  (``tensorcore._weighted_channels``, which owns the one-channel case):
+  each map's output is a (channels, positions) map, in the same bits as
+  the row layout, and for the 18 maps of a default sweep the kernel took
+  0.66 of the time of the row layout (``tools/layer_bench.py``, median of
+  7 runs);
 - the blend scales the attention output by each map's strength in place
   and adds it to the shuffled map scaled by one minus it, the arithmetic
-  of ``(1 - s) * x + s * updated``; channels first it reads the output in
-  the maps' own layout, in rows through a transposed view;
+  of ``(1 - s) * x + s * updated``, in the maps' own layout;
 - each chunk keeps its stat distances for every step, and once every
   chain has finished, the calling thread sums the per-step means in image
   order.
@@ -65,17 +63,18 @@ runs in place, and the identity rescale is skipped (exact, see
 Below a work gate (channels * positions**2 per map) one chunk takes as many
 maps as fit in the gate's work, which bounds its memory, and the calling
 thread runs the chunks' steps in step-major order; the default sweep's 18
-maps are one chunk. At or above it each map is its own chunk, and a thread
-pool of one thread per CPU, capped by the number of maps, runs the chains
-(numpy's einsum and ufuncs release the GIL): each thread takes a chunk
-from one shared queue, runs its next step and queues it again at the
-tail, so the maps advance through their steps without waiting for each
-other, and 7 maps on 2 threads cost 3.5 map-steps of wall time per step
-where a barrier after every step cost 4. The per-call overhead a stack
-saves is small next to a big map's einsums, so stacking would only
-serialise maps the pool runs side by side. Nor would one 3-D einsum over a
-stack help: over four stacked (64, 256) maps the logits took 23.5 ms
-against 16.6 ms for four 2-D calls.
+maps are one chunk. At or above it each map is its own chunk, and the
+package's one pool policy, ``tensorcore._map_threads`` (one thread per
+CPU, capped by the number of maps), runs the chains (numpy's einsum and
+ufuncs release the GIL): each thread takes a chunk from one shared queue,
+runs its next step and queues it again at the tail, so the maps advance
+through their steps without waiting for each other, and 7 maps on 2
+threads cost 3.5 map-steps of wall time per step where a barrier after
+every step cost 4. The per-call overhead a stack saves is small next to a
+big map's einsums, so stacking would only serialise maps the pool runs
+side by side. Nor would one 3-D einsum over a stack help: over four
+stacked (64, 256) maps the logits took 23.5 ms against 16.6 ms for four
+2-D calls.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ import numpy as np
 from .attention import IDENTITY_RESCALE, RescaleParams, _attend_blocks, _mass
 from .errors import InputError, NumericDomainError
 from .normalization import _adain
-from .tensorcore import DEFAULT_EPS_STD, _channel_stats, _cpu_threads, _Frozen, _frozen_f64, _sum
+from .tensorcore import DEFAULT_EPS_STD, _channel_stats, _Frozen, _frozen_f64, _map_threads, _sum
 
 SCALED_LINEAR = "scaled_linear"
 LINEAR_SCHEDULE = "linear"
@@ -315,9 +314,7 @@ def run_guidance_sweep(
         shuffled = x.take(perm, axis=-1)
         _adain(shuffled, *ref_stats, DEFAULT_EPS_STD, out=keys[:, n:, :].swapaxes(-1, -2))
         values[:, n:, :] = shuffled.swapaxes(-1, -2)
-        updated, weights = _attend_blocks(keys, values, rescaled, None, channels_first)
-        if not channels_first:
-            updated = updated.swapaxes(-1, -2)
+        updated, weights = _attend_blocks(keys, values, rescaled, channels_first=True)
         s = strengths[:, None, None]
         updated *= s
         shuffled *= 1.0 - s
@@ -329,9 +326,6 @@ def run_guidance_sweep(
     initial = _sum(_stat_distances(gens, *ref_stats).tolist()) / per_run
     work = c * n * n
     per_call = max(1, _THREAD_MIN_WORK // work)
-    # The weighted sum comes out in the maps' own layout, save for one
-    # channel (see _weighted_channels).
-    channels_first = c > 1
     rescaled = ((n, cfg.rescale.sigma, cfg.rescale.mu),)  # the reference key block's transform
     bounds = range(per_call, maps, per_call)
     # run-major: run r owns maps r*per_run onward. The chunks are views, so
@@ -359,7 +353,7 @@ def run_guidance_sweep(
     def run_chains() -> None:
         # A config whose numbers overflow float64 (say rescale.sigma = 1e308)
         # turns maps to NaN. The per-step means raise on that once the chains
-        # are done, so numpy's warnings are off, once per thread: a pool
+        # are done, so numpy's warnings are off, once per call: a pool
         # thread does not inherit the caller's error state, and per step it
         # costs 2% of a small sweep.
         with np.errstate(all="ignore"):
@@ -382,22 +376,10 @@ def run_guidance_sweep(
                 stops.append(-1)
                 raise
 
-    # 0 or 1 worker runs the chains in this thread
-    workers = _cpu_threads(maps) if work >= _THREAD_MIN_WORK else 0
-    if workers > 1:
-        # imported here: concurrent.futures pulls in logging, about 12 ms
-        # of every CLI start, and most runs never make a pool
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            try:
-                for future in [pool.submit(run_chains) for _ in range(workers)]:
-                    future.result()
-            except BaseException:  # stop the other threads at their next step
-                stops.append(-1)
-                raise
-    else:
-        run_chains()
+    # At or above the gate one call per map, so the pool has a thread per
+    # map up to one per CPU; each call runs chains until it finds the queue
+    # empty. An error stops the other threads at their next step.
+    _map_threads(lambda _: run_chains(), range(maps if work >= _THREAD_MIN_WORK else 1), stop=lambda: stops.append(-1))
 
     # Every chain has run every step up to the least stop, so the first
     # non-finite mean, in step and then guidance order, lies at or before it.

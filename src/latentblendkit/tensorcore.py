@@ -22,7 +22,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -366,23 +366,25 @@ def _row_matmul(a: np.ndarray, b_t: np.ndarray, tail: int | None = None) -> np.n
 def _weighted_rows(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """weights @ values with the same fixed-order guarantee as _row_matmul:
     each entry sums its terms over the keys left to right, each term one
-    multiply and one add. Rows of the result are query rows; the sandbox
-    takes this layout for one-channel maps.
+    multiply and one add. Rows of the result are query rows.
     """
     return _per_matrix("ij,jv->iv", weights, values, (weights.shape[-2], values.shape[-1]))
 
 
 def _weighted_channels(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``_weighted_rows`` with its last two axes swapped, bit for bit: a
-    (value dims x query rows) matrix per matrix, the sandbox maps' own
-    (channels x positions) layout, for values of two or more dims.
+    C-contiguous (value dims x query rows) matrix per matrix, the sandbox
+    maps' own (channels x positions) layout.
 
     einsum runs the same loop over a C-contiguous copy of the transposed
     weights: for each key, a multiply and an add into every output entry,
     keys left to right, but with the query rows as the inner axis, which is
-    longer than the value dims. With one value dim einsum takes its dot loop
-    instead, which sums in another order.
+    longer than the value dims. With one value dim einsum would take its dot
+    loop instead, which sums in another order, so that case is the row
+    result itself, whose swapped (1 x query rows) view is C-contiguous.
     """
+    if values.shape[-1] == 1:
+        return _weighted_rows(weights, values).swapaxes(-1, -2)
     w_t = np.ascontiguousarray(weights.swapaxes(-1, -2))
     return _per_matrix("ji,jv->vi", w_t, values, (values.shape[-1], weights.shape[-2]))
 
@@ -520,14 +522,30 @@ def _scaled_cosine_terms(rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, n
     return np.vecdot(scaled, v_scaled), scales
 
 
-def _cpu_threads(tasks: int) -> int:
-    """Threads for ``tasks`` independent tasks: one per CPU this process may
-    run on, at most ``tasks``."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, tasks)
+def _map_threads(fn: Callable, items: Sequence, stop: Callable[[], object] = lambda: None) -> list:
+    """``[fn(x) for x in items]``, in input order, on one thread per CPU this
+    process may run on, at most one per item: the package's one pool policy.
+    With one thread it runs in the calling thread and makes no pool.
+
+    The first failure in input order is raised, and the calls not yet
+    started are cancelled, as ``Executor.map`` does. Before the pool waits
+    for the calls still running, ``stop()`` is called, so that they can end
+    early.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)  # missing on some platforms
+    workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(items))
+    if workers < 2:
+        return [fn(x) for x in items]
+    # imported here: concurrent.futures pulls in logging, about 12 ms of
+    # every CLI start, and most runs never make a pool
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            return list(pool.map(fn, items))
+        except BaseException:
+            stop()
+            raise
 
 
 _DATA = operator.attrgetter("data")

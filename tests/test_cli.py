@@ -12,6 +12,7 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -32,6 +33,8 @@ from latentblendkit import (
     write_vectors,
 )
 from latentblendkit.cli import main
+
+from cpu_note import cpu_note
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -169,7 +172,7 @@ class TestBlendCommand:
     def test_golden_bytes(self, runner, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         golden = json.loads((GOLDEN / "blend_cli.json").read_text())
-        assert self.golden_outputs(runner) == golden
+        assert self.golden_outputs(runner) == golden, cpu_note()
 
 
 class TestWmsCommand:
@@ -439,7 +442,7 @@ class TestWmsCommand:
 
     def test_golden_bytes(self, runner, tmp_path):
         golden = json.loads((GOLDEN / "wms_cli.json").read_text())
-        assert self.golden_outputs(runner, tmp_path) == golden
+        assert self.golden_outputs(runner, tmp_path) == golden, cpu_note()
 
 
 class TestAttendCommand:
@@ -554,7 +557,7 @@ class TestAttendCommand:
 
     def test_golden_bytes(self, runner, tmp_path):
         golden = json.loads((GOLDEN / "attend_cli.json").read_text())
-        assert self.golden_outputs(runner, tmp_path) == golden
+        assert self.golden_outputs(runner, tmp_path) == golden, cpu_note()
 
     @pytest.mark.parametrize(
         "own, extra",
@@ -819,7 +822,7 @@ class TestSandboxCommand:
         result = runner.invoke(main, ["sandbox", "--guidance-grid", "--format", "json"])
         assert result.exit_code == 0, result.output
         finals = {str(int(r["guidance"])): r["final_stat_distance"] for r in json.loads(result.output)["rows"]}
-        assert finals == golden
+        assert finals == golden, cpu_note()
 
     def test_guidance_grid_rescale_golden(self, runner, tmp_path):
         # a shape no other golden pins, a linear schedule and a damped,
@@ -829,7 +832,7 @@ class TestSandboxCommand:
         cfg.write_text(json.dumps(golden["config"]))
         result = runner.invoke(main, ["sandbox", "--config", str(cfg), "--guidance-grid", "--format", "json"])
         assert result.exit_code == 0, result.output
-        assert json.loads(result.output)["rows"] == golden["rows"]
+        assert json.loads(result.output)["rows"] == golden["rows"], cpu_note()
 
     def test_bad_config_exit_2(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -929,17 +932,93 @@ def test_output_into_missing_directory_exit_2(runner, tmp_path, args):
         (["attend", "--self", "no.npy", "--ref", "no.npy", "--threshold", "0.9", "--mu", "0"],
          "--threshold is read only with --auto-classify"),
         (["attend", "--self", "no.npy", "--ref", "no.npy", "--threshold", "0.5"], "--threshold is read only with --auto-classify"),
+        (["fuse", "--inputs", "no.json", "--provider-kind", "external_command"],
+         "--provider-kind is read only with --provider or LBK_PROVIDER"),
     ],
     ids=["wms-grid-weights", "attend-lambda-mu-sigma", "attend-lambda-auto", "attend-auto-mu", "sandbox-grid-guidance",
          "sandbox-grid-dump", "sandbox-dump-guidance-seed", "sandbox-dump-seed", "attend-threshold-mu",
-         "attend-threshold-default-value"],
+         "attend-threshold-default-value", "fuse-provider-kind"],
 )
 def test_options_the_mode_ignores_exit_2(runner, tmp_path, monkeypatch, args, message):
     # checked before any input is read, so the missing files do not hide the conflict
     monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LBK_PROVIDER", raising=False)
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert (result.stdout, result.stderr) == ("", f"error: {message}\n")
+
+
+#: For each command, a value other than the default of each of its options
+#: (None for a flag). The input paths do not exist.
+OPTION_VALUES = {
+    "blend": {"--spec": "no.json", "--out": "out.npy", "--output": "out.txt"},
+    "wms": {"--generated": "no.npy", "--refs": "no.npy", "--ref-names": "a,b", "--weights": "1,1", "--grid": None,
+            "--format": "json", "--output": "out.txt"},
+    "attend": {"--self": "no.npy", "--ref": "no.npy", "--mu": "3", "--sigma": "9", "--auto-classify": None,
+               "--threshold": "0.9", "--lambda-weights": "1", "--output": "out.txt"},
+    "fuse": {"--inputs": "no.json", "--config": "no.json", "--provider": "no.json",
+             "--provider-kind": "external_command", "--catalog": "no.json", "--explain": None, "--output": "out.txt"},
+    "sandbox": {"--config": "no.json", "--seed": "3", "--guidance": "99", "--dump-schedule": None,
+                "--guidance-grid": None, "--format": "json", "--output": "out.txt"},
+    "catalog": {"--which": "prompts", "--path": "no.json", "--format": "json", "--output": "out.txt"},
+}
+
+#: For each command, each of its modes: the options that select it, and the
+#: other options it reads. An option that selects another mode is read.
+MODES = {
+    "blend": {"blend": (["--spec", "--out"], {"--output"})},
+    "wms": {
+        "grid": (["--generated", "--refs", "--grid"], {"--ref-names", "--format", "--output"}),
+        "weights": (["--generated", "--refs", "--weights"], {"--ref-names", "--format", "--output"}),
+    },
+    "attend": {
+        "shared": (["--self", "--ref"], {"--mu", "--sigma", "--auto-classify", "--lambda-weights", "--output"}),
+        "auto": (["--self", "--ref", "--auto-classify"], {"--threshold", "--output"}),
+        "lambda": (["--self", "--ref", "--lambda-weights"], {"--output"}),
+    },
+    "fuse": {
+        "no-provider": (["--inputs"], {"--provider", "--config", "--catalog", "--explain", "--output"}),
+        "provider": (["--inputs", "--provider"], {"--provider-kind", "--config", "--catalog", "--explain", "--output"}),
+    },
+    "sandbox": {
+        "run": (["--config"], {"--seed", "--guidance", "--dump-schedule", "--guidance-grid", "--format", "--output"}),
+        "dump": (["--config", "--dump-schedule"], {"--format", "--output"}),
+        "grid": (["--config", "--guidance-grid"], {"--seed", "--format", "--output"}),
+    },
+    "catalog": {"catalog": (["--path"], {"--which", "--format", "--output"})},
+}
+
+
+def test_option_tables_name_every_option():
+    assert set(OPTION_VALUES) == set(MODES) == set(main.commands)
+    for name, command in main.commands.items():
+        options = {p.opts[0] for p in command.params if isinstance(p, click.Option)}
+        assert set(OPTION_VALUES[name]) == options, name
+        for selectors, reads in MODES[name].values():
+            assert set(selectors) | reads <= options, name
+
+
+def _unread_options():
+    for command, modes in MODES.items():
+        for mode, (selectors, reads) in modes.items():
+            for option in OPTION_VALUES[command]:
+                if option not in selectors and option not in reads:
+                    yield pytest.param(command, selectors, option, id=f"{command}-{mode}-{option[2:]}")
+
+
+@pytest.mark.parametrize("command, selectors, option", list(_unread_options()))
+def test_every_option_a_mode_does_not_read_exits_2(runner, tmp_path, monkeypatch, command, selectors, option):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LBK_PROVIDER", raising=False)
+    args = [command]
+    for name in [*selectors, option]:
+        value = OPTION_VALUES[command][name]
+        args += [name] if value is None else [name, value]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    # checked before any input is read: the error names the option, not a missing file
+    assert result.stdout == "" and result.stderr.startswith("error: --") and option in result.stderr, result.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_output_through_symlink_keeps_the_link(runner, tmp_path):

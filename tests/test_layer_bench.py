@@ -22,7 +22,8 @@ def test_prints_every_layer_at_one_repetition():
                          capture_output=True, text=True, timeout=60, check=True).stdout
     layers = json.loads(out)
     kernels = [f"{k}/{shape}" for shape in ("8x32x18", "64x256x1")
-               for k in ("logits", "softmax", "weighted_rows", "weighted_channels")]
+               for k in ("channel_stats", "adain", "logits", "softmax", "exp", "weighted_rows", "weighted_channels")]
+    kernels.append("shared_attention/192x64")
     steps = ["step/8x32x3", "step/8x32x18", "step/64x256x1"]
     reads = ["load_rows/10000x768", "wms/grid7/10000x768"]
     assert sorted(layers) == sorted(kernels + steps + reads)

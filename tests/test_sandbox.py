@@ -35,6 +35,8 @@ from latentblendkit import (
 from latentblendkit import metrics, sandbox, tensorcore
 from latentblendkit.cli import main
 
+from cpu_note import cpu_note
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -389,9 +391,9 @@ class TestGuidanceSweep:
 
     @pytest.mark.parametrize(
         "shape, channels_first",
-        # the channel count alone decides: (2, 361) is just below the thread
-        # gate, (16, 128) at it and (64, 256) above it
-        [((8, 32), True), ((2, 361), True), ((1, 14), False), ((16, 128), True), ((64, 256), True)],
+        # every shape, one channel too (see _weighted_channels): (2, 361) is
+        # just below the thread gate, (16, 128) at it and (64, 256) above it
+        [((8, 32), True), ((2, 361), True), ((1, 14), True), ((16, 128), True), ((64, 256), True)],
     )
     def test_weighted_sum_layout(self, shape, channels_first, monkeypatch):
         layouts = self._spy_layouts(monkeypatch)
@@ -400,22 +402,23 @@ class TestGuidanceSweep:
 
     def test_one_channel_keeps_the_row_layout(self, monkeypatch):
         # with one value dim einsum's channels-first call takes its dot loop,
-        # which sums in another order: forced on this config, it moves the
-        # last step's distance by an ulp
+        # which sums in another order: forced on this config, in place of the
+        # row result _weighted_channels takes there, it moves the last step's
+        # distance by an ulp
         cfg = SandboxConfig(seed=182, guidance_scale=30.0, n_images=2, feature_shape=(1, 14),
                             schedule=DdimScheduleConfig(steps=3), rescale=RescaleParams(mu=-1.0, sigma=2.0))
         want = loop_reference(cfg)
-        assert run_sandbox(cfg) == want
-        real = sandbox._attend_blocks
+        assert run_sandbox(cfg) == want, cpu_note()
 
-        def forced(keys, values, blocks, q_hat=None, channels_first=False):
-            updated, weights = real(keys, values, blocks, q_hat, True)
-            return (updated if channels_first else updated.swapaxes(-1, -2)), weights
+        def forced(weights, values):
+            w_t = np.ascontiguousarray(weights.swapaxes(-1, -2))
+            return tensorcore._per_matrix("ji,jv->vi", w_t, values, (values.shape[-1], weights.shape[-2]))
 
-        monkeypatch.setattr(sandbox, "_attend_blocks", forced)
+        attention = sys.modules["latentblendkit.attention"]  # the package exports a function of that name
+        monkeypatch.setattr(attention, "_weighted_channels", forced)
         got = run_sandbox(cfg).per_step_stat_distance
-        assert got[:2] == want.per_step_stat_distance[:2]
-        assert (got[2], want.final_stat_distance) == (3.1562120892349763, 3.156212089234976)
+        assert got[:2] == want.per_step_stat_distance[:2], cpu_note()
+        assert (got[2], want.final_stat_distance) == (3.1562120892349763, 3.156212089234976), cpu_note()
 
     def test_gate_configs_straddle_the_mirrored_self_block(self, monkeypatch):
         # one map, one step: the logits and the weighted sum are one einsum

@@ -316,7 +316,7 @@ class TestWeightedSumLayouts:
     @given(
         seed=st.integers(0, 2**32 - 1),
         maps=st.sampled_from([None, 1, 2, 5]),  # one matrix, or a stack of them
-        c=st.integers(2, 16),
+        c=st.integers(1, 16),
         n=st.integers(1, 70),
         keys=st.integers(1, 140),
         scale=st.floats(0.1, 30.0),

@@ -5,19 +5,24 @@ min over repeats of a ``timeit`` mean.
     python3 tools/layer_bench.py --trees A B [--rounds 7] [--repeat 7]
     python3 tools/layer_bench.py --gate-table [--rounds 7] [--steps 50] [--src DIR]
 
-The layers are the attention kernels of one sandbox step, on the step's own
-operands (seed 0): the logits ``_row_matmul``, the row softmax
-``_softmax_rows_array``, and the weighted sum in rows (``_weighted_rows``)
-and in channels-first layout (``_weighted_channels``), each for the 18 maps
-of a default guidance sweep at (8, 32) and for one (64, 256) map; and one
-whole sandbox step of 3 and of 18 (8, 32) maps and of one (64, 256) map,
+The layers are the kernels of one sandbox step, on the step's own operands
+(seed 0): the channel stats ``_channel_stats`` and ``normalization._adain``
+of the maps; the logits ``_row_matmul``; the row softmax
+``_softmax_rows_array`` and its ``np.exp`` alone, over the max-shifted
+logits; and the weighted sum in rows (``_weighted_rows``) and in
+channels-first layout (``_weighted_channels``). Each is timed for the 18
+maps of a default guidance sweep at (8, 32) and for one (64, 256) map. One
+whole sandbox step of 3 and of 18 (8, 32) maps and of one (64, 256) map is
 timed as the difference between ``run_guidance_sweep`` runs of
 ``STEPS + 1`` steps and 1 step, over ``STEPS``. A layer that the tree's
-package lacks is left out. Two more layers read one seeded 10,000 x 768
-``<f8`` NPY file through public calls only, so every tree runs them: one
-``formats.load_rows`` of it, and the weighted-DINO grid over it, which is
-``read_vectors(rows=True)`` and then one ``EmbeddingSet`` and ``wms_score``
-per row of the 7-row ``wms --grid`` weight grid.
+package lacks is left out. One public ``shared_attention`` call runs at
+``lbk attend``'s benchmark shape, 192 tokens of 64 dims on each side, with
+one matrix as the queries, keys and values of a side. Two more layers read
+one seeded 10,000 x 768 ``<f8`` NPY file through public calls only, so
+every tree runs them: one ``formats.load_rows`` of it, and the
+weighted-DINO grid over it, which is ``read_vectors(rows=True)`` and then
+one ``EmbeddingSet`` and ``wms_score`` per row of the 7-row ``wms --grid``
+weight grid.
 
 With one tree the package is imported from ``--src`` (default: this
 repository's ``src/``) and one JSON object, layer to microseconds, is
@@ -32,19 +37,22 @@ steps, by (channels, positions) shape and ``n_images`` (the frozen
 reference included). Each cell times both ways ``--rounds`` times,
 alternating which goes first, and prints the median threaded time over the
 median serial time (below 1 the pool wins). Both ways run every map as its
-own chunk: the gate is set to 1 work unit, and the serial way allows one
-thread.
+own chunk: the gate is set to 1 work unit, and the thread count is set
+through ``os.sched_getaffinity``, the CPUs the package's pool sees, with
+the serial way allowing one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tempfile
 import timeit
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +69,8 @@ KERNEL_SHAPES = (("8x32x18", 8, 32, 18, 30), ("64x256x1", 64, 256, 1, 2))
 #: (label, channels, positions, n_images, guidance values) of each step
 #: timing: (n_images - 1) * guidance values maps
 STEP_SHAPES = (("8x32x3", 8, 32, 4, 1), ("8x32x18", 8, 32, 4, 6), ("64x256x1", 64, 256, 2, 1))
+#: (tokens, dims) of each side of the shared_attention layer
+ATTEND_SHAPE = (192, 64)
 #: (rows, dims) of the file the load and grid layers read
 FILE_SHAPE = (10_000, 768)
 #: (channels, positions) of the gate table's rows, from the smallest per-map
@@ -69,23 +79,32 @@ GATE_SHAPES = ((8, 32), (16, 64), (32, 64), (24, 96), (16, 128), (32, 128), (32,
 GATE_IMAGES = (3, 4, 8)
 
 
-def _kernel_calls(tensorcore, c: int, n: int, maps: int) -> dict:
+def _kernel_calls(tensorcore, normalization, c: int, n: int, maps: int) -> dict:
     """A callable for each kernel layer at one step's shapes."""
     rng = np.random.default_rng(0)
     keys = rng.standard_normal((maps, 2 * n, c))
     values = rng.standard_normal((maps, 2 * n, c))
+    x = rng.uniform(-4.0, 4.0, (maps, c, 1)) + rng.standard_normal((maps, c, n))
+    ref_mean, ref_std = rng.uniform(-4.0, 4.0, c), rng.uniform(0.2, 0.6, c)
     queries = keys[:, n:, :]
     logits = tensorcore._row_matmul(queries, keys, n)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     weights = tensorcore._softmax_rows_array(logits.copy())
+    exp_out, adain_out = np.empty_like(logits), np.empty_like(x)
     calls = {
         "logits": lambda: tensorcore._row_matmul(queries, keys, n),
         # in place: after the first call it normalises rows that are already
         # probabilities, at the same cost
         "softmax": lambda: tensorcore._softmax_rows_array(logits),
+        "exp": lambda: np.exp(shifted, out=exp_out),
         "weighted_rows": lambda: tensorcore._weighted_rows(weights, values),
     }
     if hasattr(tensorcore, "_weighted_channels"):
         calls["weighted_channels"] = lambda: tensorcore._weighted_channels(weights, values)
+    if hasattr(tensorcore, "_channel_stats"):
+        calls["channel_stats"] = lambda: tensorcore._channel_stats(x, 1e-5)
+    if hasattr(normalization, "_adain"):
+        calls["adain"] = lambda: normalization._adain(x, ref_mean, ref_std, 1e-5, adain_out)
     return calls
 
 
@@ -114,12 +133,17 @@ def _file_calls(path: Path) -> dict:
 
 def measure(repeat: int) -> dict[str, float]:
     """Per-call microseconds of every layer the imported package has."""
-    from latentblendkit import DdimScheduleConfig, SandboxConfig, run_guidance_sweep, tensorcore
+    import latentblendkit as lbk
+    from latentblendkit import DdimScheduleConfig, SandboxConfig, normalization, run_guidance_sweep, tensorcore
 
     out = {}
     for label, c, n, maps, number in KERNEL_SHAPES:
-        for name, call in _kernel_calls(tensorcore, c, n, maps).items():
+        for name, call in _kernel_calls(tensorcore, normalization, c, n, maps).items():
             out[f"{name}/{label}"] = min(timeit.repeat(call, repeat=repeat, number=number)) / number * 1e6
+    rng = np.random.default_rng(0)
+    own, ref = (lbk.Matrix(rng.standard_normal(ATTEND_SHAPE)) for _ in range(2))
+    attend = partial(lbk.shared_attention, own, own, own, ref, ref, ref)
+    out["shared_attention/{}x{}".format(*ATTEND_SHAPE)] = min(timeit.repeat(attend, repeat=repeat, number=5)) / 5 * 1e6
     for label, c, n, images, runs in STEP_SHAPES:
         grid = (10.0, 5.0, 15.0, 20.0, 25.0, 30.0)[:runs]
         times = []
@@ -136,16 +160,19 @@ def measure(repeat: int) -> dict[str, float]:
 def gate_table(rounds: int, steps: int) -> None:
     """Print the threaded/serial table of the imported package's sandbox,
     one row per shape as it is measured. It sets the sandbox's gate and
-    thread count in place and leaves them set, so it runs in a process of
-    its own, as ``--gate-table`` does."""
-    from latentblendkit import DdimScheduleConfig, SandboxConfig, run_sandbox, sandbox, tensorcore
+    ``os.sched_getaffinity`` in place and leaves them set, so it runs in a
+    process of its own, as ``--gate-table`` does."""
+    from latentblendkit import DdimScheduleConfig, SandboxConfig, run_sandbox, sandbox
 
     def seconds(cfg: SandboxConfig, threads: int) -> float:
-        sandbox._cpu_threads = lambda tasks: min(threads, tasks)
+        os.sched_getaffinity = lambda pid: set(range(threads))
         return timeit.timeit(lambda: run_sandbox(cfg), number=1)
 
-    threads = tensorcore._cpu_threads(max(GATE_IMAGES))
+    cpus = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))(0)
+    threads = min(len(cpus), max(GATE_IMAGES))
     gate, sandbox._THREAD_MIN_WORK = sandbox._THREAD_MIN_WORK, 1
+    # untimed: the first pool imports concurrent.futures, which would land in the first cell
+    seconds(SandboxConfig(n_images=3, schedule=DdimScheduleConfig(steps=1)), threads)
     print(f"threaded ({threads} threads) / serial wall time, median of {rounds} alternating runs"
           f" of {steps} steps; the gate is {gate:,}")
     print(f"    {'work':<10} {'shape':<11} " + "".join(f"x{k} images  " for k in GATE_IMAGES).rstrip())

@@ -14,7 +14,8 @@ softmax, so no single style can dominate by activation magnitude alone.
 
 These two, plain ``attention`` and the sandbox's step are one operation:
 an affine transform of some key blocks' logits before one joint softmax,
-which ``_attend_blocks`` computes for each of them.
+whose weights ``_attend_blocks`` computes for each of them; the public
+functions then sum the values in rows, the sandbox channels first.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import AllZeroWeights, DimensionMismatch, EmptySet, InputError, NumericDomainError
 from .normalization import AdainConfig, _adain_rows
 from .tensorcore import (
-    Matrix, _row_matmul, _row_norms, _softmax_rows_array, _weight_sum, _weighted_channels, _weighted_rows, _wrap,
+    Matrix, _row_matmul, _row_norms, _softmax_rows_array, _weight_sum, _weighted_rows, _wrap,
 )
 
 
@@ -181,28 +182,29 @@ def shared_attention(
 def _attend(
     keys: np.ndarray, values: np.ndarray, blocks: Sequence[tuple[int, float, float]], q_hat: np.ndarray | None
 ) -> tuple[Matrix, Matrix]:
-    """``_attend_blocks`` for the public functions, as (updated, weights)
-    matrices, with numpy's overflow and invalid warnings off, or a
-    NumericDomainError if the max logit of a row was not finite.
+    """``_attend_blocks`` and the weighted sum in rows, as the public
+    functions' (updated, weights) matrices, with numpy's overflow and
+    invalid warnings off, or a NumericDomainError if a row's max logit was
+    not finite.
 
     The softmax makes such a row all NaN, so the first column shows it,
     without a pass over every entry. A max that is finite while other
     logits overflow to -inf is harmless: their weights are exactly 0.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        out, weights = _attend_blocks(keys, values, blocks, q_hat)
+        weights = _attend_blocks(keys, blocks, q_hat)
+        out = _weighted_rows(weights, values)
     if not np.isfinite(weights[..., 0]).all():
         raise NumericDomainError("attention logits overflowed float64: a row's largest logit is not finite")
     return _wrap(Matrix, out), _wrap(Matrix, weights)
 
 
 def _attend_blocks(
-    keys: np.ndarray, values: np.ndarray, blocks: Sequence[tuple[int, float, float]], q_hat: np.ndarray | None = None,
-    channels_first: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(updated, weights) of already-normalized queries over key and value
-    blocks, with an affine transform of some blocks' logits before the one
-    joint softmax.
+    keys: np.ndarray, blocks: Sequence[tuple[int, float, float]], q_hat: np.ndarray | None = None
+) -> np.ndarray:
+    """The attention weights of already-normalized queries over key blocks,
+    with an affine transform of some blocks' logits before the one joint
+    softmax.
 
     ``blocks`` lists ``(tokens, scale, shift)`` for each leading key block,
     in order: its logits become ``logit * scale + shift``. The keys after
@@ -211,16 +213,13 @@ def _attend_blocks(
     ``x * 1.0`` is ``x``, and ``x + 0.0`` only turns -0.0 into +0.0, which
     the max-shifted exp cannot tell apart.
 
-    The keys and values are one (tokens x dim) matrix each, or stacks of
-    them in leading axes, with one query matrix per matrix. Each matrix of
-    the blocks and ``q_hat`` must be C-contiguous: the einsum's summation
-    order follows the memory layout of its operands. A key's logits do not
-    depend on the other keys in the call, so joining blocks into one call
-    changes no bit. When the queries are the self keys, the self logits are
-    symmetric, and ``_row_matmul`` may compute half of them.
-
-    ``updated`` has a row per query, or with ``channels_first`` a column
-    per query, in the same bits: see ``_weighted_channels``.
+    The keys are one (tokens x dim) matrix, or a stack of them in leading
+    axes, with one query matrix per matrix. Each matrix of the keys and
+    ``q_hat`` must be C-contiguous: the einsum's summation order follows
+    the memory layout of its operands. A key's logits do not depend on the
+    other keys in the call, so joining blocks into one call changes no bit.
+    When the queries are the self keys, the self logits are symmetric, and
+    ``_row_matmul`` may compute half of them.
     """
     lead = sum(tokens for tokens, _, _ in blocks)
     if q_hat is None:
@@ -236,8 +235,7 @@ def _attend_blocks(
         if shift != 0.0:
             block += shift
         start += tokens
-    weights = _softmax_rows_array(logits)
-    return (_weighted_channels if channels_first else _weighted_rows)(weights, values), weights
+    return _softmax_rows_array(logits)
 
 
 def _mass(weights: np.ndarray, start: int, stop: int) -> np.ndarray:

@@ -50,7 +50,7 @@ class WeightedStyleSet(_Frozen):
             raise InputError(f"{len(self.vectors)} vectors but {len(weights)} weights")
         if not weights:
             raise InputError("WeightedStyleSet needs at least one style")
-        vectors = _stack_vectors(self.vectors, "style {}", "WeightedStyleSet.vectors")
+        vectors = _stack_vectors(self.vectors, "style {}", "WeightedStyleSet.vectors").matrix
         for i, w in enumerate(weights):
             if not math.isfinite(w) or w < 0:
                 raise InputError(f"style {i} has invalid weight {w}")

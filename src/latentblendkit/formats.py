@@ -241,10 +241,10 @@ def read_vectors(path: str | Path, rows: bool = False):
     rows is a read-only view of that matrix, not a copy, and
     ``EmbeddingSet``, ``WeightedStyleSet`` and ``QueryCatalog`` take the
     matrix itself from the full list of them, in order. The views share the
-    matrix's ``_Record``, which every ``EmbeddingSet`` over all of them
-    keeps, with its row norms and MS values; so the matrix must not be made
-    writable and changed: sets built afterwards, even once it is read-only
-    again, would get the old values.
+    matrix's ``_Record``, which every ``EmbeddingSet`` and ``QueryCatalog``
+    over all of them keeps, with its row norms and MS values; so the matrix
+    must not be made writable and changed: sets built afterwards, even once
+    it is read-only again, would get the old values.
     """
     if rows:
         return _rows(_checked(load_rows([path]), 2, "LatentVector"))
@@ -415,7 +415,7 @@ def decode(cls, raw, where: str, path: str = ""):
 
 #: The JSON values that each scalar type accepts; a bool is never a number.
 _JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str}
-#: json.loads joins escaped surrogate pairs, so any surrogate left is lone.
+#: ``_parse_json`` joins escaped surrogate pairs, so any surrogate left is lone.
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
@@ -514,16 +514,11 @@ def load_blend_spec(path: str | Path) -> BlendSpec:
 
 def default_prompt_catalog() -> list[str]:
     """The shipped image-prompt list."""
-    raw = resources.files("latentblendkit").joinpath("data/prompts.json").read_text("utf-8")
-    return load_prompt_catalog_obj(json.loads(raw), source="data/prompts.json")
+    return load_prompt_catalog(resources.files("latentblendkit") / "data" / "prompts.json")
 
 
 def load_prompt_catalog(path: str | Path) -> list[str]:
-    return load_prompt_catalog_obj(read_json(path, "prompt catalog"), source=str(path))
-
-
-def load_prompt_catalog_obj(raw, source: str = "<memory>") -> list[str]:
-    prompts = list(decode(tuple[str, ...], raw, f"prompt catalog {source}"))
+    prompts = list(decode(tuple[str, ...], read_json(path, "prompt catalog"), f"prompt catalog {path}"))
     if not prompts:
-        raise InputError(f"prompt catalog {source} is empty")
+        raise InputError(f"prompt catalog {path} is empty")
     return prompts

@@ -43,7 +43,7 @@ from .errors import (
     ZeroVector,
 )
 from .formats import _SURROGATE, _parse_json, decode, read_json
-from .tensorcore import LatentVector, _cosines, _Frozen, _map_threads, _row_norms, _stack_vectors, norm
+from .tensorcore import LatentVector, _cosines, _Frozen, _map_threads, _Record, _stack_vectors, norm
 
 MODALITIES = ("image", "audio", "music", "weather", "text")
 
@@ -97,37 +97,29 @@ class _QueryJson:
 
 @dataclass(frozen=True)
 class QueryCatalog(_Frozen):
-    """Ordered mood/atmosphere queries with their text embeddings, which
-    are also stacked as the rows of one read-only matrix, whose row norms
-    are taken once for every match."""
+    """Ordered mood/atmosphere queries with their text embeddings, also
+    stacked as the rows of one read-only matrix, whose ``_Record``, kept as
+    ``_rec``, takes the row norms once for every match."""
 
     queries: tuple[QueryEntry, ...]
-    _embeddings: np.ndarray = field(init=False, repr=False, compare=False)
-    _norms: np.ndarray = field(init=False, repr=False, compare=False)
+    _rec: _Record = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         queries = tuple(self.queries)
         if not queries:
             raise EmptySet("query catalog is empty")
-        embeddings = _stack_vectors([q.embedding for q in queries], "catalog entry {}")
         object.__setattr__(self, "queries", queries)
-        object.__setattr__(self, "_embeddings", embeddings)
-        object.__setattr__(self, "_norms", _row_norms(embeddings))
+        object.__setattr__(self, "_rec", _stack_vectors([q.embedding for q in queries], "catalog entry {}"))
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "QueryCatalog":
-        return cls.from_obj(read_json(path, "query catalog"), source=str(path))
-
-    @classmethod
-    def from_obj(cls, raw, source: str = "<memory>") -> "QueryCatalog":
-        entries = decode(tuple[_QueryJson, ...], raw, f"query catalog {source}")
+        entries = decode(tuple[_QueryJson, ...], read_json(path, "query catalog"), f"query catalog {path}")
         return cls(queries=tuple(QueryEntry(text=e.text, embedding=LatentVector(e.embedding)) for e in entries))
 
 
 def default_query_catalog() -> QueryCatalog:
     """The shipped 24-entry catalog (one-hot fixture embeddings)."""
-    raw = resources.files("latentblendkit").joinpath("data/music_queries.json").read_text("utf-8")
-    return QueryCatalog.from_obj(json.loads(raw), source="data/music_queries.json")
+    return QueryCatalog.from_json_file(resources.files("latentblendkit") / "data" / "music_queries.json")
 
 
 class QueryMatch(NamedTuple):
@@ -199,12 +191,12 @@ def best_music_query(music_embedding: LatentVector, catalog: QueryCatalog) -> Qu
     music_norm = norm(music_embedding)
     if music_norm == 0.0:
         raise ZeroVector("music embedding is a zero vector")
-    d = catalog._embeddings.shape[1]
-    if music_embedding.d_z != d:
-        raise DimensionMismatch(f"dot: dimensions differ ({music_embedding.d_z} vs {d})")
-    if not catalog._norms.all():
+    embeddings, norms = catalog._rec.matrix, catalog._rec.norms()
+    if music_embedding.d_z != embeddings.shape[1]:
+        raise DimensionMismatch(f"dot: dimensions differ ({music_embedding.d_z} vs {embeddings.shape[1]})")
+    if not norms.all():
         raise ZeroVector("cosine similarity undefined for zero vectors")
-    scores = _cosines(catalog._embeddings, catalog._norms, music_embedding.data, music_norm)
+    scores = _cosines(embeddings, norms, music_embedding.data, music_norm)
     best = int(np.argmax(scores))  # the first of equal maxima
     return QueryMatch(index=best, text=catalog.queries[best].text, score=float(scores[best]))
 

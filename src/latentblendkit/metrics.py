@@ -10,12 +10,11 @@ Embeddings arrive from files; no vision model is run here, so the scores
 are exact arithmetic on the supplied vectors.
 
 The MS values do not depend on the weights, so a weight grid needs each
-only once. Every ``EmbeddingSet`` keeps the ``tensorcore._Record`` of its
-matrix: the row norms are taken once per matrix, and the MS values of the
-last references it was scored against are kept for the next set over the
-same record. Sets built from every row ``read_vectors(path, rows=True)``
-gave for one file, in order, share that file's record; ``lbk wms`` builds
-one record per ``--generated`` path and one set per weight row over it.
+only once. Every ``EmbeddingSet`` keeps the ``tensorcore._Record`` that
+``_stack_vectors`` gives for its matrix: its row norms are taken once, and
+the MS values of the last references scored are kept for the next set over
+it. Sets over every row of one file, in order, share that file's record;
+``lbk wms`` builds one per ``--generated`` path and one set per weight row.
 """
 
 from __future__ import annotations
@@ -44,15 +43,14 @@ class EmbeddingSet(_Frozen):
     """Generated-image embeddings plus named, weighted reference embeddings.
 
     ``generated`` may be given as a sequence of LatentVectors or as an
-    (n, d) array; it is stored as one read-only (n, d) float64 matrix,
-    with the norm of each reference computed once for every reference's
-    score. The set keeps the ``_Record`` of that matrix as ``_rec``, which
-    holds its row norms and the MS values ``wms_score`` last took over it.
-    Given every row of one file, in order, as ``read_vectors(path,
-    rows=True)`` returns them, the set keeps that file's matrix and record,
-    so sets over the same rows share them; any other input gets a new
-    matrix and record. A pickled or copied set carries a record over its
-    own matrix.
+    (n, d) array; it is stored as one read-only (n, d) float64 matrix, and
+    the norm of each reference is computed once for every reference's
+    score. The set keeps the ``_Record`` ``_stack_vectors`` gives for it as
+    ``_rec``, with its row norms and the MS values ``wms_score`` last took
+    over it: every row of one file, in order, as ``read_vectors(path,
+    rows=True)`` returns them, gives that file's matrix and record, which
+    sets over the same rows share; any other input a new one. A pickled or
+    copied set carries a record over its own matrix.
     """
 
     generated: np.ndarray
@@ -90,21 +88,14 @@ class EmbeddingSet(_Frozen):
 
 
 def _generated_record(generated, empty: str) -> _Record:
-    """The ``_Record`` of a generated set: the record itself, given one (it
-    is over a ``_checked`` matrix that nothing else changes); the record of
-    every row of one file, in order, whose matrix ``_stack_vectors`` returns
-    itself; otherwise a new record over a read-only float64 (n, d) copy of
-    the LatentVectors or (n, d) array. ``empty`` is the EmptySet message
-    for n == 0."""
-    if isinstance(generated, _Record):
-        return generated
-    if not isinstance(generated, np.ndarray):
+    """``_stack_vectors`` of a generated set: a ``_Record`` (over a
+    ``_checked`` matrix that nothing else changes), LatentVectors or an
+    (n, d) array. ``empty`` is the EmptySet message for n == 0."""
+    if not isinstance(generated, (np.ndarray, _Record)):
         generated = tuple(generated)
-    if len(generated) == 0:
+    if not isinstance(generated, _Record) and len(generated) == 0:
         raise EmptySet(empty)
-    matrix = _stack_vectors(generated, "generated[{}]", "generated")
-    record = getattr(generated[0], "_rec", None)
-    return record if record is not None and matrix is record.matrix else _Record(matrix)
+    return _stack_vectors(generated, "generated[{}]", "generated")
 
 
 @dataclass(frozen=True)

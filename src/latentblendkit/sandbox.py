@@ -90,7 +90,7 @@ import numpy as np
 from .attention import IDENTITY_RESCALE, RescaleParams, _attend_blocks, _mass
 from .errors import InputError, NumericDomainError
 from .normalization import _adain
-from .tensorcore import DEFAULT_EPS_STD, _channel_stats, _Frozen, _frozen_f64, _map_threads, _sum
+from .tensorcore import DEFAULT_EPS_STD, _channel_stats, _Frozen, _frozen_f64, _map_threads, _sum, _weighted_channels
 
 SCALED_LINEAR = "scaled_linear"
 LINEAR_SCHEDULE = "linear"
@@ -314,7 +314,8 @@ def run_guidance_sweep(
         shuffled = x.take(perm, axis=-1)
         _adain(shuffled, *ref_stats, DEFAULT_EPS_STD, out=keys[:, n:, :].swapaxes(-1, -2))
         values[:, n:, :] = shuffled.swapaxes(-1, -2)
-        updated, weights = _attend_blocks(keys, values, rescaled, channels_first=True)
+        weights = _attend_blocks(keys, rescaled)
+        updated = _weighted_channels(weights, values)
         s = strengths[:, None, None]
         updated *= s
         shuffled *= 1.0 - s

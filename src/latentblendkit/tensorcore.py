@@ -136,13 +136,14 @@ class _Record:
     read-only ``_row_norms`` from the first ``norms()`` on, ``scores``, the
     MS values of the references ``metrics`` last scored it against, keyed by
     each reference vector's bytes, and ``rows``, the row views' arrays when
-    ``_rows`` made them (empty otherwise). Every ``EmbeddingSet`` keeps one,
-    and the row views of one matrix and the sets over all of them share it.
-    It refers to no view or set, so deleting them frees it and the matrix
-    at once, with no cycle for the garbage collector. It pickles as its
-    matrix alone: an unpickled or deep-copied set gets a new record over its
-    own matrix (a shallow copy shares both), and the pickle holds the matrix
-    once.
+    ``_rows`` made them (empty otherwise). ``_stack_vectors`` builds it for
+    every ``EmbeddingSet`` and ``QueryCatalog``, and the row views of one
+    matrix and the sets over all of them share it. It refers to no view or
+    set, so deleting them frees it and the matrix at once, with no cycle for
+    the garbage collector. It freezes its matrix and pickles as that matrix
+    alone: an unpickled or deep-copied set gets a new read-only record over
+    its own matrix (a shallow copy shares both), and the pickle holds the
+    matrix once.
 
     The matrix must stay as it was checked: a caller that makes it writable
     again and changes it gets stale norms and scores from sets built before.
@@ -151,6 +152,7 @@ class _Record:
     __slots__ = ("matrix", "rows", "_norms", "scores")
 
     def __init__(self, matrix: np.ndarray):
+        matrix.setflags(write=False)
         self.matrix = matrix
         self.rows: tuple[np.ndarray, ...] = ()
         self._norms = None
@@ -171,7 +173,7 @@ def _rows(matrix: np.ndarray) -> list[LatentVector]:
     """A LatentVector view of each row of the ``_checked`` 2-D ``matrix``. The
     views share one ``_Record`` of it, kept as ``_rec`` beside the dataclass
     field (which ``fields``, ``repr`` and ``==`` see alone), so that
-    ``_stack_vectors`` returns the matrix itself."""
+    ``_stack_vectors`` returns that record."""
     record = _Record(matrix)
     record.rows = tuple(matrix)
     vectors = []
@@ -551,17 +553,20 @@ def _map_threads(fn: Callable, items: Sequence, stop: Callable[[], object] = lam
 _DATA = operator.attrgetter("data")
 
 
-def _stack_vectors(vectors: Sequence[LatentVector] | np.ndarray, label: str, what: str = "vectors") -> np.ndarray:
-    """A read-only (k, d) matrix of k >= 1 vectors, one per row, or the
-    ``_frozen_f64`` copy of a (k, d) array, which errors name ``what``. The
-    first vector whose d_z differs from vector 0's is named ``label.format(i)``.
+def _stack_vectors(vectors: Sequence[LatentVector] | np.ndarray | _Record, label: str, what: str = "vectors") -> _Record:
+    """The ``_Record`` of a read-only (k, d) matrix of k >= 1 vectors, one per
+    row, or of the ``_frozen_f64`` copy of a (k, d) array (errors name
+    ``what``), or the record given. The first vector whose d_z differs from
+    vector 0's is named ``label.format(i)``.
 
     The vectors are stacked into a new matrix, unless they are every row of
-    one read-only matrix, in order, as ``_rows`` made them: that matrix is
-    returned itself.
+    one read-only matrix, in order, as ``_rows`` made them: its record is
+    returned.
     """
+    if isinstance(vectors, _Record):
+        return vectors
     if isinstance(vectors, np.ndarray):
-        return _frozen_f64(vectors, 2, what)
+        return _Record(_frozen_f64(vectors, 2, what))
     record = getattr(vectors[0], "_rec", None)
     if (
         record is not None
@@ -571,14 +576,12 @@ def _stack_vectors(vectors: Sequence[LatentVector] | np.ndarray, label: str, wha
         # generator of the same checks took 1.9 ms
         and all(map(operator.is_, map(_DATA, vectors), record.rows))
     ):
-        return record.matrix
+        return record
     try:
-        matrix = np.stack([v.data for v in vectors])
+        return _Record(np.stack([v.data for v in vectors]))
     except ValueError:
         d = vectors[0].d_z
         for i, v in enumerate(vectors):
             if v.d_z != d:
                 raise DimensionMismatch(f"{label.format(i)} has d_z={v.d_z}, expected {d}") from None
         raise
-    matrix.setflags(write=False)
-    return matrix

@@ -200,7 +200,9 @@ class TestSharedAttention:
     def test_stack_equals_one_matrix_at_a_time(self):
         # the sandbox's stacked path: blocks that share one reference half,
         # with the self keys as queries and with queries of their own
+        # and both layouts of the weighted sum
         from latentblendkit.attention import _attend_blocks, _mass
+        from latentblendkit.tensorcore import _weighted_channels, _weighted_rows
 
         rng = np.random.default_rng(11)
         ref_k, ref_v = rng.normal(size=(9, 5)), rng.normal(size=(9, 5))
@@ -209,12 +211,15 @@ class TestSharedAttention:
         values[:, :9], values[:, 9:] = ref_v, rng.normal(size=(4, 7, 5))
         blocks = ((9, 0.5, 0.69),)
         for q in (None, rng.normal(size=(4, 7, 5))):
-            out, weights = _attend_blocks(keys, values, blocks, q)
+            weights = _attend_blocks(keys, blocks, q)
+            out, out_t = _weighted_rows(weights, values), _weighted_channels(weights, values)
             mass = _mass(weights, 0, 9)
-            assert out.flags.c_contiguous and weights.shape == (4, 7, 16) and mass.shape == (4,)
+            assert out.flags.c_contiguous and out_t.flags.c_contiguous
+            assert weights.shape == (4, 7, 16) and out_t.shape == (4, 5, 7) and mass.shape == (4,)
             for i in range(4):
-                one, one_weights = _attend_blocks(keys[i], values[i], blocks, None if q is None else q[i])
-                assert np.array_equal(out[i], one)
+                one_weights = _attend_blocks(keys[i], blocks, None if q is None else q[i])
+                assert np.array_equal(out[i], _weighted_rows(one_weights, values[i]))
+                assert np.array_equal(out_t[i], _weighted_channels(one_weights, values[i]))
                 assert np.array_equal(weights[i], one_weights)
                 assert mass[i] == _mass(one_weights, 0, 9)
 

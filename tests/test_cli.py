@@ -4,7 +4,9 @@ import io
 import json
 import math
 import os
+import shutil
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -1124,6 +1126,34 @@ class TestCatalogCommand:
         result = runner.invoke(main, ["catalog", "--which", "queries", "--format", "json"])
         payload = json.loads(result.output)
         assert len(payload["queries"][0]["embedding"]) == 24
+
+    @pytest.mark.parametrize("which, name, what", [
+        ("queries", "music_queries.json", "query catalog"), ("prompts", "prompts.json", "prompt catalog"),
+    ], ids=["queries", "prompts"])
+    @pytest.mark.parametrize("damage, message", [
+        ("truncated", "{what} {path} is not valid JSON: "),
+        ("empty-list", "{what} "),
+        ("deleted", "cannot read {what} {path}: "),
+    ], ids=["truncated", "empty-list", "deleted"])
+    def test_a_damaged_shipped_catalog_exits_2(self, tmp_path, which, name, what, damage, message):
+        # the shipped files are read as every other JSON file is, so a broken
+        # install reports the file rather than a traceback
+        import latentblendkit
+
+        package = tmp_path / "latentblendkit"
+        shutil.copytree(Path(latentblendkit.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+        path = package / "data" / name
+        if damage == "deleted":
+            path.unlink()
+        else:
+            path.write_text(path.read_text(encoding="utf-8")[:40] if damage == "truncated" else "[]", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "latentblendkit.cli", "catalog", "--which", which],
+            env={**os.environ, "PYTHONPATH": str(tmp_path)}, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr.startswith("error: " + message.format(what=what, path=path)), proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def _error_classes(cls=errors.BlendKitError):

@@ -26,9 +26,10 @@ def test_prints_every_layer_at_one_repetition():
     kernels.append("shared_attention/192x64")
     steps = ["step/8x32x3", "step/8x32x18", "step/64x256x1"]
     reads = ["load_rows/10000x768", "wms/grid7/10000x768"]
-    assert sorted(layers) == sorted(kernels + steps + reads)
+    values = ["latent_vector/768", "wrap/768", "rows/10000x768", "stack_vectors/10000x768"]
+    assert sorted(layers) == sorted(kernels + steps + reads + values)
     # a step is the difference of two runs' times, which one noisy repetition may invert
-    assert all(layers[name] > 0 for name in kernels + reads)
+    assert all(layers[name] > 0 for name in kernels + reads + values)
 
 
 def test_compare_keeps_the_layers_of_both_trees():

@@ -37,6 +37,7 @@ from latentblendkit import (
     QueryEntry,
     ReferenceStyle,
     WeightedStyleSet,
+    best_music_query,
     linear_blend,
     mean_similarity,
     read_vectors,
@@ -110,7 +111,8 @@ class TestStack:
         assert es.generated is base
         assert np.shares_memory(es.generated, rows[0].data)
         assert WeightedStyleSet.of(rows, [1.0] * 6).vectors is base
-        assert QueryCatalog(queries=tuple(QueryEntry(str(i), r) for i, r in enumerate(rows)))._embeddings is base
+        catalog = QueryCatalog(queries=tuple(QueryEntry(str(i), r) for i, r in enumerate(rows)))
+        assert catalog._rec.matrix is base and catalog._rec is rows[0]._rec
         assert wms_score(es) == wms_score(EmbeddingSet(generated=_copies(rows), references=refs))
 
     def test_a_one_row_file_is_its_matrix(self, tmp_path, rng):
@@ -251,6 +253,20 @@ class TestRecord:
         assert np.array_equal(row.data, rows[2].data) and repr(row) == repr(rows[2])
         assert np.array_equal(es2.generated, es.generated) and repr(es2.references) == repr(es.references)
         assert wms_score(es2) == wms_score(es)
+
+    @pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    @pytest.mark.parametrize("source", ["row views", "vectors"])
+    def test_a_copied_catalog_keeps_a_read_only_record(self, rows, rng, clone, source):
+        entries = rows if source == "row views" else _copies(rows)
+        catalog = QueryCatalog(queries=tuple(QueryEntry(str(i), r) for i, r in enumerate(entries)))
+        assert tensorcore._stack_vectors(catalog._rec, "entry {}") is catalog._rec
+        music = LatentVector(rng.standard_normal(5))
+        catalog2 = clone(catalog)
+        assert not catalog2._rec.matrix.flags.writeable and not catalog2._rec.norms().flags.writeable
+        assert (catalog2._rec is catalog._rec) == (clone is copy.copy)
+        assert np.array_equal(catalog2._rec.matrix, catalog._rec.matrix)
+        assert best_music_query(music, catalog2) == best_music_query(music, catalog)
 
     def test_a_pickled_set_holds_its_matrix_once(self, tmp_path, rng):
         write_vectors(tmp_path / "big.npy", rng.standard_normal((10_000, 768)))

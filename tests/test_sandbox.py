@@ -369,15 +369,18 @@ class TestGuidanceSweep:
 
     @staticmethod
     def _spy_layouts(monkeypatch) -> list:
-        """(maps, channels_first) of each attention call the sandbox makes."""
+        """(maps, channels_first) of each weighted sum the sandbox takes:
+        whether each map's output is a C-contiguous (channels, positions) map."""
         layouts = []
-        real = sandbox._attend_blocks
+        real = sandbox._weighted_channels
 
-        def spy(keys, values, blocks, q_hat=None, channels_first=False):
-            layouts.append((len(keys), channels_first))
-            return real(keys, values, blocks, q_hat, channels_first)
+        def spy(weights, values):
+            updated = real(weights, values)
+            channels_first = updated.shape[1:] == (values.shape[-1], weights.shape[-2]) and updated.flags.c_contiguous
+            layouts.append((len(weights), channels_first))
+            return updated
 
-        monkeypatch.setattr(sandbox, "_attend_blocks", spy)
+        monkeypatch.setattr(sandbox, "_weighted_channels", spy)
         return layouts
 
     def test_two_channels_first_chunks_match_loop_reference(self, monkeypatch):
@@ -414,8 +417,7 @@ class TestGuidanceSweep:
             w_t = np.ascontiguousarray(weights.swapaxes(-1, -2))
             return tensorcore._per_matrix("ji,jv->vi", w_t, values, (values.shape[-1], weights.shape[-2]))
 
-        attention = sys.modules["latentblendkit.attention"]  # the package exports a function of that name
-        monkeypatch.setattr(attention, "_weighted_channels", forced)
+        monkeypatch.setattr(sandbox, "_weighted_channels", forced)
         got = run_sandbox(cfg).per_step_stat_distance
         assert got[:2] == want.per_step_stat_distance[:2], cpu_note()
         assert (got[2], want.final_stat_distance) == (3.1562120892349763, 3.156212089234976), cpu_note()
@@ -564,25 +566,25 @@ class TestThreadedSteps:
 
 
 def _count_chain_steps(monkeypatch, fault=None):
-    """Spy on the sandbox's attention kernel: the returned dict counts the
-    calls of each chain, keyed by the order in which its key block first
+    """Spy on the sandbox's weighted-sum kernel: the returned dict counts the
+    calls of each chain, keyed by the order in which its value block first
     appeared. ``fault(chain, call, updated)`` may change or raise on a call's
     output; ``chain`` is that order, ``call`` the chain's call number."""
     calls: dict[int, int] = {}
     chains: dict[int, int] = {}
     lock = threading.Lock()
-    real = sandbox._attend_blocks
+    real = sandbox._weighted_channels
 
-    def spy(keys, values, blocks, q_hat=None, channels_first=False):
+    def spy(weights, values):
         with lock:
-            chain = chains.setdefault(id(keys), len(chains))
+            chain = chains.setdefault(id(values), len(chains))
             call = calls[chain] = calls.get(chain, 0) + 1
-        updated, weights = real(keys, values, blocks, q_hat, channels_first)
+        updated = real(weights, values)
         if fault is not None:
             fault(chain, call, updated)
-        return updated, weights
+        return updated
 
-    monkeypatch.setattr(sandbox, "_attend_blocks", spy)
+    monkeypatch.setattr(sandbox, "_weighted_channels", spy)
     return calls
 
 

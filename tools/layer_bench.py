@@ -22,7 +22,13 @@ one seeded 10,000 x 768 ``<f8`` NPY file through public calls only, so
 every tree runs them: one ``formats.load_rows`` of it, and the
 weighted-DINO grid over it, which is ``read_vectors(rows=True)`` and then
 one ``EmbeddingSet`` and ``wms_score`` per row of the 7-row ``wms --grid``
-weight grid.
+weight grid. The value-construction layers build one vector of the file's
+768 dims through the public ``LatentVector`` constructor (a checked copy)
+and through ``_wrap`` (checked and frozen in place), the row views of the
+file's checked matrix through ``_rows``, and the record or matrix
+``_stack_vectors`` gives for all of those views, in order, which is the
+matrix they view: no copy. A layer that the tree's package lacks is left
+out here too.
 
 With one tree the package is imported from ``--src`` (default: this
 repository's ``src/``) and one JSON object, layer to microseconds, is
@@ -71,7 +77,7 @@ KERNEL_SHAPES = (("8x32x18", 8, 32, 18, 30), ("64x256x1", 64, 256, 1, 2))
 STEP_SHAPES = (("8x32x3", 8, 32, 4, 1), ("8x32x18", 8, 32, 4, 6), ("64x256x1", 64, 256, 2, 1))
 #: (tokens, dims) of each side of the shared_attention layer
 ATTEND_SHAPE = (192, 64)
-#: (rows, dims) of the file the load and grid layers read
+#: (rows, dims) of the file the load, grid and row-view layers read
 FILE_SHAPE = (10_000, 768)
 #: (channels, positions) of the gate table's rows, from the smallest per-map
 #: work to the largest, and its image counts
@@ -131,6 +137,25 @@ def _file_calls(path: Path) -> dict:
     return {f"load_rows/{label}": lambda: load_rows([path]), f"wms/grid{len(WEIGHT_GRID)}/{label}": grid}
 
 
+def _value_calls(tensorcore, path: Path) -> dict:
+    """(callable, calls per timing) of each value-construction layer the
+    tree's ``tensorcore`` has, the row-view layers over the file at ``path``."""
+    from latentblendkit.formats import load_rows
+
+    rows_label, dims = "x".join(map(str, FILE_SHAPE)), FILE_SHAPE[1]
+    vector = np.random.default_rng(0).standard_normal(dims)
+    calls = {f"latent_vector/{dims}": (lambda: tensorcore.LatentVector(vector), 1000)}
+    if hasattr(tensorcore, "_wrap"):
+        calls[f"wrap/{dims}"] = (lambda: tensorcore._wrap(tensorcore.LatentVector, vector), 1000)
+    if hasattr(tensorcore, "_rows") and hasattr(tensorcore, "_checked"):
+        matrix = tensorcore._checked(load_rows([path]), 2, "LatentVector")
+        rows = tensorcore._rows(matrix)
+        calls[f"rows/{rows_label}"] = (lambda: tensorcore._rows(matrix), 1)
+        if hasattr(tensorcore, "_stack_vectors"):
+            calls[f"stack_vectors/{rows_label}"] = (lambda: tensorcore._stack_vectors(rows, "row {}"), 1)
+    return calls
+
+
 def measure(repeat: int) -> dict[str, float]:
     """Per-call microseconds of every layer the imported package has."""
     import latentblendkit as lbk
@@ -152,8 +177,11 @@ def measure(repeat: int) -> dict[str, float]:
             times.append(min(timeit.repeat(lambda: run_guidance_sweep(cfg, grid), repeat=repeat, number=1)))
         out[f"step/{label}"] = (times[1] - times[0]) / STEPS * 1e6
     with tempfile.TemporaryDirectory() as tmp:
-        for name, call in _file_calls(Path(tmp) / "rows.npy").items():
+        path = Path(tmp) / "rows.npy"
+        for name, call in _file_calls(path).items():
             out[name] = min(timeit.repeat(call, repeat=repeat, number=1)) * 1e6
+        for name, (call, number) in _value_calls(tensorcore, path).items():
+            out[name] = min(timeit.repeat(call, repeat=repeat, number=number)) / number * 1e6
     return out
 
 

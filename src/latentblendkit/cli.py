@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -336,43 +335,20 @@ def attend(self_path, ref_paths, mu, sigma, auto_classify, threshold, lambda_wei
     _emit(doc, output)
 
 
-@dataclass(frozen=True)
-class _TextInput:
-    """A fuse input entry of a modality given as text."""
-
-    modality: str
-    text: str
-
-    def __post_init__(self):
-        from .fusion import MODALITIES
-
-        if self.modality not in MODALITIES:
-            raise InputError(f"modality must be one of {', '.join(MODALITIES)}, got {self.modality!r}")
-
-
-@dataclass(frozen=True)
-class _MusicInput:
-    """A music fuse input entry, less its modality."""
-
-    embedding: tuple[float, ...]
-
-
 def _describe(item, where: str, path: str, catalog: QueryCatalog) -> tuple[ModalityDescription, dict]:
     """The description of the fuse input entry ``item`` and its --explain note."""
     from .formats import decode
-    from .fusion import ModalityDescription, WeatherRecord, best_music_query, weather_to_text
-    from .tensorcore import LatentVector
+    from .fusion import ModalityDescription, WeatherRecord, _MusicInput, best_music_query, weather_to_text
 
     match item:
         case {"modality": "music", **fields}:
-            music = decode(_MusicInput, fields, where, path)
-            best = best_music_query(LatentVector(music.embedding), catalog)
+            best = best_music_query(decode(_MusicInput, fields, where, path).embedding, catalog)
             note = {"modality": "music", "best_query": {"index": best.index, "text": best.text, "score": best.score}}
-            return ModalityDescription.from_text("music", best.text), note
+            return ModalityDescription("music", best.text), note
         case {"modality": "weather", **fields}:
             return weather_to_text(decode(WeatherRecord, fields, where, path)), {"modality": "weather"}
-    entry = decode(_TextInput, item, where, path)
-    return ModalityDescription.from_text(entry.modality, entry.text), {"modality": entry.modality}
+    entry = decode(ModalityDescription, item, where, path)
+    return entry, {"modality": entry.modality}
 
 
 @main.command()

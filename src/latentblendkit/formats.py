@@ -379,15 +379,21 @@ def decode(cls, raw, where: str, path: str = ""):
 
     ``cls`` is a frozen dataclass, read through its fields' annotations, or
     a field type: float, int, str, bool, ``tuple[T, ...]``, a fixed-length
-    tuple such as ``tuple[int, int]``, or a dataclass. Types are strict: a
-    bool is never a number, a string never a number, a float never an int
-    (an int is a float), floats are finite and strings valid Unicode.
+    tuple such as ``tuple[int, int]``, a dataclass, or ``LatentVector``, a
+    non-empty array of floats (an empty one raises InvalidShape). Types are
+    strict: a bool is never a number, a string never a number, a float never
+    an int (an int is a float), floats are finite and strings valid Unicode.
     Unknown keys are rejected, save a dataclass's ``RETIRED_KEYS``, which
     are ignored. A missing key takes the field's default: in a nested
     object, the value in the enclosing field's default instance. Value
     rules are each dataclass's ``__post_init__``. Every failure is an
     InputError that reads ``{where}: {path}: {problem}``.
     """
+    if cls is LatentVector:
+        try:
+            return _wrap(LatentVector, np.array(decode(tuple[float, ...], raw, where, path)))
+        except InvalidShape as exc:  # an empty array
+            raise _error(where, path, str(exc), InvalidShape) from None
     if dataclasses.is_dataclass(cls):
         return _decode_object(cls, raw, where, path)
     if typing.get_origin(cls) is tuple:
@@ -456,8 +462,8 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _error(where: str, path: str, problem: str) -> InputError:
-    return InputError(f"{where}: {path}: {problem}" if path else f"{where}: {problem}")
+def _error(where: str, path: str, problem: str, kind: type[InputError] = InputError) -> InputError:
+    return kind(f"{where}: {path}: {problem}" if path else f"{where}: {problem}")
 
 
 def _show(value) -> str:

@@ -25,7 +25,7 @@ import shlex
 import shutil
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -62,37 +62,36 @@ PROVIDER_MAX_OUTPUT_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class ModalityDescription:
-    """One modality's text plus its whitespace-token count."""
+    """One modality's text; a fuse input entry given as text."""
 
     modality: str
     text: str
-    word_count: int
 
     def __post_init__(self):
         if self.modality not in MODALITIES:
-            raise InputError(f"unknown modality '{self.modality}'")
-        if self.word_count != len(self.text.split()):
-            raise InputError(
-                f"word_count {self.word_count} does not match text ({len(self.text.split())} words)"
-            )
+            raise InputError(f"modality must be one of {', '.join(MODALITIES)}, got {self.modality!r}")
+
+    @property
+    def word_count(self) -> int:
+        """The text's whitespace-token count."""
+        return len(self.text.split())
 
     @classmethod
     def from_text(cls, modality: str, text: str) -> "ModalityDescription":
-        return cls(modality=modality, text=text, word_count=len(text.split()))
+        return cls(modality=modality, text=text)
+
+
+@dataclass(frozen=True)
+class _MusicInput:
+    """A music fuse input entry, less its modality."""
+
+    embedding: LatentVector
 
 
 @dataclass(frozen=True)
 class QueryEntry:
     text: str
     embedding: LatentVector
-
-
-@dataclass(frozen=True)
-class _QueryJson:
-    """A query catalog entry as a catalog file holds it."""
-
-    text: str
-    embedding: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -113,8 +112,7 @@ class QueryCatalog(_Frozen):
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "QueryCatalog":
-        entries = decode(tuple[_QueryJson, ...], read_json(path, "query catalog"), f"query catalog {path}")
-        return cls(queries=tuple(QueryEntry(text=e.text, embedding=LatentVector(e.embedding)) for e in entries))
+        return cls(queries=decode(tuple[QueryEntry, ...], read_json(path, "query catalog"), f"query catalog {path}"))
 
 
 def default_query_catalog() -> QueryCatalog:
@@ -325,16 +323,7 @@ def _provider_argv(locator: str, modality: str) -> list[str]:
 
 def _paraphrase_command(argv: list[str], params: ParaphraseParams, d: ModalityDescription) -> str:
     """One external provider call: the paraphrase of ``d.text``."""
-    request = json.dumps(
-        {
-            "task": "paraphrase",
-            "text": d.text,
-            "l_max": params.l_max,
-            "l_min": params.l_min,
-            "length_penalty": params.length_penalty,
-            "num_beams": params.num_beams,
-        }
-    )
+    request = json.dumps({"task": "paraphrase", "text": d.text, **asdict(params)})
     returncode, stdout, stderr = _exchange(argv, request.encode("utf-8"), d.modality)
     if returncode != 0:
         raise ProviderFailure(

@@ -700,6 +700,45 @@ class TestFuseCommand:
         assert result.exit_code == 0, result.output
         assert result.output.strip() == "via env"
 
+    @staticmethod
+    def golden_outputs(runner, tmp_path, monkeypatch) -> dict:
+        """Stdout bytes of fuse runs with a fixture provider, keyed as in
+        tests/golden/fuse_cli.json: text entries (one flagged, one not ASCII),
+        weather and music. Each music entry holds only 0, 0.5 and 1, so its
+        squared norm is exact in any summation order."""
+        music = [[0.0] * 24 for _ in range(3)]
+        music[0][5] = 1.0
+        music[1][2], music[1][7], music[1][20] = 0.5, 1.0, 0.5
+        music[2][0], music[2][1] = 0.5, 0.5  # a tie, which breaks to the lower index
+        entries = [
+            {"modality": "image", "text": "a lighthouse at dusk"},
+            {"modality": "text", "text": TestFuseCommand.LONG},
+            {"modality": "music", "embedding": music[0]},
+            {"modality": "weather", "condition": "light snow", "temperature_c": -2.25, "wind_mps": 7.35},
+            {"modality": "audio", "text": ""},
+            {"modality": "music", "embedding": music[1]},
+            {"modality": "text", "text": "café  au\tlait"},
+            {"modality": "music", "embedding": music[2]},
+        ]
+        (tmp_path / "inputs.json").write_text(json.dumps(entries))
+        (tmp_path / "fix.json").write_text(json.dumps({TestFuseCommand.LONG: "numbers, counted"}))
+        (tmp_path / "cfg.json").write_text(json.dumps({"verbosity_threshold_k": 3}))
+        monkeypatch.chdir(tmp_path)
+        fuse = ["fuse", "--inputs", "inputs.json", "--provider", "fix.json"]
+        commands = {"explain": [*fuse, "--explain"], "prompt": fuse}
+        out = {}
+        for key, args in commands.items():
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            out[key] = result.stdout_bytes.decode("utf-8")
+        result = runner.invoke(main, [*fuse, "--config", "cfg.json"])
+        out["flagged_missing_from_fixture"] = {"exit_code": result.exit_code, "stderr": result.stderr}
+        return out
+
+    def test_golden_bytes(self, runner, tmp_path, monkeypatch):
+        golden = json.loads((GOLDEN / "fuse_cli.json").read_text())
+        assert self.golden_outputs(runner, tmp_path, monkeypatch) == golden, cpu_note()
+
 
 class TestOverflowAndNesting:
     """Inputs whose numbers overflow float64, or whose JSON or NPY header

@@ -25,11 +25,14 @@ from latentblendkit import (
     DdimScheduleConfig,
     FusionConfig,
     InputError,
+    InvalidShape,
+    LatentVector,
+    ModalityDescription,
     ParaphraseParams,
+    QueryEntry,
     RescaleParams,
     SandboxConfig,
     WeatherRecord,
-    cli,
     decode,
     fusion,
     sandbox,
@@ -89,6 +92,24 @@ class TestStrictTypes:
         with pytest.raises(InputError, match=r"^f\.json: rescale\.mu: mu must be finite, got "):
             decode(RescaleParams, {"mu": raw, "sigma": 1.0}, "f.json", "rescale")
 
+    def test_latent_vector_is_a_read_only_float64_vector(self):
+        got = decode(LatentVector, [1, 2.5], "w")
+        assert type(got) is LatentVector and got.data.dtype == np.float64
+        assert not got.data.flags.writeable
+        assert np.array_equal(got.data, LatentVector([1.0, 2.5]).data)
+
+    def test_latent_vector_must_be_non_empty(self):
+        with pytest.raises(InvalidShape, match=r"^w: e: LatentVector must be non-empty"):
+            decode(LatentVector, [], "w", "e")
+        with pytest.raises(InvalidShape):
+            decode(LatentVector, [], "w")
+
+    @pytest.mark.parametrize("raw, problem", [([True], "expected float, got true"), (["x"], 'expected float, got "x"')])
+    def test_latent_vector_entries_are_floats(self, raw, problem):
+        with pytest.raises(InputError) as info:
+            decode(LatentVector, raw, "w")
+        assert str(info.value) == f"w: [0]: {problem}"
+
     def test_long_values_are_cut_in_messages(self):
         with pytest.raises(InputError) as info:
             decode(int, "y" * 500, "f.json", "n")
@@ -112,6 +133,11 @@ class TestObjects:
         assert decode(DdimScheduleConfig, raw, "w") == DdimScheduleConfig(steps=5)
         with pytest.raises(InputError, match="clip_sample: unknown key"):
             decode(SandboxConfig, {"clip_sample": True}, "w")
+
+    def test_text_entry_counts_its_words(self):
+        assert decode(ModalityDescription, {"modality": "image", "text": "a b c"}, "w").word_count == 3
+        with pytest.raises(InputError, match=r"^w: \[0\]: modality must be one of image, audio, music, weather, text"):
+            decode(tuple[ModalityDescription, ...], [{"modality": "video", "text": "clip"}], "w")
 
     def test_missing_keys_take_the_defaults(self):
         assert decode(SandboxConfig, {}, "w") == SandboxConfig()
@@ -210,6 +236,8 @@ MALFORMED = {
     "steps over the cap": (_SANDBOX, {"schedule": {"steps": 10**12}}, "schedule.steps"),
     "catalog text number": (_CATALOG, [{"text": 5, "embedding": [1.0]}], "[0].text"),
     "catalog embedding string": (_CATALOG, [{"text": "a", "embedding": ["x", 1]}], "[0].embedding[0]"),
+    "catalog embedding empty": (_CATALOG, [{"text": "a", "embedding": []}], "[0].embedding: LatentVector must be"),
+    "music embedding empty": (_FUSE, [{"modality": "music", "embedding": []}], "[0].embedding: LatentVector must be"),
     "wms weights overflowing their sum": (
         ["wms", "--generated", "{d}/s.npy", "--refs", "{d}/refs.npy", "--weights", "1e308,1e308"], None,
         "reference weights must have a finite sum",
@@ -305,9 +333,10 @@ DECODED = [
     BlendSpec,
     BlendStyleRef,
     WeatherRecord,
-    cli._TextInput,
-    cli._MusicInput,
-    tuple[fusion._QueryJson, ...],
+    ModalityDescription,
+    fusion._MusicInput,
+    tuple[QueryEntry, ...],
+    LatentVector,
 ]
 
 

@@ -48,10 +48,6 @@ class TestModalityDescription:
         assert desc("image", "a castle on a hill").word_count == 5
         assert desc("text", "").word_count == 0
 
-    def test_word_count_validated(self):
-        with pytest.raises(InputError):
-            ModalityDescription(modality="image", text="two words", word_count=3)
-
     def test_unknown_modality(self):
         with pytest.raises(InputError):
             desc("video", "clip")
@@ -319,6 +315,15 @@ class TestCommandProvider:
         cfg = FusionConfig(paraphrase=ParaphraseParams(l_max=20, l_min=5, length_penalty=1.5, num_beams=2))
         out = fuse([desc("image", LONG_TEXT)], cfg, binding)
         assert out == "20:5:1.5:2"
+
+    def test_request_bytes(self, tmp_path):
+        # the provider answers with the request it read, byte for byte
+        binding = self._script(tmp_path, "import json, sys\nprint(json.dumps({'text': sys.stdin.read()}))\n")
+        cfg = FusionConfig(paraphrase=ParaphraseParams(l_max=20, l_min=5, length_penalty=1.5, num_beams=2))
+        text = LONG_TEXT + " \"café\""
+        assert fuse([desc("image", text)], cfg, binding) == json.dumps(
+            {"task": "paraphrase", "text": text, "l_max": 20, "l_min": 5, "length_penalty": 1.5, "num_beams": 2}
+        )
 
     def test_nonzero_exit_is_failure(self, tmp_path):
         binding = self._script(tmp_path, "import sys\nsys.exit(3)\n")

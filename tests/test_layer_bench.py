@@ -27,9 +27,11 @@ def test_prints_every_layer_at_one_repetition():
     steps = ["step/8x32x3", "step/8x32x18", "step/64x256x1"]
     reads = ["load_rows/10000x768", "wms/grid7/10000x768"]
     values = ["latent_vector/768", "wrap/768", "rows/10000x768", "stack_vectors/10000x768"]
-    assert sorted(layers) == sorted(kernels + steps + reads + values)
+    dots = ["dot/6", "dot/768", "dot/20000", "row_norms/10000x768"]
+    fuse = ["fuse/fixture32"]
+    assert sorted(layers) == sorted(kernels + steps + reads + values + dots + fuse)
     # a step is the difference of two runs' times, which one noisy repetition may invert
-    assert all(layers[name] > 0 for name in kernels + reads + values)
+    assert all(layers[name] > 0 for name in kernels + reads + values + dots + fuse)
 
 
 def test_compare_keeps_the_layers_of_both_trees():

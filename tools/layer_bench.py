@@ -28,7 +28,12 @@ and through ``_wrap`` (checked and frozen in place), the row views of the
 file's checked matrix through ``_rows``, and the record or matrix
 ``_stack_vectors`` gives for all of those views, in order, which is the
 matrix they view: no copy. A layer that the tree's package lacks is left
-out here too.
+out here too. The dot layers run the public ``dot`` on seeded vectors of 6,
+768 and 20,000 dims, and ``_row_norms`` on the file's matrix. One fuse runs
+the ``lbk fuse`` input stage through the CLI's ``_describe`` and then
+``fuse_with_trace``: it reads the shipped query catalog, describes
+``FUSE_ENTRIES`` seeded entries (text, long text, weather and music in
+turn), and paraphrases the long ones from a fixture map.
 
 With one tree the package is imported from ``--src`` (default: this
 repository's ``src/``) and one JSON object, layer to microseconds, is
@@ -79,6 +84,10 @@ STEP_SHAPES = (("8x32x3", 8, 32, 4, 1), ("8x32x18", 8, 32, 4, 6), ("64x256x1", 6
 ATTEND_SHAPE = (192, 64)
 #: (rows, dims) of the file the load, grid and row-view layers read
 FILE_SHAPE = (10_000, 768)
+#: dims of each dot layer's vectors
+DOT_DIMS = (6, 768, 20_000)
+#: input entries of the fuse layer
+FUSE_ENTRIES = 32
 #: (channels, positions) of the gate table's rows, from the smallest per-map
 #: work to the largest, and its image counts
 GATE_SHAPES = ((8, 32), (16, 64), (32, 64), (24, 96), (16, 128), (32, 128), (32, 256))
@@ -156,6 +165,56 @@ def _value_calls(tensorcore, path: Path) -> dict:
     return calls
 
 
+def _dot_calls(tensorcore, path: Path) -> dict:
+    """(callable, calls per timing) of each dot layer, the row norms over
+    the file at ``path``."""
+    import latentblendkit as lbk
+    from latentblendkit.formats import load_rows
+
+    rng = np.random.default_rng(0)
+    calls = {}
+    for d in DOT_DIMS:
+        a, b = (lbk.LatentVector(rng.standard_normal(d)) for _ in range(2))
+        calls[f"dot/{d}"] = (partial(lbk.dot, a, b), 1000 if d < 10_000 else 100)
+    if hasattr(tensorcore, "_row_norms"):
+        matrix = load_rows([path])
+        calls["row_norms/" + "x".join(map(str, FILE_SHAPE))] = (lambda: tensorcore._row_norms(matrix), 1)
+    return calls
+
+
+def _fuse_call(tmp: Path):
+    """One fuse of ``FUSE_ENTRIES`` seeded entries, as ``lbk fuse`` runs it,
+    with a fixture map written under ``tmp``."""
+    import latentblendkit as lbk
+    from latentblendkit import cli
+
+    rng = np.random.default_rng(0)
+    entries, fixture = [], {}
+    for i in range(FUSE_ENTRIES):
+        kind = i % 4
+        if kind == 0:
+            entries.append({"modality": "image", "text": f"a quiet harbor at dawn, frame {i}"})
+        elif kind == 1:
+            text = " ".join(f"word{i}_{j}" for j in range(12))
+            entries.append({"modality": "text", "text": text})
+            fixture[text] = f"caption {i}"
+        elif kind == 2:
+            temperature, wind = rng.uniform(-10.0, 30.0), rng.uniform(0.0, 15.0)
+            entries.append({"modality": "weather", "condition": "rain", "temperature_c": temperature, "wind_mps": wind})
+        else:
+            entries.append({"modality": "music", "embedding": rng.standard_normal(24).tolist()})
+    path = tmp / "fixture.json"
+    path.write_text(json.dumps(fixture))
+    binding = lbk.ProviderBinding(kind="fixture_file", locator=str(path))
+
+    def fuse():
+        catalog = lbk.default_query_catalog()
+        ds = [cli._describe(item, "fusion inputs", f"[{i}]", catalog)[0] for i, item in enumerate(entries)]
+        return lbk.fuse_with_trace(ds, lbk.FusionConfig(), binding)
+
+    return fuse
+
+
 def measure(repeat: int) -> dict[str, float]:
     """Per-call microseconds of every layer the imported package has."""
     import latentblendkit as lbk
@@ -180,8 +239,9 @@ def measure(repeat: int) -> dict[str, float]:
         path = Path(tmp) / "rows.npy"
         for name, call in _file_calls(path).items():
             out[name] = min(timeit.repeat(call, repeat=repeat, number=1)) * 1e6
-        for name, (call, number) in _value_calls(tensorcore, path).items():
+        for name, (call, number) in (_value_calls(tensorcore, path) | _dot_calls(tensorcore, path)).items():
             out[name] = min(timeit.repeat(call, repeat=repeat, number=number)) / number * 1e6
+        out[f"fuse/fixture{FUSE_ENTRIES}"] = min(timeit.repeat(_fuse_call(Path(tmp)), repeat=repeat, number=5)) / 5 * 1e6
     return out
 
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import AllZeroWeights, AntipodalVectors, DimensionMismatch, InputError
 from .tensorcore import (
-    DEFAULT_EPS_OMEGA, LINEAR, SLI, _HUGE, LatentVector, _Frozen, _angle, _stack_vectors, _weight_sum, _wrap, angle_between
+    DEFAULT_EPS_OMEGA, LINEAR, SLI, _HUGE, LatentVector, _angle, _check_eps_omega, _Frozen, _stack_vectors, _weight_sum,
+    _wrap, angle_between,
 )
 
 #: Below this bound on its entries, ``c1 * z1 + c2 * z2`` cannot overflow:
@@ -131,6 +132,7 @@ def slerp_pair(
     """
     if not 0.0 <= t <= 1.0:
         raise InputError(f"interpolation parameter t={t} outside [0, 1]")
+    _check_eps_omega(eps_omega)
     if z1.d_z != z2.d_z:
         raise DimensionMismatch(f"slerp: dimensions differ ({z1.d_z} vs {z2.d_z})")
     vector, omega = _slerp(z1.data, z2.data, t, eps_omega)
@@ -174,6 +176,7 @@ def sli_blend(s: WeightedStyleSet, eps_omega: float = DEFAULT_EPS_OMEGA) -> Blen
     toward style i+1 with t = w_{i+1} / sum(w_1..w_{i+1}); for two styles
     this reduces exactly to ``slerp_pair`` with t = w2 / (w1 + w2).
     """
+    _check_eps_omega(eps_omega)
     weights = _normalized(s.weights)
     order = tuple(sorted(range(len(weights)), key=lambda i: (-weights[i], i)))
     vector, trace = _sli_fold(s.vectors, weights, order, eps_omega)

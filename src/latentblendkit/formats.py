@@ -45,7 +45,9 @@ from .errors import (
     UnsupportedOrder,
     UnsupportedVersion,
 )
-from .tensorcore import DEFAULT_EPS_OMEGA, LINEAR, SLI, FeatureMap, LatentVector, Matrix, _checked, _rows, _wrap
+from .tensorcore import (
+    DEFAULT_EPS_OMEGA, LINEAR, SLI, FeatureMap, LatentVector, Matrix, _check_eps_omega, _checked, _rows, _wrap
+)
 
 _MAGIC = b"\x93NUMPY"
 _HEADER_START = 10  # magic (6) + version (2) + header length (2)
@@ -503,8 +505,7 @@ class BlendSpec:
             total = math.inf
         if not 0.0 < total < math.inf:
             raise InputError(f"style weights must have a positive, finite sum, got {total}")
-        if not self.eps_omega > 0:
-            raise InputError(f"eps_omega must be > 0, got {self.eps_omega}")
+        _check_eps_omega(self.eps_omega)
 
 
 def load_blend_spec(path: str | Path) -> BlendSpec:

@@ -5,8 +5,8 @@ an audio embedding and is matched to the closest entry of a fixed query
 catalog). Descriptions longer than a word threshold are sent to a
 paraphrasing provider; everything is then joined, in input order, into one
 prompt. Model inference never happens in-process: providers are either a
-JSON fixture file (exact text -> replacement) or an external command
-speaking JSON on stdin/stdout.
+JSON fixture file (exact text -> replacement) or an external command that
+reads a JSON request from stdin, a regular file, and prints a JSON reply.
 
 A fusion checks its provider once, before any description is paraphrased.
 External commands then run concurrently, one process per flagged
@@ -19,11 +19,11 @@ from __future__ import annotations
 import json
 import math
 import os
-import select
 import selectors
 import shlex
 import shutil
 import subprocess
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -345,24 +345,25 @@ def _text(data: bytes, errors: str) -> str:
 
 
 def _exchange(argv: list[str], request: bytes, modality: str) -> tuple[int, bytes, bytes]:
-    """Run ``argv`` with ``request`` on its stdin: (exit code, stdout, stderr).
-
-    Both output pipes are read as they fill, in chunks, so a chatty stderr
-    cannot stall the provider; stderr past PROVIDER_MAX_OUTPUT_BYTES is read
-    and dropped. A provider that writes more than that to stdout, or has
-    not exited PROVIDER_TIMEOUT_S after it started, is killed.
+    """Run ``argv`` reading ``request`` from an unlinked temporary file as
+    its stdin: (exit code, stdout, stderr). Both output pipes are read as
+    they fill, so a chatty stderr cannot stall the provider; stderr past
+    PROVIDER_MAX_OUTPUT_BYTES is read and dropped. A provider that writes
+    more than that to stdout, or has not exited PROVIDER_TIMEOUT_S after it
+    started, is killed.
     """
     deadline = time.monotonic() + PROVIDER_TIMEOUT_S
-    try:
-        proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:  # an unwritable temporary directory fails as a provider that cannot start
+        with tempfile.TemporaryFile() as stdin:
+            stdin.write(request)
+            stdin.seek(0)
+            proc = subprocess.Popen(argv, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     except OSError as exc:
         raise ProviderUnavailable(f"cannot execute provider: {exc}", modality=modality) from exc
     timed_out = ProviderFailure(f"provider did not answer within {PROVIDER_TIMEOUT_S} s", modality=modality)
     outputs = {proc.stdout: bytearray(), proc.stderr: bytearray()}
-    pending = memoryview(request)
     with proc, selectors.DefaultSelector() as selector:  # proc's exit closes the pipes and reaps it
         try:
-            selector.register(proc.stdin, selectors.EVENT_WRITE)
             for pipe in outputs:
                 selector.register(pipe, selectors.EVENT_READ)
             while selector.get_map():
@@ -371,15 +372,6 @@ def _exchange(argv: list[str], request: bytes, modality: str) -> tuple[int, byte
                 if not ready:
                     raise timed_out
                 for key, _ in ready:
-                    if key.fileobj is proc.stdin:
-                        try:
-                            pending = pending[os.write(key.fd, pending[: select.PIPE_BUF]) :]
-                        except BrokenPipeError:  # the provider stopped reading
-                            pending = pending[:0]
-                        if not pending:
-                            selector.unregister(proc.stdin)
-                            proc.stdin.close()
-                        continue
                     chunk = os.read(key.fd, 65536)
                     if not chunk:
                         selector.unregister(key.fileobj)

@@ -40,6 +40,15 @@ SLI = "sli"
 #: straight-line interpolation is the correct limit.
 DEFAULT_EPS_OMEGA = 1e-7
 
+
+def _check_eps_omega(eps_omega: float) -> None:
+    """An InputError unless 0 < ``eps_omega`` <= pi/2: at or below 0, or NaN,
+    no pair counts as antipodal, and past pi/2 the parallel and antipodal
+    cutoffs overlap."""
+    if not 0.0 < eps_omega <= math.pi / 2:
+        raise InputError(f"eps_omega must be > 0 and at most pi/2, got {eps_omega}")
+
+
 _TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
 _HUGE = float(np.finfo(np.float64).max)
 

@@ -149,6 +149,22 @@ class TestSlerpPair:
         with pytest.raises(AntipodalVectors):
             slerp_pair(a, b, 0.0)  # errors take precedence over endpoints
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, 10.0, math.nextafter(math.pi / 2, 4.0)])
+    def test_eps_omega_outside_zero_to_half_pi_is_rejected(self, eps):
+        # at 0, below it or NaN the antipodal guard never fires, and this
+        # pair would blend to the zero vector; past pi/2 the parallel and
+        # antipodal cutoffs overlap
+        a, b = LatentVector([1.0, 0.0]), LatentVector([-1.0, 0.0])
+        with pytest.raises(InputError, match="eps_omega must be > 0 and at most pi/2"):
+            slerp_pair(a, b, 0.5, eps_omega=eps)
+        with pytest.raises(InputError, match="eps_omega must be > 0 and at most pi/2"):
+            sli_blend(WeightedStyleSet.of([a, b], [1.0, 1.0]), eps)
+
+    def test_eps_omega_of_half_pi_still_slerps_at_a_right_angle(self):
+        v, omega = slerp_pair(unit(0, 2), unit(1, 2), 0.5, eps_omega=math.pi / 2)
+        assert omega == math.pi / 2
+        np.testing.assert_allclose(v.data, [math.sqrt(0.5)] * 2, atol=1e-15)
+
     def test_zero_vector_error(self):
         with pytest.raises(ZeroVector):
             slerp_pair(LatentVector([0.0, 0.0]), unit(0, 2), 0.5)

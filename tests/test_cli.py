@@ -127,6 +127,15 @@ class TestBlendCommand:
         result = runner.invoke(main, ["blend", "--nope", "x"])
         assert result.exit_code == 2
 
+    def test_eps_omega_past_half_pi_exit_2(self, runner, tmp_path):
+        # one style twice: past pi/2 its omega of 0 also read as antipodal
+        write_vectors(tmp_path / "e1.npy", np.array([1.0, 0.0]))
+        write_vectors(tmp_path / "e2.npy", np.array([1.0, 0.0]))
+        spec = _blend_spec(tmp_path, "sli", (0.5, 0.5), eps=10)
+        result = runner.invoke(main, ["blend", "--spec", str(spec), "--out", str(tmp_path / "o.npy")])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: blend spec {spec}: eps_omega must be > 0 and at most pi/2, got 10.0\n"
+
     @staticmethod
     def golden_outputs(runner) -> dict:
         """Exit code, stdout, stderr and output NPY bytes (hex) of ``blend``

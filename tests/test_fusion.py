@@ -1,7 +1,9 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +326,36 @@ class TestCommandProvider:
         assert fuse([desc("image", text)], cfg, binding) == json.dumps(
             {"task": "paraphrase", "text": text, "l_max": 20, "l_min": 5, "length_penalty": 1.5, "num_beams": 2}
         )
+
+    def test_a_request_larger_than_a_pipe_buffer_arrives_whole(self, tmp_path):
+        # a 1 MiB text; the provider answers with the sha256 of its stdin
+        binding = self._script(
+            tmp_path,
+            "import hashlib, json, sys\n"
+            "print(json.dumps({'text': hashlib.sha256(sys.stdin.buffer.read()).hexdigest()}))\n",
+        )
+        text = ("word " * (1 << 18)).strip()
+        request = json.dumps({"task": "paraphrase", "text": text, "l_max": 32, "l_min": 8, "length_penalty": 2.0,
+                              "num_beams": 4})
+        assert len(request) > 1 << 20
+        assert fuse([desc("image", text)], FusionConfig(), binding) == hashlib.sha256(request.encode()).hexdigest()
+
+    def test_a_provider_that_never_reads_its_request_still_answers(self, tmp_path):
+        binding = self._script(tmp_path, "import json\nprint(json.dumps({'text': 'early'}))\n")
+        text = ("word " * (1 << 18)).strip()
+        assert fuse([desc("image", text), desc("text", LONG_TEXT)], FusionConfig(), binding) == "early, early"
+
+    def test_unwritable_temp_directory_exits_4(self, tmp_path, monkeypatch):
+        binding = self._script(tmp_path, "import json\nprint(json.dumps({'text': 'never'}))\n")
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps([{"modality": "audio", "text": LONG_TEXT}]))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        result = CliRunner().invoke(main, ["fuse", "--inputs", str(inputs), "--provider-kind", "external_command",
+                                           "--provider", binding.locator])
+        assert result.exit_code == 4, result.output
+        assert result.stderr.startswith("error: [modality=audio] cannot execute provider: ")
+        assert str(tmp_path / "missing") in result.stderr
+        assert result.stdout == ""
 
     def test_nonzero_exit_is_failure(self, tmp_path):
         binding = self._script(tmp_path, "import sys\nsys.exit(3)\n")

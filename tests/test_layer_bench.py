@@ -44,3 +44,9 @@ def test_compare_keeps_the_layers_of_both_trees():
 def test_rejects_a_repeat_count_below_one():
     proc = subprocess.run([sys.executable, str(TOOL), "--repeat", "0"], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and "--repeat, --rounds and --steps must be at least 1" in proc.stderr
+
+
+def test_per_call_us_makes_one_untimed_call_first():
+    calls = []
+    assert _tool().per_call_us(lambda: calls.append(None), repeat=3, number=4) >= 0
+    assert len(calls) == 3 * 4 + 1

@@ -1,7 +1,10 @@
 import copy
 import dataclasses
 import math
+import os
 import pickle
+import signal
+import threading
 import warnings
 
 import numpy as np
@@ -329,3 +332,29 @@ class TestWeightedSumLayouts:
         out = tensorcore._weighted_channels(weights, values)
         assert out.shape == (*lead, c, n) and out.flags.c_contiguous
         assert out.swapaxes(-1, -2).tobytes() == tensorcore._weighted_rows(weights, values).tobytes()
+
+
+class _Alarm(Exception):
+    pass
+
+
+def _raise_alarm(signum, frame):
+    raise _Alarm
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+def test_an_interrupt_of_the_caller_calls_stop_before_the_pool_waits(monkeypatch):
+    # both workers wait for stop(); the caller, waiting on them, is
+    # interrupted. Without the stop() call the pool would wait out their 5 s
+    # and the event would still be clear.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    stopped = threading.Event()
+    previous = signal.signal(signal.SIGALRM, _raise_alarm)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(_Alarm):
+            tensorcore._map_threads(lambda _: stopped.wait(5.0), range(2), stop=stopped.set)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert stopped.is_set()

@@ -1,5 +1,5 @@
 """Time the library's layers one at a time: per-call microseconds, each the
-min over repeats of a ``timeit`` mean.
+min over repeats of a ``timeit`` mean, after one untimed call.
 
     python3 tools/layer_bench.py [--repeat 7] [--src DIR]
     python3 tools/layer_bench.py --trees A B [--rounds 7] [--repeat 7]
@@ -215,6 +215,15 @@ def _fuse_call(tmp: Path):
     return fuse
 
 
+def per_call_us(call, repeat: int, number: int = 1) -> float:
+    """Microseconds per call of ``call``: the min over ``repeat`` timings of
+    ``number`` calls each. One untimed call goes first, so that what only a
+    first call pays (a lazy import, a cold cache) stays out of every timing,
+    ``--repeat 1`` included."""
+    call()
+    return min(timeit.repeat(call, repeat=repeat, number=number)) / number * 1e6
+
+
 def measure(repeat: int) -> dict[str, float]:
     """Per-call microseconds of every layer the imported package has."""
     import latentblendkit as lbk
@@ -223,25 +232,25 @@ def measure(repeat: int) -> dict[str, float]:
     out = {}
     for label, c, n, maps, number in KERNEL_SHAPES:
         for name, call in _kernel_calls(tensorcore, normalization, c, n, maps).items():
-            out[f"{name}/{label}"] = min(timeit.repeat(call, repeat=repeat, number=number)) / number * 1e6
+            out[f"{name}/{label}"] = per_call_us(call, repeat, number)
     rng = np.random.default_rng(0)
     own, ref = (lbk.Matrix(rng.standard_normal(ATTEND_SHAPE)) for _ in range(2))
     attend = partial(lbk.shared_attention, own, own, own, ref, ref, ref)
-    out["shared_attention/{}x{}".format(*ATTEND_SHAPE)] = min(timeit.repeat(attend, repeat=repeat, number=5)) / 5 * 1e6
+    out["shared_attention/{}x{}".format(*ATTEND_SHAPE)] = per_call_us(attend, repeat, 5)
     for label, c, n, images, runs in STEP_SHAPES:
         grid = (10.0, 5.0, 15.0, 20.0, 25.0, 30.0)[:runs]
         times = []
         for steps in (1, STEPS + 1):
             cfg = SandboxConfig(n_images=images, feature_shape=(c, n), schedule=DdimScheduleConfig(steps=steps))
-            times.append(min(timeit.repeat(lambda: run_guidance_sweep(cfg, grid), repeat=repeat, number=1)))
-        out[f"step/{label}"] = (times[1] - times[0]) / STEPS * 1e6
+            times.append(per_call_us(partial(run_guidance_sweep, cfg, grid), repeat))
+        out[f"step/{label}"] = (times[1] - times[0]) / STEPS
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.npy"
         for name, call in _file_calls(path).items():
-            out[name] = min(timeit.repeat(call, repeat=repeat, number=1)) * 1e6
+            out[name] = per_call_us(call, repeat)
         for name, (call, number) in (_value_calls(tensorcore, path) | _dot_calls(tensorcore, path)).items():
-            out[name] = min(timeit.repeat(call, repeat=repeat, number=number)) / number * 1e6
-        out[f"fuse/fixture{FUSE_ENTRIES}"] = min(timeit.repeat(_fuse_call(Path(tmp)), repeat=repeat, number=5)) / 5 * 1e6
+            out[name] = per_call_us(call, repeat, number)
+        out[f"fuse/fixture{FUSE_ENTRIES}"] = per_call_us(_fuse_call(Path(tmp)), repeat, 5)
     return out
 
 
